@@ -18,6 +18,11 @@ Standard form used for a row over ``n`` states with constraints
 
 A basis identifier is the sorted tuple of basic column indices of this
 standard form; it pins down exactly one vertex.
+
+Phase one depends only on the row, so it runs once per row: the standard
+form and the feasible tableau phase one ends with (or the ``Infeasible``
+outcome it raised) are kept read-only on the row object, and every later
+``minimize_row`` call copies that tableau and runs phase two only.
 """
 
 from __future__ import annotations
@@ -43,32 +48,85 @@ class LpSolution:
     basis: int | tuple[int, ...]
 
 
+@dataclass(frozen=True)
+class _RowStart:
+    """Standard form and phase-one outcome of one row; arrays are read-only.
+
+    ``tableau`` and ``basis`` are the feasible start phase two copies, with
+    the phase-one objective still in the last tableau row.  When the row
+    admits no pmf, or its data are not finite, ``tableau`` is None and
+    ``error`` holds the message ``Infeasible`` is raised with.
+    """
+
+    a: np.ndarray
+    b: np.ndarray
+    ncols: int
+    tableau: np.ndarray | None
+    basis: tuple[int, ...]
+    error: str | None
+
+
+def _standard_form(row: RowPolytopeH) -> tuple[np.ndarray, np.ndarray, int]:
+    n = row.num_states
+    slacks = [i for i, c in enumerate(row.constraints) if c.rel != "="]
+    ncols = n + len(slacks)
+    m = 1 + len(row.constraints)
+    a = np.zeros((m, ncols))
+    b = np.zeros(m)
+    a[0, :n] = 1.0
+    b[0] = 1.0
+    slack_col = n
+    for i, c in enumerate(row.constraints):
+        a[1 + i, :n] = c.a
+        b[1 + i] = c.b
+        if c.rel == "<=":
+            a[1 + i, slack_col] = 1.0
+            slack_col += 1
+        elif c.rel == ">=":
+            a[1 + i, slack_col] = -1.0
+            slack_col += 1
+    return a, b, ncols
+
+
+def _row_start(row: RowPolytopeH) -> _RowStart:
+    """The row's cached ``_RowStart``, computed on first use.
+
+    Threads racing on first use compute equal values and either write
+    wins, so no lock is needed.
+    """
+    start = row._lp
+    if start is None:
+        a, b, ncols = _standard_form(row)
+        a.flags.writeable = False
+        b.flags.writeable = False
+        start = row._lp = _RowStart(a, b, ncols, *_feasible_start(a, b, ncols))
+    return start
+
+
+def _feasible_start(a: np.ndarray, b: np.ndarray, ncols: int
+                    ) -> tuple[np.ndarray | None, tuple[int, ...], str | None]:
+    """Phase one's feasible tableau and basis, or why there is none."""
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        # NaN fails every tolerance test, so phase one would not notice
+        return None, (), "row has non-finite constraint data"
+    try:
+        tab, basis, infeas = _phase1(a, b, ncols)
+    except Infeasible as exc:
+        return None, (), str(exc)
+    if infeas > PHASE1_TOL:
+        return None, (), f"row polytope is empty (phase-one residual {infeas:.3g})"
+    tab.flags.writeable = False
+    return tab, tuple(basis), None
+
+
 def standard_form(row: RowPolytopeH) -> tuple[np.ndarray, np.ndarray, int]:
     """Equality standard form ``A x = b, x >= 0`` of a constraint row.
 
-    Returns ``(A, b, num_structural)``; cached on the row object.
+    Returns ``(A, b, num_structural)``; read from the row's cached
+    phase-one start, so the first call also runs phase one.
     """
-    if row._std is None:
-        n = row.num_states
-        slacks = [i for i, c in enumerate(row.constraints) if c.rel != "="]
-        ncols = n + len(slacks)
-        m = 1 + len(row.constraints)
-        a = np.zeros((m, ncols))
-        b = np.zeros(m)
-        a[0, :n] = 1.0
-        b[0] = 1.0
-        slack_col = n
-        for i, c in enumerate(row.constraints):
-            a[1 + i, :n] = c.a
-            b[1 + i] = c.b
-            if c.rel == "<=":
-                a[1 + i, slack_col] = 1.0
-                slack_col += 1
-            elif c.rel == ">=":
-                a[1 + i, slack_col] = -1.0
-                slack_col += 1
-        row._std = (a, b, ncols)
-    return row._std
+    start = _row_start(row)
+    return start.a, start.b, start.ncols
 
 
 def _pivot(tab: np.ndarray, basis: list[int], row: int, col: int) -> None:
@@ -115,13 +173,13 @@ def _bland(tab: np.ndarray, basis: list[int], allowed: int) -> None:
     raise Infeasible("simplex failed to terminate")
 
 
-def _phase1(row: RowPolytopeH) -> tuple[np.ndarray, list[int], int, float]:
-    """Find a basic feasible solution via artificial variables.
+def _phase1(a: np.ndarray, b: np.ndarray,
+            ncols: int) -> tuple[np.ndarray, list[int], float]:
+    """Find a basic feasible solution of ``A x = b, x >= 0`` via artificials.
 
-    Returns ``(tableau, basis, num_structural, residual_infeasibility)``
-    with the phase-one objective still in the last tableau row.
+    Returns ``(tableau, basis, residual_infeasibility)`` with the phase-one
+    objective still in the last tableau row.
     """
-    a, b, ncols = standard_form(row)
     m = a.shape[0]
     tab = np.zeros((m + 1, ncols + m + 1))
     sign = np.where(b < 0.0, -1.0, 1.0)
@@ -142,16 +200,12 @@ def _phase1(row: RowPolytopeH) -> tuple[np.ndarray, list[int], int, float]:
                 if abs(tab[i, j]) > PIVOT_TOL:
                     _pivot(tab, basis, i, j)
                     break
-    return tab, basis, ncols, infeas
+    return tab, basis, infeas
 
 
 def row_feasible(row: RowPolytopeH) -> bool:
     """Phase-one check that the constraint row admits at least one pmf."""
-    try:
-        infeas = _phase1(row)[3]
-    except Infeasible:
-        return False
-    return infeas <= PHASE1_TOL
+    return _row_start(row).error is None
 
 
 def minimize_row(row: RowPolytopeH, objective: np.ndarray) -> LpSolution:
@@ -161,9 +215,12 @@ def minimize_row(row: RowPolytopeH, objective: np.ndarray) -> LpSolution:
     of the row polytope, with its basis identifier.
     """
     objective = np.asarray(objective, dtype=float)
-    tab, basis, ncols, infeas = _phase1(row)
-    if infeas > PHASE1_TOL:
-        raise Infeasible(f"row polytope is empty (phase-one residual {infeas:.3g})")
+    start = _row_start(row)
+    if start.error is not None:
+        raise Infeasible(start.error)
+    tab = start.tableau.copy()
+    basis = list(start.basis)
+    ncols = start.ncols
     n = row.num_states
     obj = np.zeros(tab.shape[1])
     obj[:n] = objective

@@ -124,7 +124,8 @@ class RowPolytopeH:
         for c in self.constraints:
             if c.a.shape != (self.num_states,):
                 raise ValueError("constraint coefficient vector has wrong length")
-        self._std = None  # standard-form cache filled in by the lp module
+        # standard form and phase-one start, filled in once by the lp module
+        self._lp = None
 
 
 Row = Union[RowPolytopeV, RowPolytopeH]
@@ -227,8 +228,8 @@ def validate(model: Model) -> ValidationReport:
     """Check all model invariants and report per-row diagnostics.
 
     The model is accepted iff the target is a non-empty strict subset of
-    the state space, every V-rep vertex is a pmf within ``PMF_TOL``, and
-    every H-rep row is feasible.
+    the state space, every row's data are finite, every V-rep vertex is a
+    pmf within ``PMF_TOL``, and every H-rep row is feasible.
     """
     from . import lp  # deferred: lp only needs the row data structures
 
@@ -242,6 +243,12 @@ def validate(model: Model) -> ValidationReport:
     for x, row in enumerate(model.rows):
         label = model.states.labels[x]
         if isinstance(row, RowPolytopeV):
+            finite = np.isfinite(row.vertices).all(axis=1)
+            if not finite.all():
+                issues.append(ValidationIssue(
+                    "NonFinite", label,
+                    f"vertices {np.nonzero(~finite)[0].tolist()} are not finite"))
+                continue
             sums = row.vertices.sum(axis=1)
             for k in range(row.num_vertices):
                 v = row.vertices[k]
@@ -250,7 +257,13 @@ def validate(model: Model) -> ValidationReport:
                         "NonStochasticVertex", label,
                         f"vertex {k} has min {v.min():.3g}, sum {sums[k]!r}"))
         else:
-            if not lp.row_feasible(row):
+            bad = [i for i, c in enumerate(row.constraints)
+                   if not (np.isfinite(c.a).all() and np.isfinite(c.b))]
+            if bad:
+                # a code of its own: the data are bad, not the polytope
+                issues.append(ValidationIssue(
+                    "NonFinite", label, f"constraints {bad} are not finite"))
+            elif not lp.row_feasible(row):
                 issues.append(ValidationIssue(
                     "InfeasibleRow", label, "constraints admit no pmf"))
     return ValidationReport(ok=not issues, issues=tuple(issues))

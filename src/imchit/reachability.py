@@ -47,6 +47,8 @@ def check_reachability(model: Model) -> ReachabilityReport:
         for x in np.nonzero(fresh)[0]:
             steps[x] = round_no
         absorbed |= fresh
+        if absorbed.all():
+            break
     violating = frozenset(int(x) for x in np.nonzero(~absorbed)[0])
     return ReachabilityReport(holds=not violating,
                               reach_step=tuple(steps),

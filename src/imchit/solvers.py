@@ -75,7 +75,11 @@ def _operator(bound: str):
 
 def fixed_point_residual(model: Model, h: np.ndarray, bound: str = "lower") -> float:
     """Sup-norm defect of ``h`` in the non-linear hitting-time system."""
-    value = _operator(bound)(model, h).value
+    return _defect(model, h, _operator(bound)(model, h).value)
+
+
+def _defect(model: Model, h: np.ndarray, value: np.ndarray) -> float:
+    """Sup-norm defect of ``h``, given the operator's value at ``h``."""
     off_target = ~model.target_mask()
     fixed_point = np.where(off_target, 1.0 + value, 0.0)
     return float(np.max(np.abs(h - fixed_point)))
@@ -136,15 +140,16 @@ def solve_policy(model: Model, bound: str = "lower", init: str = "greedy",
     trace = [IterationStat(float(np.max(h)), 0)]
     iterates = [h]
     iterations = 1
-    converged = False
+    residual = None
     while iterations < cap:
         selected = improve(model, h)
         if selected.policy == policy:
-            # repeating policy => repeating linear system => repeating h
+            # repeating policy => repeating linear system => repeating h;
+            # the operator was just applied at h, so the residual is free
             iterations += 1
             trace.append(IterationStat(float(np.max(h)), 0))
             iterates.append(h)
-            converged = True
+            residual = _defect(model, h, selected.value)
             break
         h_next = solve_precise(policy_to_matrix(model, selected.policy),
                                model.target).values
@@ -156,14 +161,14 @@ def solve_policy(model: Model, bound: str = "lower", init: str = "greedy",
         policy = selected.policy
         h = h_next
         if gap <= tol * (1.0 + float(np.max(h_next))):
-            converged = True
+            residual = fixed_point_residual(model, h, bound)
             break
-    if not converged:
+    if residual is None:
         raise MaxIterationsExceeded(
             f"policy iteration exceeded {cap} iterations", tuple(trace))
     return SolveReport(
         bound=bound, method="policy", solution=HittingTimeVector(h),
-        iterations=iterations, residual=fixed_point_residual(model, h, bound),
+        iterations=iterations, residual=residual,
         tolerance_limited=False, trace=tuple(trace),
         wall_time=time.perf_counter() - start,
         iterates=tuple(iterates) if collect_iterates else None)

@@ -42,6 +42,21 @@ def test_validate_reports_issues(tmp_path, capsys):
     assert doc["issues"][0]["state"] == "a"
 
 
+def test_validate_rejects_non_finite_data(tmp_path, capsys):
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps({
+        "states": ["a", "b", "c"], "target": ["c"],
+        "rows": {"a": {"vertices": [[float("nan"), 0.5, 0.5]]},
+                 "b": {"constraints": [{"a": {"c": 1.0}, "rel": "<=",
+                                        "b": float("inf")}]},
+                 "c": {"vertices": [[0.0, 0.0, 1.0]]}}}))
+    assert main(["validate", "--model", str(path)]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert not doc["ok"]
+    assert [(i["code"], i["state"]) for i in doc["issues"]] == [
+        ("NonFinite", "a"), ("NonFinite", "b")]
+
+
 def test_reach_on_line_chain(tmp_path, capsys):
     path = tmp_path / "line.json"
     save_model(line_model(), path)

@@ -6,7 +6,9 @@ import pytest
 from imchit import (Constraint, Infeasible, RowPolytopeH, RowPolytopeV,
                     SelectorOutOfRange, minimize_row, minimize_row_vrep,
                     vertex_from_basis)
+from imchit import lp
 from imchit.lp import row_feasible
+from modelzoo import box_row as interval_row
 
 # hand-enumerated vertices of {p in simplex(3) : p0 <= 0.5, p1 <= 0.3}
 BOX_VERTICES = np.array([
@@ -95,9 +97,12 @@ def test_determinism_of_basis_identifiers(rng):
 def test_infeasible_row_raises():
     row = RowPolytopeH(2, (Constraint(np.array([1.0, 0.0]), ">=", 0.7),
                            Constraint(np.array([1.0, 0.0]), "<=", 0.2)))
-    assert not row_feasible(row)
-    with pytest.raises(Infeasible):
-        minimize_row(row, np.array([1.0, 0.0]))
+    # the cached phase-one outcome keeps the row infeasible on every call
+    for _ in range(3):
+        assert not row_feasible(row)
+        with pytest.raises(Infeasible):
+            minimize_row(row, np.array([1.0, 0.0]))
+    assert lp._row_start(row).tableau is None
     # mass demands exceeding the simplex are infeasible too
     row = RowPolytopeH(2, (Constraint(np.array([1.0, 0.0]), ">=", 0.7),
                            Constraint(np.array([0.0, 1.0]), ">=", 0.7)))
@@ -142,3 +147,87 @@ def test_vertex_from_basis_rejects_garbage():
     with pytest.raises(SelectorOutOfRange):
         vertex_from_basis(RowPolytopeH(2, (Constraint(np.array([0.0, 1.0]), ">=", 1.5),)),
                           (0, 1))
+
+
+def random_interval_rows(rng, count=40):
+    """Feasible interval rows ``lower <= p <= upper`` around a random pmf."""
+    for _ in range(count):
+        n = int(rng.integers(2, 9))
+        center = rng.dirichlet(np.ones(n))
+        spread = rng.uniform(0.02, 0.5)
+        lower = np.maximum(center - spread * rng.random(n), 0.0)
+        upper = np.minimum(center + spread * rng.random(n), 1.0)
+        yield n, lower, upper
+
+
+def interval_minimum(lower, upper, f):
+    """Closed-form minimizer over an interval row: start at ``lower`` and
+    hand the remaining mass to the cheapest coordinates first."""
+    p = lower.copy()
+    left = 1.0 - lower.sum()
+    for y in np.argsort(f):
+        step = min(upper[y] - lower[y], left)
+        p[y] += step
+        left -= step
+    return p
+
+
+def test_cached_start_gives_the_fresh_answer(rng):
+    objectives = [rng.normal(size=3) for _ in range(20)]
+    warm = box_row()
+    assert row_feasible(warm)
+    for _ in range(50):
+        minimize_row(warm, rng.normal(size=3))
+    for f in objectives:
+        fresh = minimize_row(box_row(), f)
+        again = minimize_row(warm, f)
+        assert np.array_equal(again.vertex, fresh.vertex)
+        assert again.basis == fresh.basis
+        assert again.optimum == fresh.optimum
+
+
+def test_cached_start_is_read_only():
+    row = box_row()
+    minimize_row(row, np.array([1.0, 2.0, 3.0]))
+    start = lp._row_start(row)
+    with pytest.raises(ValueError):
+        lp._pivot(start.tableau, list(start.basis), 0, 0)
+    for array in (start.tableau, start.a, start.b):
+        with pytest.raises(ValueError):
+            array[...] = 0.0
+    # phase two pivots on a copy, so the cache is the same object after it
+    minimize_row(row, np.array([3.0, 2.0, 1.0]))
+    assert lp._row_start(row) is start
+
+
+def test_non_finite_row_is_never_solved():
+    for b in (np.nan, np.inf):
+        row = RowPolytopeH(2, (Constraint(np.array([1.0, 0.0]), "<=", b),))
+        assert not row_feasible(row)
+        with pytest.raises(Infeasible, match="non-finite"):
+            minimize_row(row, np.array([1.0, 0.0]))
+
+
+def test_interval_rows_match_the_closed_form(rng):
+    for n, lower, upper in random_interval_rows(rng):
+        row = interval_row(n, lower, upper)
+        for _ in range(5):
+            f = rng.normal(size=n)
+            sol = minimize_row(row, f)
+            expected = interval_minimum(lower, upper, f)
+            assert np.max(np.abs(sol.vertex - expected)) <= 1e-12
+            assert sol.optimum == pytest.approx(float(f @ expected), abs=1e-12)
+
+
+def test_interval_rows_match_highs(rng):
+    optimize = pytest.importorskip("scipy.optimize")
+    for n, lower, upper in random_interval_rows(rng):
+        row = interval_row(n, lower, upper)
+        for _ in range(5):
+            f = rng.normal(size=n)
+            sol = minimize_row(row, f)
+            ref = optimize.linprog(f, A_eq=np.ones((1, n)), b_eq=[1.0],
+                                   bounds=list(zip(lower, upper)), method="highs")
+            assert ref.status == 0
+            assert sol.optimum == pytest.approx(ref.fun, abs=1e-9)
+            assert np.max(np.abs(sol.vertex - ref.x)) <= 1e-9

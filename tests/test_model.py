@@ -39,6 +39,22 @@ def test_non_stochastic_vertex_is_reported():
     assert [(i.code, i.state) for i in report.issues] == [("NonStochasticVertex", "a")]
 
 
+def test_non_finite_data_is_reported():
+    target_row = RowPolytopeV(np.array([[0.0, 1.0]]))
+    states = StateSpace(("a", "b"))
+    nan_vertex = RowPolytopeV(np.array([[0.5, 0.5], [np.nan, 1.0]]))
+    report = validate(Model(states, TargetSet({1}), (nan_vertex, target_row)))
+    assert not report.ok
+    assert [(i.code, i.state) for i in report.issues] == [("NonFinite", "a")]
+    for a, b in ((np.array([np.nan, 0.0]), 0.5), (np.array([1.0, 0.0]), np.inf),
+                 (np.array([-np.inf, 1.0]), 0.2)):
+        row = RowPolytopeH(2, (Constraint(np.array([0.0, 1.0]), ">=", 0.1),
+                               Constraint(a, "<=", b)))
+        report = validate(Model(states, TargetSet({1}), (row, target_row)))
+        assert [(i.code, i.state) for i in report.issues] == [("NonFinite", "a")]
+        assert "[1]" in report.issues[0].detail
+
+
 def test_contradictory_bounds_are_infeasible():
     row = RowPolytopeH(2, (Constraint(np.array([1.0, 0.0]), ">=", 0.7),
                            Constraint(np.array([1.0, 0.0]), "<=", 0.2)))

@@ -4,6 +4,7 @@ import numpy as np
 
 from imchit import (Model, RowPolytopeV, StateSpace, TargetSet,
                     check_reachability, lower_apply_n, random_model)
+from imchit import reachability
 from modelzoo import isolated_cycle_model, line_model, precise_model
 
 
@@ -19,6 +20,24 @@ def test_one_step_mass_on_target_absorbs_everything(rng):
     report = check_reachability(m)
     assert report.holds
     assert all(step is not None and step <= 1 for step in report.reach_step)
+
+
+def test_no_sweep_after_everything_is_absorbed(monkeypatch):
+    sweeps = []
+    original = reachability.lower_apply
+
+    def counted(model, f):
+        sweeps.append(f)
+        return original(model, f)
+
+    monkeypatch.setattr(reachability, "lower_apply", counted)
+    m = precise_model(np.full((3, 3), 1.0 / 3.0), {2})
+    assert check_reachability(m).reach_step == (1, 1, 0)
+    assert len(sweeps) == 1
+    # a chain absorbed over three rounds needs exactly three sweeps
+    sweeps.clear()
+    assert check_reachability(line_model()).reach_step == (3, 2, 1, 0)
+    assert len(sweeps) == 3
 
 
 def test_self_loop_outside_target_violates():

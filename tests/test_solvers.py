@@ -5,11 +5,14 @@ import pytest
 
 from imchit import (MaxIterationsExceeded, Model, ReachabilityViolation,
                     RowPolytopeV, StateSpace, TargetSet, TooManyCombinations,
-                    initial_policy, iter_extreme_solutions, lower_apply,
-                    policy_to_matrix, solve_brute, solve_policy, solve_precise,
-                    solve_value, upper_apply)
-from modelzoo import (box_row, isolated_cycle_model, precise_model,
-                      random_vrep_model, two_choice_model)
+                    check_reachability, fixed_point_residual, initial_policy,
+                    iter_extreme_solutions, lower_apply, policy_to_matrix,
+                    solve_brute, solve_policy, solve_precise, solve_value,
+                    upper_apply, validate)
+from imchit import lp, reachability, solvers
+from modelzoo import (box_row, gambler_model, isolated_cycle_model, line_model,
+                      precise_model, random_mixed_model, random_vrep_model,
+                      two_choice_model)
 
 
 def test_precise_chain_needs_one_linear_solve(rng):
@@ -190,3 +193,67 @@ def test_bad_bound_is_rejected(rng):
     m = random_vrep_model(rng)
     with pytest.raises(ValueError):
         solve_policy(m, bound="sideways")
+
+
+def counting(monkeypatch, module, name: str, counts: dict) -> None:
+    """Replace ``module.name`` by a wrapper that counts its calls."""
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        counts[name] = counts.get(name, 0) + 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+def box_model(n: int = 4) -> Model:
+    """Interval rows that keep at least 0.1 on the target, the last state."""
+    rows = []
+    for x in range(n):
+        lower = np.full(n, 0.05)
+        lower[-1] = 0.1
+        upper = np.full(n, 0.6)
+        upper[x] = 0.3
+        rows.append(box_row(n, lower, upper))
+    return Model(StateSpace(tuple(f"s{i}" for i in range(n))),
+                 TargetSet({n - 1}), tuple(rows))
+
+
+def test_phase_one_runs_once_per_hrep_row(monkeypatch):
+    counts: dict = {}
+    counting(monkeypatch, lp, "_phase1", counts)
+    m = box_model()
+    assert validate(m).ok
+    for bound in ("lower", "upper"):
+        for _ in range(3):
+            solve_policy(m, bound)
+    assert counts["_phase1"] == m.size
+
+
+def test_policy_iteration_operator_calls(monkeypatch):
+    m = box_model()
+    assert set(check_reachability(m).reach_step) == {0, 1}
+    for bound in ("lower", "upper"):
+        counts: dict = {}
+        counting(monkeypatch, reachability, "lower_apply", counts)
+        counting(monkeypatch, solvers, "lower_apply", counts)
+        counting(monkeypatch, solvers, "upper_apply", counts)
+        report = solve_policy(m, bound)
+        monkeypatch.undo()
+        assert report.trace[-1].policy_changes == 0  # ended by policy equality
+        # one reachability sweep, the greedy start, iterations - 1 improvements
+        assert sum(counts.values()) == report.iterations + 1
+
+
+def test_reported_residual_is_the_fixed_point_residual(rng):
+    models = [gambler_model(4), gambler_model(9), line_model(), two_choice_model()]
+    models += [random_vrep_model(rng) for _ in range(10)]
+    while len(models) < 24:
+        m = random_mixed_model(rng)
+        if validate(m).ok and check_reachability(m).holds:
+            models.append(m)
+    for m in models:
+        for bound in ("lower", "upper"):
+            report = solve_policy(m, bound)
+            assert report.residual == fixed_point_residual(
+                m, report.solution.values, bound)
