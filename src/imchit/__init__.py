@@ -8,10 +8,9 @@ matrices compatible with the model.
 
 from .bench import (BenchConfig, TrialRecord, iteration_histogram,
                     random_model, run_experiment, write_csv)
-from .errors import (EmptyTarget, ImcError, Infeasible, InfeasibleRow,
-                     MaxIterationsExceeded, NonStochasticVertex,
+from .errors import (ImcError, Infeasible, MaxIterationsExceeded,
                      ReachabilityViolation, SelectorOutOfRange,
-                     SingularSystem, TargetIsWholeSpace, TooManyCombinations)
+                     SingularSystem, TooManyCombinations)
 from .linsolve import HittingTimeVector, solve_precise
 from .lp import LpSolution, minimize_row, minimize_row_vrep, vertex_from_basis
 from .model import (Constraint, Model, Policy, RowPolytopeH, RowPolytopeV,
@@ -28,12 +27,12 @@ from .transition import (OperatorResult, lower_apply, lower_apply_n,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BenchConfig", "Constraint", "EmptyTarget", "HittingTimeVector",
-    "ImcError", "Infeasible", "InfeasibleRow", "IterationStat", "LpSolution",
-    "MaxIterationsExceeded", "Model", "NonStochasticVertex", "OperatorResult",
-    "Policy", "ReachabilityReport", "ReachabilityViolation", "RowPolytopeH",
-    "RowPolytopeV", "SelectorOutOfRange", "SingularSystem", "SolveReport",
-    "StateSpace", "TargetIsWholeSpace", "TargetSet", "TooManyCombinations",
+    "BenchConfig", "Constraint", "HittingTimeVector", "ImcError",
+    "Infeasible", "IterationStat", "LpSolution", "MaxIterationsExceeded",
+    "Model", "OperatorResult", "Policy", "ReachabilityReport",
+    "ReachabilityViolation", "RowPolytopeH", "RowPolytopeV",
+    "SelectorOutOfRange", "SingularSystem", "SolveReport", "StateSpace",
+    "TargetSet", "TooManyCombinations",
     "TransitionMatrix", "TrialRecord", "ValidationIssue", "ValidationReport",
     "check_reachability", "fixed_point_residual", "initial_policy",
     "iter_extreme_solutions", "iteration_histogram", "load_model",

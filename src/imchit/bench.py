@@ -17,9 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ImcError
+from .errors import ImcError, ReachabilityViolation
 from .model import Model, RowPolytopeV, StateSpace, TargetSet
-from .reachability import check_reachability
 from .solvers import solve_policy
 
 log = logging.getLogger(__name__)
@@ -89,13 +88,16 @@ def _run_trial(config: BenchConfig, size: int, trial: int) -> TrialRecord:
     while True:
         seed_used = _trial_seed(config.seed, size, trial, regenerations)
         model = random_model(size, config.vertices_per_row, seed_used)
-        if check_reachability(model).holds:
+        try:
+            # the solver checks reachability first; a model failing it is
+            # drawn again
+            report = solve_policy(model, "lower", init=config.init, tol=config.tol)
             break
-        regenerations += 1
-        if regenerations > _MAX_REGENERATIONS:
-            raise ImcError(
-                f"size {size}, trial {trial}: no reachable model found")
-    report = solve_policy(model, "lower", init=config.init, tol=config.tol)
+        except ReachabilityViolation:
+            regenerations += 1
+            if regenerations > _MAX_REGENERATIONS:
+                raise ImcError(
+                    f"size {size}, trial {trial}: no reachable model found") from None
     return TrialRecord(size=size, trial_index=trial,
                        iterations=report.iterations,
                        wall_time=report.wall_time, residual=report.residual,

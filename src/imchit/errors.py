@@ -7,34 +7,6 @@ class ImcError(Exception):
     """Base class for all domain errors raised by this package."""
 
 
-class EmptyTarget(ImcError):
-    """The target set contains no states."""
-
-
-class TargetIsWholeSpace(ImcError):
-    """The target set leaves no non-target states."""
-
-
-class InfeasibleRow(ImcError):
-    """A constraint-specified row polytope has no feasible point."""
-
-    def __init__(self, state: str, detail: str = ""):
-        self.state = state
-        super().__init__(f"row polytope of state {state!r} is infeasible"
-                         + (f": {detail}" if detail else ""))
-
-
-class NonStochasticVertex(ImcError):
-    """A row vertex is not a probability mass function."""
-
-    def __init__(self, state: str, vertex_index: int, detail: str = ""):
-        self.state = state
-        self.vertex_index = vertex_index
-        super().__init__(
-            f"vertex {vertex_index} of state {state!r} is not a pmf"
-            + (f": {detail}" if detail else ""))
-
-
 class SelectorOutOfRange(ImcError):
     """A policy selector does not name a vertex of its row polytope."""
 

@@ -21,13 +21,21 @@ standard form; it pins down exactly one vertex.
 
 Phase one depends only on the row, so it runs once per row: the standard
 form and the feasible tableau phase one ends with (or the ``Infeasible``
-outcome it raised) are kept read-only on the row object, and every later
-``minimize_row`` call copies that tableau and runs phase two only.
+outcome it raised) are kept read-only on the row object.  That start
+tableau is narrow: it keeps the structural columns and the rhs only,
+because phase two never lets an artificial column enter and pivoting
+updates each column on its own.  A ``minimize_row`` call copies it and
+runs phase two only.
+
+Every basis of a row is primal feasible whatever the objective, so phase
+two may also start from the final tableau of an earlier ``LpSolution`` of
+the same row (``start=``).  Bland's rule then stays finite and exact, and
+an incumbent that is still optimal makes no pivot and keeps its basis.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -41,19 +49,31 @@ PHASE1_TOL = 1e-8      # residual infeasibility accepted as zero
 
 @dataclass
 class LpSolution:
-    """Optimal value, the attaining vertex, and its basis identifier."""
+    """Optimal value, the attaining vertex, and its basis identifier.
+
+    A constraint-row solution also keeps the row it solved, its final
+    tableau (read-only) and the basic column of each tableau row, so that
+    a later ``minimize_row`` call on the same row can start from it.  They
+    take no part in ``==`` or ``repr``.
+    """
 
     optimum: float
     vertex: np.ndarray
     basis: int | tuple[int, ...]
+    tableau: np.ndarray | None = field(default=None, repr=False, compare=False)
+    basic: tuple[int, ...] = field(default=(), repr=False, compare=False)
+    row: RowPolytopeH | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
 class _RowStart:
     """Standard form and phase-one outcome of one row; arrays are read-only.
 
-    ``tableau`` and ``basis`` are the feasible start phase two copies, with
-    the phase-one objective still in the last tableau row.  When the row
+    ``tableau`` and ``basis`` are the feasible start phase two copies.  The
+    tableau keeps the ``ncols`` structural columns and the rhs; its last
+    row, which phase two overwrites, is what is left of the phase-one
+    objective.  A basis entry ``>= ncols`` is an artificial that stayed
+    basic at zero in a redundant row.  When the row
     admits no pmf, or its data are not finite, ``tableau`` is None and
     ``error`` holds the message ``Infeasible`` is raised with.
     """
@@ -115,6 +135,7 @@ def _feasible_start(a: np.ndarray, b: np.ndarray, ncols: int
         return None, (), str(exc)
     if infeas > PHASE1_TOL:
         return None, (), f"row polytope is empty (phase-one residual {infeas:.3g})"
+    tab = np.hstack((tab[:, :ncols], tab[:, -1:]))
     tab.flags.writeable = False
     return tab, tuple(basis), None
 
@@ -131,9 +152,13 @@ def standard_form(row: RowPolytopeH) -> tuple[np.ndarray, np.ndarray, int]:
 
 def _pivot(tab: np.ndarray, basis: list[int], row: int, col: int) -> None:
     tab[row] /= tab[row, col]
-    factors = tab[:, col].copy()
-    factors[row] = 0.0
-    tab -= np.outer(factors, tab[row])
+    # a row whose factor is zero keeps its values, so only the rows with a
+    # non-zero entry in the pivot column are updated; tableau columns are
+    # sparse (about six non-zeros on interval rows).  Zeroing the pivot
+    # entry first keeps the pivot row out of them.
+    tab[row, col] = 0.0
+    rows = tab[:, col].nonzero()[0]
+    tab[rows] -= np.multiply.outer(tab[rows, col], tab[row])
     tab[:, col] = 0.0
     tab[row, col] = 1.0
     basis[row] = col
@@ -149,24 +174,22 @@ def _bland(tab: np.ndarray, basis: list[int], allowed: int) -> None:
     # Bland's rule terminates finitely; the guard only catches numerical
     # breakdown of the tolerance tests.
     for _ in range(1000 * tab.shape[1] + 1000):
-        enter = -1
-        for j in range(allowed):
-            if tab[-1, j] < -PIVOT_TOL:
-                enter = j
-                break
-        if enter < 0:
+        improving = tab[-1, :allowed] < -PIVOT_TOL
+        enter = int(improving.argmax())
+        if not improving[enter]:
             return
+        column = tab[:m, enter]
+        rows = (column > PIVOT_TOL).nonzero()[0]
+        ratios = (tab[rows, -1] / column[rows]).tolist()
+        # the tie rule is sequential, so it runs over plain floats
         leave = -1
         best = np.inf
-        for i in range(m):
-            aij = tab[i, enter]
-            if aij > PIVOT_TOL:
-                ratio = tab[i, -1] / aij
-                if ratio < best - RATIO_TOL or (
-                        abs(ratio - best) <= RATIO_TOL
-                        and leave >= 0 and basis[i] < basis[leave]):
-                    best = ratio
-                    leave = i
+        for i, ratio in zip(rows.tolist(), ratios):
+            if ratio < best - RATIO_TOL or (
+                    abs(ratio - best) <= RATIO_TOL
+                    and leave >= 0 and basis[i] < basis[leave]):
+                best = ratio
+                leave = i
         if leave < 0:
             raise Infeasible("simplex step found no leaving row")
         _pivot(tab, basis, leave, enter)
@@ -208,36 +231,49 @@ def row_feasible(row: RowPolytopeH) -> bool:
     return _row_start(row).error is None
 
 
-def minimize_row(row: RowPolytopeH, objective: np.ndarray) -> LpSolution:
+def minimize_row(row: RowPolytopeH, objective: np.ndarray,
+                 start: LpSolution | None = None) -> LpSolution:
     """Minimize ``objective . p`` over a constraint row polytope.
 
     Returns a minimizing basic feasible solution, i.e. an extreme point
-    of the row polytope, with its basis identifier.
+    of the row polytope, with its basis identifier.  Phase two starts
+    from the basis of ``start``, an earlier solution of this same row,
+    when it is given, and from the row's phase-one basis otherwise.
     """
     objective = np.asarray(objective, dtype=float)
-    start = _row_start(row)
-    if start.error is not None:
-        raise Infeasible(start.error)
-    tab = start.tableau.copy()
-    basis = list(start.basis)
-    ncols = start.ncols
+    if start is None:
+        cached = _row_start(row)
+        if cached.error is not None:
+            raise Infeasible(cached.error)
+        tab, basis = cached.tableau.copy(), list(cached.basis)
+    elif start.row is not row:
+        raise ValueError("start is not a solution of this row")
+    else:
+        tab, basis = start.tableau.copy(), list(start.basic)
+    ncols = tab.shape[1] - 1
     n = row.num_states
-    obj = np.zeros(tab.shape[1])
+    # reduced costs: subtract cost * row for every basic probability with a
+    # non-zero cost, one after the other in row order; slacks and basic
+    # artificials cost 0, and the artificials' columns are gone
+    basic = np.array(basis)
+    priced = (basic < n).nonzero()[0]
+    cost = objective[basic[priced]]
+    priced, cost = priced[cost != 0.0], cost[cost != 0.0]
+    obj = np.zeros(ncols + 1)
     obj[:n] = objective
-    for i, bv in enumerate(basis):
-        if obj[bv] != 0.0:
-            obj -= obj[bv] * tab[i]
-    tab[-1] = obj
+    tab[-1] = np.subtract.reduce(
+        np.vstack((obj, cost[:, None] * tab[priced])), axis=0)
     _bland(tab, basis, ncols)
-    x = np.zeros(ncols)
-    for i, bv in enumerate(basis):
-        if bv < ncols:
-            x[bv] = tab[i, -1]
-    vertex = x[:n].copy()
+    basic = np.array(basis)
+    priced = (basic < n).nonzero()[0]
+    vertex = np.zeros(n)
+    vertex[basic[priced]] = tab[priced, -1]
     vertex[(vertex < 0.0) & (vertex > -FEAS_TOL)] = 0.0
     vertex.flags.writeable = False
-    basis_id = tuple(sorted(bv for bv in basis if bv < ncols))
-    return LpSolution(float(objective @ vertex), vertex, basis_id)
+    tab.flags.writeable = False
+    basis_id = tuple(sorted(basic[basic < ncols].tolist()))
+    return LpSolution(float(objective @ vertex), vertex, basis_id,
+                      tab, tuple(basis), row)
 
 
 def minimize_row_vrep(row: RowPolytopeV, objective: np.ndarray) -> LpSolution:

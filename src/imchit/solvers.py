@@ -30,12 +30,13 @@ from typing import Iterator
 
 import numpy as np
 
+from . import lp
 from .errors import (MaxIterationsExceeded, ReachabilityViolation,
                      SingularSystem, TooManyCombinations)
 from .linsolve import RESID_RTOL, HittingTimeVector, solve_precise
-from .model import Model, Policy, RowPolytopeV, policy_to_matrix
+from .model import Model, Policy, RowPolytopeV, TransitionMatrix
 from .reachability import check_reachability
-from .transition import lower_apply, upper_apply
+from .transition import OperatorResult, lower_apply, record, upper_apply
 
 BOUNDS = ("lower", "upper")
 INIT_RULES = ("greedy", "first", "random")
@@ -99,25 +100,38 @@ def initial_policy(model: Model, rule: str = "greedy", seed: int = 0) -> Policy:
     ``first`` takes a fixed canonical vertex per row, and ``random``
     draws one per row from a seeded generator.
     """
-    from . import lp
+    return _initial(model, rule, seed).policy
 
+
+def _initial(model: Model, rule: str, seed: int) -> OperatorResult:
+    """The starting choice of ``initial_policy``, as an operator result
+    whose value is each chosen row's one-step mass on the target."""
     if rule not in INIT_RULES:
         raise ValueError(f"init rule must be one of {INIT_RULES}, got {rule!r}")
+    on_target = model.target_mask().astype(float)
     if rule == "greedy":
-        return upper_apply(model, model.target_mask().astype(float)).policy
+        return upper_apply(model, on_target)
     rng = np.random.default_rng(seed) if rule == "random" else None
-    selectors: list = []
-    for row in model.rows:
+    choices: list = []
+    value = np.empty(model.size)
+    for x, row in enumerate(model.rows):
         if isinstance(row, RowPolytopeV):
-            if rule == "first":
-                selectors.append(0)
-            else:
-                selectors.append(int(rng.integers(row.num_vertices)))
+            k = 0 if rule == "first" else int(rng.integers(row.num_vertices))
+            choices.append(k)
+            value[x] = row.vertices[k] @ on_target
         else:
             objective = np.zeros(model.size) if rule == "first" \
                 else rng.standard_normal(model.size)
-            selectors.append(lp.minimize_row(row, objective).basis)
-    return Policy(tuple(selectors))
+            sol = lp.minimize_row(row, objective)
+            choices.append(sol)
+            value[x] = sol.vertex @ on_target
+    return record(model, value, choices)
+
+
+def _hitting_times(model: Model, selected: OperatorResult) -> np.ndarray:
+    """Exact hitting times under the policy matrix ``selected`` records."""
+    matrix = TransitionMatrix.checked(selected.matrix())
+    return solve_precise(matrix, model.target).values
 
 
 def solve_policy(model: Model, bound: str = "lower", init: str = "greedy",
@@ -135,14 +149,16 @@ def solve_policy(model: Model, bound: str = "lower", init: str = "greedy",
     improve = _operator(bound)
     _require_reachable(model)
     cap = max_iter if max_iter is not None else 10 * model.size
-    policy = initial_policy(model, init, seed)
-    h = solve_precise(policy_to_matrix(model, policy), model.target).values
+    # each improvement starts its simplex solves from the previous choice
+    selected = _initial(model, init, seed)
+    policy = selected.policy
+    h = _hitting_times(model, selected)
     trace = [IterationStat(float(np.max(h)), 0)]
     iterates = [h]
     iterations = 1
     residual = None
     while iterations < cap:
-        selected = improve(model, h)
+        selected = improve(model, h, start=selected)
         if selected.policy == policy:
             # repeating policy => repeating linear system => repeating h;
             # the operator was just applied at h, so the residual is free
@@ -151,8 +167,7 @@ def solve_policy(model: Model, bound: str = "lower", init: str = "greedy",
             iterates.append(h)
             residual = _defect(model, h, selected.value)
             break
-        h_next = solve_precise(policy_to_matrix(model, selected.policy),
-                               model.target).values
+        h_next = _hitting_times(model, selected)
         iterations += 1
         trace.append(IterationStat(float(np.max(h_next)),
                                    selected.policy.changed_states(policy)))

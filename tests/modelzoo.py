@@ -73,6 +73,47 @@ def box_row(n: int, lower: np.ndarray, upper: np.ndarray) -> RowPolytopeH:
     return RowPolytopeH(n, tuple(cons))
 
 
+def box_bounds(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Interval rows ``lower <= p <= upper`` at +-50 % around flat-Dirichlet
+    centres; row ``x`` of each array belongs to state ``x``."""
+    centre = np.random.default_rng(seed).dirichlet(np.ones(n), size=n)
+    return 0.5 * centre, np.minimum(1.5 * centre, 1.0)
+
+
+def box_model(n: int, seed: int) -> Model:
+    """Interval rows from ``box_bounds(n, seed)``, the last state as target.
+
+    Every row keeps positive mass on the target, so the target is reached
+    in one step.
+    """
+    lower, upper = box_bounds(n, seed)
+    rows = tuple(box_row(n, lower[x], upper[x]) for x in range(n))
+    return Model(StateSpace(tuple(f"s{i}" for i in range(n))),
+                 TargetSet({n - 1}), rows)
+
+
+def interval_minimum(lower: np.ndarray, upper: np.ndarray,
+                     f: np.ndarray) -> np.ndarray:
+    """Closed-form minimizer over an interval row: start at ``lower`` and
+    hand the remaining mass to the cheapest coordinates first."""
+    p = lower.copy()
+    left = 1.0 - lower.sum()
+    for y in np.argsort(f):
+        step = min(upper[y] - lower[y], left)
+        p[y] += step
+        left -= step
+    return p
+
+
+def interval_extreme(lower: np.ndarray, upper: np.ndarray, h: np.ndarray,
+                     bound: str) -> np.ndarray:
+    """Row-wise min (lower) or max (upper) of ``p . h`` over interval rows,
+    in closed form: sort ``h`` and fill greedily."""
+    sign = 1.0 if bound == "lower" else -1.0
+    return np.array([interval_minimum(lower[x], upper[x], sign * h) @ h
+                     for x in range(h.size)])
+
+
 def random_vrep_model(rng: np.random.Generator, size_choices=(3, 4, 5),
                       max_vertices: int = 3) -> Model:
     """Random vertex-specified model with a random non-trivial target.

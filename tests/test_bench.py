@@ -5,9 +5,10 @@ import csv
 import numpy as np
 import pytest
 
-from imchit import (BenchConfig, iteration_histogram, random_model,
-                    run_experiment, validate, write_csv)
-from imchit.bench import CSV_COLUMNS, _trial_seed
+from imchit import (BenchConfig, Model, RowPolytopeV, iteration_histogram,
+                    random_model, run_experiment, validate, write_csv)
+from imchit import bench, reachability
+from imchit.bench import _MAX_REGENERATIONS, CSV_COLUMNS, _trial_seed
 
 
 def test_same_seed_gives_identical_models():
@@ -107,3 +108,50 @@ def test_random_model_argument_checks():
         random_model(1, 3, 0)
     with pytest.raises(ValueError):
         random_model(4, 0, 0)
+
+
+def test_one_reachability_check_per_trial(count_calls):
+    calls = count_calls(reachability, "check_reachability")
+    config = BenchConfig(sizes=(8,), vertices_per_row=3, trials=4, seed=5)
+    assert len(run_experiment(config)) == 4
+    assert len(calls) == 4
+
+
+def stuck_model(size: int) -> Model:
+    """Every state keeps to itself, so no state reaches the target."""
+    model = random_model(size, 1, 0)
+    rows = tuple(RowPolytopeV(np.eye(size)[x:x + 1]) for x in range(size))
+    return Model(model.states, model.target, rows)
+
+
+def test_unreachable_draw_is_regenerated(monkeypatch, count_calls):
+    drawn = []
+
+    def first_draw_stuck(size, vertices_per_row, seed):
+        drawn.append(seed)
+        if len(drawn) == 1:
+            return stuck_model(size)
+        return random_model(size, vertices_per_row, seed)
+
+    monkeypatch.setattr(bench, "random_model", first_draw_stuck)
+    calls = count_calls(reachability, "check_reachability")
+    [record] = run_experiment(BenchConfig(sizes=(6,), vertices_per_row=3,
+                                          trials=1, seed=4))
+    assert record.regenerations == 1
+    assert drawn == [_trial_seed(4, 6, 0, 0), _trial_seed(4, 6, 0, 1)]
+    assert record.seed_used == drawn[1]
+    assert len(calls) == 2
+
+
+def test_trial_fails_after_too_many_regenerations(monkeypatch, caplog):
+    drawn = []
+
+    def always_stuck(size, vertices_per_row, seed):
+        drawn.append(seed)
+        return stuck_model(size)
+
+    monkeypatch.setattr(bench, "random_model", always_stuck)
+    config = BenchConfig(sizes=(4,), vertices_per_row=2, trials=1, seed=1)
+    assert run_experiment(config) == []
+    assert len(drawn) == _MAX_REGENERATIONS + 1
+    assert "no reachable model found" in caplog.text

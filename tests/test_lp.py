@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from imchit import (Constraint, Infeasible, RowPolytopeH, RowPolytopeV,
 from imchit import lp
 from imchit.lp import row_feasible
 from modelzoo import box_row as interval_row
+from modelzoo import interval_minimum
 
 # hand-enumerated vertices of {p in simplex(3) : p0 <= 0.5, p1 <= 0.3}
 BOX_VERTICES = np.array([
@@ -160,18 +163,6 @@ def random_interval_rows(rng, count=40):
         yield n, lower, upper
 
 
-def interval_minimum(lower, upper, f):
-    """Closed-form minimizer over an interval row: start at ``lower`` and
-    hand the remaining mass to the cheapest coordinates first."""
-    p = lower.copy()
-    left = 1.0 - lower.sum()
-    for y in np.argsort(f):
-        step = min(upper[y] - lower[y], left)
-        p[y] += step
-        left -= step
-    return p
-
-
 def test_cached_start_gives_the_fresh_answer(rng):
     objectives = [rng.normal(size=3) for _ in range(20)]
     warm = box_row()
@@ -231,3 +222,157 @@ def test_interval_rows_match_highs(rng):
             assert ref.status == 0
             assert sol.optimum == pytest.approx(ref.fun, abs=1e-9)
             assert np.max(np.abs(sol.vertex - ref.x)) <= 1e-9
+
+
+def interval_feasible(p, lower, upper) -> bool:
+    return (abs(p.sum() - 1.0) <= 1e-9 and (p >= lower - 1e-9).all()
+            and (p <= upper + 1e-9).all())
+
+
+def test_warm_start_matches_the_cold_solve(rng):
+    for n, lower, upper in random_interval_rows(rng):
+        row = interval_row(n, lower, upper)
+        sol = minimize_row(row, rng.normal(size=n))
+        # each solve starts from the one before, whatever its objective
+        for _ in range(8):
+            f = rng.normal(size=n) * rng.choice([-1.0, 1.0])
+            warm = minimize_row(row, f, start=sol)
+            cold = minimize_row(row, f)
+            assert abs(warm.optimum - cold.optimum) <= 1e-12
+            assert interval_feasible(warm.vertex, lower, upper)
+            assert warm.optimum == pytest.approx(
+                float(f @ interval_minimum(lower, upper, f)), abs=1e-12)
+            sol = warm
+
+
+def test_optimal_start_makes_no_pivot(rng, count_calls):
+    pivots = count_calls(lp, "_pivot")
+    for n, lower, upper in random_interval_rows(rng, count=10):
+        row = interval_row(n, lower, upper)
+        f = rng.normal(size=n)
+        sol = minimize_row(row, f)
+        before = len(pivots)
+        again = minimize_row(row, f, start=sol)
+        assert len(pivots) == before
+        assert again.basis == sol.basis and again.basic == sol.basic
+        assert np.array_equal(again.vertex, sol.vertex)
+
+
+def test_start_from_another_row_is_refused():
+    row, twin = box_row(), box_row()
+    sol = minimize_row(row, np.array([1.0, 2.0, 3.0]))
+    with pytest.raises(ValueError):
+        minimize_row(twin, np.array([1.0, 2.0, 3.0]), start=sol)
+    vsol = minimize_row_vrep(RowPolytopeV(BOX_VERTICES), np.array([1.0, 2.0, 3.0]))
+    with pytest.raises(ValueError):
+        minimize_row(row, np.array([1.0, 2.0, 3.0]), start=vsol)
+
+
+def test_start_tableaux_are_narrow_and_read_only():
+    row = box_row()
+    sol = minimize_row(row, np.array([1.0, 2.0, 3.0]))
+    start = lp._row_start(row)
+    # structural columns and the rhs; one row per constraint, the simplex
+    # row and the objective row
+    assert start.tableau.shape == (len(row.constraints) + 2, start.ncols + 1)
+    assert sol.tableau.shape == start.tableau.shape
+    assert sol.tableau is not start.tableau
+    for tableau in (start.tableau, sol.tableau):
+        with pytest.raises(ValueError):
+            tableau[0, 0] = 1.0
+    # the warm-start state stays out of comparisons and the repr
+    assert "tableau" not in repr(sol)
+    assert dataclasses.replace(sol, tableau=None, basic=(), row=None) == sol
+
+
+# The simplex as it was written before its scans and pivots were
+# vectorised and its start tableau narrowed: a loop-by-loop reference that
+# works on the full tableau, artificial columns included.
+
+def reference_pivot(tab, basis, row, col):
+    tab[row] /= tab[row, col]
+    factors = tab[:, col].copy()
+    factors[row] = 0.0
+    tab -= np.outer(factors, tab[row])
+    tab[:, col] = 0.0
+    tab[row, col] = 1.0
+    basis[row] = col
+
+
+def reference_bland(tab, basis, allowed):
+    m = tab.shape[0] - 1
+    while True:
+        enter = next((j for j in range(allowed) if tab[-1, j] < -lp.PIVOT_TOL), -1)
+        if enter < 0:
+            return
+        leave, best = -1, np.inf
+        for i in range(m):
+            aij = tab[i, enter]
+            if aij > lp.PIVOT_TOL:
+                ratio = tab[i, -1] / aij
+                if ratio < best - lp.RATIO_TOL or (
+                        abs(ratio - best) <= lp.RATIO_TOL
+                        and leave >= 0 and basis[i] < basis[leave]):
+                    best, leave = ratio, i
+        reference_pivot(tab, basis, leave, enter)
+
+
+def reference_phase1(a, b, ncols):
+    m = a.shape[0]
+    tab = np.zeros((m + 1, ncols + m + 1))
+    sign = np.where(b < 0.0, -1.0, 1.0)
+    tab[:m, :ncols] = a * sign[:, None]
+    tab[:m, -1] = b * sign
+    tab[np.arange(m), ncols + np.arange(m)] = 1.0
+    basis = list(range(ncols, ncols + m))
+    tab[-1] = -tab[:m].sum(axis=0)
+    tab[-1, ncols:ncols + m] = 0.0
+    reference_bland(tab, basis, ncols)
+    for i in range(m):
+        if basis[i] >= ncols:
+            for j in range(ncols):
+                if abs(tab[i, j]) > lp.PIVOT_TOL:
+                    reference_pivot(tab, basis, i, j)
+                    break
+    return tab, basis
+
+
+def reference_phase2(tab, basis, ncols, n, objective):
+    tab, basis = tab.copy(), list(basis)
+    obj = np.zeros(tab.shape[1])
+    obj[:n] = objective
+    for i, bv in enumerate(basis):
+        if obj[bv] != 0.0:
+            obj -= obj[bv] * tab[i]
+    tab[-1] = obj
+    reference_bland(tab, basis, ncols)
+    return tab, basis
+
+
+def test_simplex_matches_the_loop_reference(rng):
+    # same arithmetic, column by column, so equal values (np.array_equal
+    # lets a zero's sign differ) and equal bases, cold and warm
+    for n, lower, upper in random_interval_rows(rng, count=25):
+        row = interval_row(n, lower, upper)
+        a, b, ncols = lp.standard_form(row)
+        start, start_basis = reference_phase1(a, b, ncols)
+        narrow = lp._row_start(row).tableau
+        assert np.array_equal(narrow[:-1, :ncols], start[:-1, :ncols])
+        assert np.array_equal(narrow[:-1, -1], start[:-1, -1])
+        sol = ref = ref_basis = None
+        for _ in range(6):
+            f = rng.normal(size=n)
+            cold_tab, cold_basis = reference_phase2(start, start_basis, ncols, n, f)
+            cold = minimize_row(row, f)
+            assert cold.basic == tuple(cold_basis)
+            assert np.array_equal(cold.tableau[:, :ncols], cold_tab[:, :ncols])
+            assert np.array_equal(cold.tableau[:, -1], cold_tab[:, -1])
+            # a chain of warm starts, each from the solution before it
+            if sol is None:
+                sol, ref, ref_basis = cold, cold_tab, cold_basis
+                continue
+            ref, ref_basis = reference_phase2(ref, ref_basis, ncols, n, f)
+            sol = minimize_row(row, f, start=sol)
+            assert sol.basic == tuple(ref_basis)
+            assert np.array_equal(sol.tableau[:, :ncols], ref[:, :ncols])
+            assert np.array_equal(sol.tableau[:, -1], ref[:, -1])

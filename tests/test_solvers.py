@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -9,8 +11,10 @@ from imchit import (MaxIterationsExceeded, Model, ReachabilityViolation,
                     iter_extreme_solutions, lower_apply, policy_to_matrix,
                     solve_brute, solve_policy, solve_precise, solve_value,
                     upper_apply, validate)
-from imchit import lp, reachability, solvers
-from modelzoo import (box_row, gambler_model, isolated_cycle_model, line_model,
+from imchit import lp, solvers, transition
+from imchit import model as model_module
+from modelzoo import (box_bounds, box_model, box_row, gambler_model,
+                      interval_extreme, isolated_cycle_model, line_model,
                       precise_model, random_mixed_model, random_vrep_model,
                       two_choice_model)
 
@@ -195,18 +199,7 @@ def test_bad_bound_is_rejected(rng):
         solve_policy(m, bound="sideways")
 
 
-def counting(monkeypatch, module, name: str, counts: dict) -> None:
-    """Replace ``module.name`` by a wrapper that counts its calls."""
-    original = getattr(module, name)
-
-    def counted(*args, **kwargs):
-        counts[name] = counts.get(name, 0) + 1
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(module, name, counted)
-
-
-def box_model(n: int = 4) -> Model:
+def small_box_model(n: int = 4) -> Model:
     """Interval rows that keep at least 0.1 on the target, the last state."""
     rows = []
     for x in range(n):
@@ -219,30 +212,27 @@ def box_model(n: int = 4) -> Model:
                  TargetSet({n - 1}), tuple(rows))
 
 
-def test_phase_one_runs_once_per_hrep_row(monkeypatch):
-    counts: dict = {}
-    counting(monkeypatch, lp, "_phase1", counts)
-    m = box_model()
+def test_phase_one_runs_once_per_hrep_row(count_calls):
+    phase_ones = count_calls(lp, "_phase1")
+    m = small_box_model()
     assert validate(m).ok
     for bound in ("lower", "upper"):
         for _ in range(3):
             solve_policy(m, bound)
-    assert counts["_phase1"] == m.size
+    assert len(phase_ones) == m.size
 
 
-def test_policy_iteration_operator_calls(monkeypatch):
-    m = box_model()
+def test_policy_iteration_operator_calls(count_calls):
+    m = small_box_model()
     assert set(check_reachability(m).reach_step) == {0, 1}
+    lower = count_calls(transition, "lower_apply")
+    upper = count_calls(transition, "upper_apply")
     for bound in ("lower", "upper"):
-        counts: dict = {}
-        counting(monkeypatch, reachability, "lower_apply", counts)
-        counting(monkeypatch, solvers, "lower_apply", counts)
-        counting(monkeypatch, solvers, "upper_apply", counts)
+        before = len(lower) + len(upper)
         report = solve_policy(m, bound)
-        monkeypatch.undo()
         assert report.trace[-1].policy_changes == 0  # ended by policy equality
         # one reachability sweep, the greedy start, iterations - 1 improvements
-        assert sum(counts.values()) == report.iterations + 1
+        assert len(lower) + len(upper) - before == report.iterations + 1
 
 
 def test_reported_residual_is_the_fixed_point_residual(rng):
@@ -257,3 +247,111 @@ def test_reported_residual_is_the_fixed_point_residual(rng):
             report = solve_policy(m, bound)
             assert report.residual == fixed_point_residual(
                 m, report.solution.values, bound)
+
+
+def check_box_solves(n: int, seed: int, count_calls) -> None:
+    """Both bounds on ``box_model(n, seed)``: no vertex is rebuilt from its
+    basis, and ``h`` is the closed-form fixed point."""
+    lower, upper = box_bounds(n, seed)
+    m = box_model(n, seed)
+    assert validate(m).ok
+    rebuilt = count_calls(lp, "vertex_from_basis")
+    assembled = count_calls(model_module, "policy_to_matrix")
+    for bound in ("lower", "upper"):
+        h = solve_policy(m, bound).solution.values
+        fixed_point = np.where(m.target_mask(), 0.0,
+                               1.0 + interval_extreme(lower, upper, h, bound))
+        assert np.max(np.abs(h - fixed_point)) <= 1e-9 * (1.0 + np.max(h))
+    assert rebuilt == [] and assembled == []
+
+
+def test_box_solve_uses_the_simplex_vertices(count_calls):
+    check_box_solves(20, 3, count_calls)
+
+
+@pytest.mark.slow
+def test_box_solve_at_eighty_states(count_calls):
+    check_box_solves(80, 3, count_calls)
+
+
+def test_improvements_start_from_the_previous_choice(count_calls):
+    m = box_model(8, 5)
+    assert set(check_reachability(m).reach_step) == {0, 1}
+    for bound in ("lower", "upper"):
+        calls = count_calls(lp, "minimize_row")
+        report = solve_policy(m, bound)
+        cold = [args for args, kwargs in calls
+                if kwargs.get("start", args[2] if len(args) > 2 else None) is None]
+        # the reachability sweep and the greedy start solve every row cold;
+        # each of the iterations - 1 improvements solves every row warm
+        assert len(cold) == 2 * m.size
+        assert len(calls) == (report.iterations + 1) * m.size
+
+
+def test_init_rules_feed_the_first_improvement(rng):
+    m = random_mixed_model(rng, size_choices=(5,))
+    while not (validate(m).ok and check_reachability(m).holds):
+        m = random_mixed_model(rng, size_choices=(5,))
+    for rule in solvers.INIT_RULES:
+        start = solvers._initial(m, rule, 4)
+        assert start.policy == initial_policy(m, rule, 4)
+        on_target = m.target_mask().astype(float)
+        assert np.allclose(start.matrix() @ on_target, start.value, atol=1e-12)
+        for bound in ("lower", "upper"):
+            warm = (lower_apply if bound == "lower" else upper_apply)(
+                m, on_target, start=start)
+            cold = (lower_apply if bound == "lower" else upper_apply)(m, on_target)
+            assert np.max(np.abs(warm.value - cold.value)) <= 1e-12
+
+
+def solve_fractions(a: list[list[Fraction]], b: list[Fraction]) -> list[Fraction]:
+    """Exact solution of a square, non-singular system by elimination."""
+    n = len(b)
+    rows = [list(a[i]) + [b[i]] for i in range(n)]
+    for c in range(n):
+        p = next(r for r in range(c, n) if rows[r][c] != 0)
+        rows[c], rows[p] = rows[p], rows[c]
+        for r in range(n):
+            if r != c and rows[r][c] != 0:
+                factor = rows[r][c] / rows[c][c]
+                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[c])]
+    return [rows[i][n] / rows[i][i] for i in range(n)]
+
+
+def exact_vertex(row, basis: tuple[int, ...]) -> list[Fraction]:
+    """The vertex a full basis names, solved in rationals from the row data."""
+    a, b, _ = lp.standard_form(row)
+    assert len(basis) == a.shape[0]  # interval rows have no redundant row
+    x = solve_fractions([[Fraction(float(a[i, j])) for j in basis]
+                         for i in range(a.shape[0])],
+                        [Fraction(float(v)) for v in b])
+    p = [Fraction(0)] * row.num_states
+    for j, value in zip(basis, x):
+        if j < row.num_states:
+            p[j] = value
+    return p
+
+
+def test_mixed_solutions_match_exact_rationals():
+    # the policy matrix holds the vertices the simplex scored, so h is the
+    # exact hitting time of the final policy up to the linear solve: about
+    # 1e-15 here, where rebuilding the vertices by least squares left 6e-13
+    rng = np.random.default_rng(7)
+    checked = 0
+    while checked < 40:
+        m = random_mixed_model(rng)
+        if not (validate(m).ok and check_reachability(m).holds):
+            continue
+        checked += 1
+        for bound in ("lower", "upper"):
+            h = solve_policy(m, bound).solution.values
+            policy = solvers._operator(bound)(m, h).policy
+            rows = [[Fraction(float(v)) for v in row.vertices[sel]]
+                    if isinstance(row, RowPolytopeV) else exact_vertex(row, sel)
+                    for row, sel in zip(m.rows, policy.selectors)]
+            free = [x for x in range(m.size) if x not in m.target.members]
+            u = solve_fractions([[int(x == y) - rows[x][y] for y in free] for x in free],
+                                [Fraction(1)] * len(free))
+            exact = np.zeros(m.size)
+            exact[free] = [float(v) for v in u]
+            assert np.max(np.abs(h - exact)) <= 1e-13 * (1.0 + np.max(exact))

@@ -83,3 +83,35 @@ def test_repeated_application_is_deterministic(rng):
 def test_shape_mismatch_is_rejected(two_state):
     with pytest.raises(ValueError):
         lower_apply(two_state, np.zeros(3))
+
+
+def test_result_matrix_is_the_policy_matrix(rng):
+    for _ in range(30):
+        m = random_mixed_model(rng)
+        f = rng.uniform(-8.0, 8.0, size=m.size)
+        for apply_op in (lower_apply, upper_apply):
+            res = apply_op(m, f)
+            rebuilt = policy_to_matrix(m, res.policy).entries
+            assert np.max(np.abs(res.matrix() - rebuilt)) <= 1e-9
+            # V-rep rows are the stored vertices themselves
+            for x, row in enumerate(m.rows):
+                if isinstance(row, RowPolytopeV):
+                    assert np.array_equal(res.matrix()[x], rebuilt[x])
+
+
+def test_warm_operator_matches_the_cold_one(rng):
+    for _ in range(30):
+        m = random_mixed_model(rng)
+        previous = lower_apply(m, rng.normal(size=m.size))
+        for apply_op in (lower_apply, upper_apply, lower_apply):
+            f = rng.uniform(-8.0, 8.0, size=m.size)
+            warm = apply_op(m, f, start=previous)
+            assert np.max(np.abs(warm.value - apply_op(m, f).value)) <= 1e-12
+            previous = warm
+
+
+def test_start_from_another_model_is_refused(rng):
+    m = random_mixed_model(rng)
+    other = random_mixed_model(rng)
+    with pytest.raises(ValueError):
+        lower_apply(m, np.zeros(m.size), start=lower_apply(other, np.zeros(other.size)))
