@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ImcError, ReachabilityViolation
 from .model import Model, RowPolytopeV, StateSpace, TargetSet
-from .solvers import solve_policy
+from .solvers import INIT_RULES, solve_policy
 
 log = logging.getLogger(__name__)
 
@@ -50,6 +50,8 @@ class BenchConfig:
             raise ValueError("trials must be positive")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
+        if self.init not in INIT_RULES:
+            raise ValueError(f"init must be one of {INIT_RULES}, got {self.init!r}")
 
 
 @dataclass(frozen=True)

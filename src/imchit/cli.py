@@ -61,8 +61,8 @@ def _cmd_solve(args) -> int:
         report = solve_policy(model, args.bound, init=args.init, tol=args.tol,
                               max_iter=args.max_iter, seed=args.seed)
     elif args.method == "value":
-        report = solve_value(model, args.bound, tol=args.tol,
-                             max_iter=args.max_iter or 10 ** 6)
+        cap = 10 ** 6 if args.max_iter is None else args.max_iter
+        report = solve_value(model, args.bound, tol=args.tol, max_iter=cap)
     else:
         report = solve_brute(model, args.bound)
     doc = {
@@ -101,6 +101,12 @@ def _cmd_bench(args) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {text}")
+    return int(text)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="imchit",
@@ -124,7 +130,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--init", choices=["greedy", "first", "random"],
                    default="greedy")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-iter", type=int, default=None)
+    p.add_argument("--max-iter", type=_positive_int, default=None)
     p.add_argument("--trace", action="store_true",
                    help="include the per-iteration trace in the report")
     p.set_defaults(func=_cmd_solve)

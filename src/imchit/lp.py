@@ -19,13 +19,14 @@ Standard form used for a row over ``n`` states with constraints
 A basis identifier is the sorted tuple of basic column indices of this
 standard form; it pins down exactly one vertex.
 
-Phase one depends only on the row, so it runs once per row: the standard
+Phase one depends only on the row, so it runs once per row, when the row
+is built: ``RowPolytopeH`` keeps what ``row_start`` returns, the standard
 form and the feasible tableau phase one ends with (or the ``Infeasible``
-outcome it raised) are kept read-only on the row object.  That start
-tableau is narrow: it keeps the structural columns and the rhs only,
-because phase two never lets an artificial column enter and pivoting
-updates each column on its own.  A ``minimize_row`` call copies it and
-runs phase two only.
+outcome it raised), read-only, as ``lp_start``.  That start tableau is
+narrow: it keeps the structural columns and the rhs only, because phase
+two never lets an artificial column enter and pivoting updates each
+column on its own.  A ``minimize_row`` call copies it and runs phase two
+only.
 
 Every basis of a row is primal feasible whatever the objective, so phase
 two may also start from the final tableau of an earlier ``LpSolution`` of
@@ -108,19 +109,16 @@ def _standard_form(row: RowPolytopeH) -> tuple[np.ndarray, np.ndarray, int]:
     return a, b, ncols
 
 
-def _row_start(row: RowPolytopeH) -> _RowStart:
-    """The row's cached ``_RowStart``, computed on first use.
+def row_start(row: RowPolytopeH) -> _RowStart:
+    """Standard form and phase-one outcome of a constraint row.
 
-    Threads racing on first use compute equal values and either write
-    wins, so no lock is needed.
+    ``RowPolytopeH`` calls it once, when the row is built, and keeps the
+    result as ``lp_start``.
     """
-    start = row._lp
-    if start is None:
-        a, b, ncols = _standard_form(row)
-        a.flags.writeable = False
-        b.flags.writeable = False
-        start = row._lp = _RowStart(a, b, ncols, *_feasible_start(a, b, ncols))
-    return start
+    a, b, ncols = _standard_form(row)
+    a.flags.writeable = False
+    b.flags.writeable = False
+    return _RowStart(a, b, ncols, *_feasible_start(a, b, ncols))
 
 
 def _feasible_start(a: np.ndarray, b: np.ndarray, ncols: int
@@ -143,10 +141,9 @@ def _feasible_start(a: np.ndarray, b: np.ndarray, ncols: int
 def standard_form(row: RowPolytopeH) -> tuple[np.ndarray, np.ndarray, int]:
     """Equality standard form ``A x = b, x >= 0`` of a constraint row.
 
-    Returns ``(A, b, num_structural)``; read from the row's cached
-    phase-one start, so the first call also runs phase one.
+    Returns ``(A, b, num_structural)``, read-only, from ``row.lp_start``.
     """
-    start = _row_start(row)
+    start = row.lp_start
     return start.a, start.b, start.ncols
 
 
@@ -228,7 +225,7 @@ def _phase1(a: np.ndarray, b: np.ndarray,
 
 def row_feasible(row: RowPolytopeH) -> bool:
     """Phase-one check that the constraint row admits at least one pmf."""
-    return _row_start(row).error is None
+    return row.lp_start.error is None
 
 
 def minimize_row(row: RowPolytopeH, objective: np.ndarray,
@@ -242,10 +239,10 @@ def minimize_row(row: RowPolytopeH, objective: np.ndarray,
     """
     objective = np.asarray(objective, dtype=float)
     if start is None:
-        cached = _row_start(row)
-        if cached.error is not None:
-            raise Infeasible(cached.error)
-        tab, basis = cached.tableau.copy(), list(cached.basis)
+        phase_one = row.lp_start
+        if phase_one.error is not None:
+            raise Infeasible(phase_one.error)
+        tab, basis = phase_one.tableau.copy(), list(phase_one.basis)
     elif start.row is not row:
         raise ValueError("start is not a solution of this row")
     else:

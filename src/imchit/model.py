@@ -7,12 +7,17 @@ either by its vertices (a list of probability mass functions) or by linear
 constraints on top of the implicit simplex constraints ``p >= 0`` and
 ``sum(p) == 1``.  Any combination of admissible rows forms an admissible
 transition matrix (rows are separately specified).
+
+Row storage is packed once, when it is built: a model stacks the vertices
+of its vertex rows into one read-only array, of which each such row's
+``vertices`` is a view, and a constraint row keeps its standard form and
+phase-one outcome (``RowPolytopeH.lp_start``).
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Union
 
 import numpy as np
@@ -29,8 +34,8 @@ Relation = str  # one of "<=", ">=", "="
 _RELATIONS = ("<=", ">=", "=")
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a, dtype=float)
+def _readonly(a: np.ndarray, dtype=float) -> np.ndarray:
+    a = np.ascontiguousarray(a, dtype=dtype)
     a.flags.writeable = False
     return a
 
@@ -113,19 +118,22 @@ class RowPolytopeH:
     """Row credal set cut out of the probability simplex by linear constraints.
 
     The simplex constraints are implicit and always enforced; ``constraints``
-    only lists the additional ones.
+    only lists the additional ones.  ``lp_start`` holds the row's standard
+    form and phase-one outcome, computed once when the row is built.
     """
 
     num_states: int
     constraints: tuple[Constraint, ...]
+    lp_start: "lp._RowStart" = field(init=False, repr=False)
 
     def __post_init__(self):
+        from . import lp  # deferred: lp imports the row types from here
+
         self.constraints = tuple(self.constraints)
         for c in self.constraints:
             if c.a.shape != (self.num_states,):
                 raise ValueError("constraint coefficient vector has wrong length")
-        # standard form and phase-one start, filled in once by the lp module
-        self._lp = None
+        self.lp_start = lp.row_start(self)
 
 
 Row = Union[RowPolytopeV, RowPolytopeH]
@@ -133,11 +141,21 @@ Row = Union[RowPolytopeV, RowPolytopeH]
 
 @dataclass(eq=False)
 class Model:
-    """A validated-on-demand imprecise Markov chain instance."""
+    """A validated-on-demand imprecise Markov chain instance.
+
+    The read-only arrays after ``rows`` are computed when it is built.
+    Row ``x``'s vertices are ``vertex_stack[o:o + k]`` with ``o =
+    vertex_offsets[x]`` and ``k = vertex_counts[x]`` (0 on H-rep rows).
+    """
 
     states: StateSpace
     target: TargetSet
     rows: tuple[Row, ...]
+    vertex_stack: np.ndarray = field(init=False, repr=False)
+    vertex_offsets: np.ndarray = field(init=False, repr=False)
+    vertex_counts: np.ndarray = field(init=False, repr=False)
+    target_mask: np.ndarray = field(init=False, repr=False)
+    nontarget_indices: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         n = self.states.size
@@ -150,7 +168,19 @@ class Model:
         for i in self.target.members:
             if not 0 <= i < n:
                 raise ValueError(f"target index {i} out of range")
-        self._vcache = None  # stacked-vertex cache used by the operator module
+        counts = np.array([row.num_vertices if isinstance(row, RowPolytopeV) else 0
+                           for row in self.rows])
+        offsets = np.cumsum(counts) - counts
+        self.vertex_stack = _readonly(np.concatenate(
+            [np.empty((0, n))] + [row.vertices for row in self.rows
+                                  if isinstance(row, RowPolytopeV)]))
+        for row, lo, k in zip(self.rows, offsets.tolist(), counts.tolist()):
+            if k:
+                row.vertices = self.vertex_stack[lo:lo + k]
+        self.vertex_offsets = _readonly(offsets, np.intp)
+        self.vertex_counts = _readonly(counts, np.intp)
+        self.target_mask = _readonly(np.isin(range(n), list(self.target.members)), bool)
+        self.nontarget_indices = _readonly(np.flatnonzero(~self.target_mask), np.intp)
 
     @property
     def size(self) -> int:
@@ -158,17 +188,7 @@ class Model:
 
     @property
     def target_indices(self) -> np.ndarray:
-        return np.array(sorted(self.target.members), dtype=int)
-
-    @property
-    def nontarget_indices(self) -> np.ndarray:
-        return np.array([i for i in range(self.size) if i not in self.target.members],
-                        dtype=int)
-
-    def target_mask(self) -> np.ndarray:
-        m = np.zeros(self.size, dtype=bool)
-        m[self.target_indices] = True
-        return m
+        return np.flatnonzero(self.target_mask)
 
 
 @dataclass(eq=False)
@@ -240,22 +260,26 @@ def validate(model: Model) -> ValidationReport:
     elif len(model.target.members) >= n:
         issues.append(ValidationIssue(
             "TargetIsWholeSpace", None, "no non-target states remain"))
+    stack = model.vertex_stack
+    finite = np.isfinite(stack).all(axis=1)
+    mins = stack.min(axis=1)
+    with np.errstate(invalid="ignore"):  # inf - inf in a non-finite vertex
+        sums = stack.sum(axis=1)
+    off_simplex = (mins < -PMF_TOL) | (np.abs(sums - 1.0) > PMF_TOL)
     for x, row in enumerate(model.rows):
         label = model.states.labels[x]
         if isinstance(row, RowPolytopeV):
-            finite = np.isfinite(row.vertices).all(axis=1)
-            if not finite.all():
+            lo = model.vertex_offsets[x]
+            block = slice(lo, lo + model.vertex_counts[x])
+            if not finite[block].all():
                 issues.append(ValidationIssue(
                     "NonFinite", label,
-                    f"vertices {np.nonzero(~finite)[0].tolist()} are not finite"))
+                    f"vertices {np.nonzero(~finite[block])[0].tolist()} are not finite"))
                 continue
-            sums = row.vertices.sum(axis=1)
-            for k in range(row.num_vertices):
-                v = row.vertices[k]
-                if v.min() < -PMF_TOL or abs(sums[k] - 1.0) > PMF_TOL:
-                    issues.append(ValidationIssue(
-                        "NonStochasticVertex", label,
-                        f"vertex {k} has min {v.min():.3g}, sum {sums[k]!r}"))
+            for k in np.flatnonzero(off_simplex[block]).tolist():
+                issues.append(ValidationIssue(
+                    "NonStochasticVertex", label,
+                    f"vertex {k} has min {mins[lo + k]:.3g}, sum {sums[lo + k]!r}"))
         else:
             bad = [i for i, c in enumerate(row.constraints)
                    if not (np.isfinite(c.a).all() and np.isfinite(c.b))]

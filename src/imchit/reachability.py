@@ -37,7 +37,7 @@ class ReachabilityReport:
 
 
 def check_reachability(model: Model) -> ReachabilityReport:
-    absorbed = model.target_mask()
+    absorbed = model.target_mask.copy()
     steps: list[int | None] = [0 if absorbed[x] else None for x in range(model.size)]
     for round_no in range(1, model.size + 1):
         value = lower_apply(model, absorbed.astype(float)).value

@@ -32,8 +32,8 @@ import numpy as np
 
 from . import lp
 from .errors import (MaxIterationsExceeded, ReachabilityViolation,
-                     SingularSystem, TooManyCombinations)
-from .linsolve import RESID_RTOL, HittingTimeVector, solve_precise
+                     TooManyCombinations)
+from .linsolve import HittingTimeVector, solve_precise, solve_stack
 from .model import Model, Policy, RowPolytopeV, TransitionMatrix
 from .reachability import check_reachability
 from .transition import OperatorResult, lower_apply, record, upper_apply
@@ -81,8 +81,7 @@ def fixed_point_residual(model: Model, h: np.ndarray, bound: str = "lower") -> f
 
 def _defect(model: Model, h: np.ndarray, value: np.ndarray) -> float:
     """Sup-norm defect of ``h``, given the operator's value at ``h``."""
-    off_target = ~model.target_mask()
-    fixed_point = np.where(off_target, 1.0 + value, 0.0)
+    fixed_point = np.where(model.target_mask, 0.0, 1.0 + value)
     return float(np.max(np.abs(h - fixed_point)))
 
 
@@ -108,24 +107,24 @@ def _initial(model: Model, rule: str, seed: int) -> OperatorResult:
     whose value is each chosen row's one-step mass on the target."""
     if rule not in INIT_RULES:
         raise ValueError(f"init rule must be one of {INIT_RULES}, got {rule!r}")
-    on_target = model.target_mask().astype(float)
+    on_target = model.target_mask.astype(float)
     if rule == "greedy":
         return upper_apply(model, on_target)
     rng = np.random.default_rng(seed) if rule == "random" else None
-    choices: list = []
+    vertex = np.zeros(model.size, dtype=np.intp)
+    solutions = {}
     value = np.empty(model.size)
     for x, row in enumerate(model.rows):
         if isinstance(row, RowPolytopeV):
             k = 0 if rule == "first" else int(rng.integers(row.num_vertices))
-            choices.append(k)
+            vertex[x] = k
             value[x] = row.vertices[k] @ on_target
         else:
             objective = np.zeros(model.size) if rule == "first" \
                 else rng.standard_normal(model.size)
-            sol = lp.minimize_row(row, objective)
-            choices.append(sol)
+            sol = solutions[x] = lp.minimize_row(row, objective)
             value[x] = sol.vertex @ on_target
-    return record(model, value, choices)
+    return record(model, value, vertex, solutions)
 
 
 def _hitting_times(model: Model, selected: OperatorResult) -> np.ndarray:
@@ -201,7 +200,7 @@ def solve_value(model: Model, bound: str = "lower", tol: float = 1e-9,
     start = time.perf_counter()
     apply_op = _operator(bound)
     _require_reachable(model)
-    off_target = (~model.target_mask()).astype(float)
+    off_target = (~model.target_mask).astype(float)
     h = off_target.copy()
     previous_policy: Policy | None = None
     trace: list[IterationStat] = []
@@ -235,38 +234,12 @@ def solve_value(model: Model, bound: str = "lower", tol: float = 1e-9,
 
 
 def _vertex_counts(model: Model) -> list[int]:
-    counts = []
-    for x, row in enumerate(model.rows):
-        if not isinstance(row, RowPolytopeV):
-            raise ValueError(
-                f"brute force needs vertex-specified rows; state "
-                f"{model.states.labels[x]!r} is constraint-specified")
-        counts.append(row.num_vertices)
-    return counts
-
-
-def _solve_combination_chunk(model: Model, selectors: np.ndarray) -> np.ndarray:
-    """Hitting times for a chunk of vertex selections, one solve per row."""
-    n = model.size
-    m = selectors.shape[0]
-    mats = np.empty((m, n, n))
-    for x, row in enumerate(model.rows):
-        mats[:, x, :] = row.vertices[selectors[:, x]]
-    nontarget = model.nontarget_indices
-    sub = mats[:, nontarget][:, :, nontarget]
-    k = nontarget.size
-    try:
-        u = np.linalg.solve(np.eye(k) - sub, np.ones((m, k, 1)))[..., 0]
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystem(str(exc)) from None
-    if not np.isfinite(u).all() or u.min() < 1.0 - 1e-6:
-        raise SingularSystem("a vertex combination cannot reach the target")
-    residual = np.max(np.abs(u - 1.0 - (sub @ u[..., None])[..., 0]), axis=1)
-    if (residual > RESID_RTOL * (1.0 + u.max(axis=1))).any():
-        raise SingularSystem("a vertex combination left an excessive residual")
-    h = np.zeros((m, n))
-    h[:, nontarget] = u
-    return h
+    constrained = np.flatnonzero(model.vertex_counts == 0)
+    if constrained.size:
+        raise ValueError(
+            f"brute force needs vertex-specified rows; state "
+            f"{model.states.labels[constrained[0]]!r} is constraint-specified")
+    return model.vertex_counts.tolist()
 
 
 def _iter_chunks(model: Model) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -276,7 +249,8 @@ def _iter_chunks(model: Model) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         hi = min(lo + _BRUTE_CHUNK, total)
         selectors = np.stack(
             np.unravel_index(np.arange(lo, hi), counts), axis=1)
-        yield selectors, _solve_combination_chunk(model, selectors)
+        matrices = model.vertex_stack[model.vertex_offsets + selectors]
+        yield selectors, solve_stack(matrices, model.nontarget_indices)
 
 
 def iter_extreme_solutions(model: Model) -> Iterator[tuple[Policy, np.ndarray]]:
@@ -298,6 +272,7 @@ def solve_brute(model: Model, bound: str = "lower",
     total = math.prod(_vertex_counts(model))
     if total > max_combinations:
         raise TooManyCombinations(total, max_combinations)
+    _require_reachable(model)
     best: np.ndarray | None = None
     reduce = np.minimum if bound == "lower" else np.maximum
     for _, h in _iter_chunks(model):

@@ -4,10 +4,12 @@ Applying the lower operator to a function ``f`` minimizes ``p . f`` over
 each state's row polytope independently; the upper operator maximizes.
 Besides the value vector, each application returns the policy of extreme
 points attaining it row by row, which is what the policy-iteration solver
-consumes.  An application may start each constraint row's simplex from the
-row's solution in an earlier result (``start=``); the policy-iteration
-solver passes the previous improvement step, whose bases are usually
-optimal again or a few pivots away.
+consumes.  One product with the model's vertex stack scores every vertex,
+and one padded ``argmin`` picks each vertex row's first minimizer.  An
+application may start each constraint row's simplex from the row's
+solution in an earlier result (``start=``); the policy-iteration solver
+passes the previous improvement step, whose bases are usually optimal
+again or a few pivots away.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import lp
-from .model import Model, Policy, RowPolytopeV
+from .model import Model, Policy
 
 
 @dataclass
@@ -25,9 +27,9 @@ class OperatorResult:
     """Operator value plus one attaining extreme point per row.
 
     Each row's choice is recorded without copying its vertex: ``picks``
-    holds an index into the model's stacked V-rep vertices (-1 on H-rep
-    rows) and ``solutions`` the ``LpSolution`` of each H-rep row.
-    ``matrix`` assembles the policy matrix from them on request.
+    holds an index into the model's vertex stack (-1 on H-rep rows) and
+    ``solutions`` the ``LpSolution`` of each H-rep row.  ``matrix``
+    assembles the policy matrix from them on request.
     """
 
     value: np.ndarray
@@ -39,52 +41,25 @@ class OperatorResult:
 
     def matrix(self) -> np.ndarray:
         """The transition matrix ``policy`` selects, as a plain array."""
-        stacked, _ = _vertex_cache(self.model)
         n = self.model.size
-        m = np.empty((n, n)) if stacked is None else stacked[self.picks]
+        stack = self.model.vertex_stack
+        # an H-rep row's pick, -1, gathers a placeholder its vertex replaces
+        m = stack[self.picks] if stack.size else np.empty((n, n))
         for x, sol in self.solutions.items():
             m[x] = sol.vertex
         return m
 
 
-def record(model: Model, value: np.ndarray, choices: list) -> OperatorResult:
-    """The result that picks ``choices[x]`` in row ``x``, with ``value``.
-
-    A choice is a vertex index for a V-rep row and an ``LpSolution`` of
-    the row for an H-rep row.
-    """
-    _, slices = _vertex_cache(model)
-    selectors: list = []
-    picks: list[int] = []
-    solutions = {}
-    for x, choice in enumerate(choices):
-        if slices[x] is not None:
-            selectors.append(choice)
-            picks.append(slices[x][0] + choice)
-        else:
-            selectors.append(choice.basis)
-            picks.append(-1)
-            solutions[x] = choice
-    return OperatorResult(value, Policy(tuple(selectors)), model,
-                          np.array(picks), solutions)
-
-
-def _vertex_cache(model: Model):
-    """Stacked vertex matrix over all V-rep rows, built once per model."""
-    if model._vcache is None:
-        blocks = []
-        slices: list[tuple[int, int] | None] = []
-        start = 0
-        for row in model.rows:
-            if isinstance(row, RowPolytopeV):
-                blocks.append(row.vertices)
-                slices.append((start, start + row.num_vertices))
-                start += row.num_vertices
-            else:
-                slices.append(None)
-        stacked = np.concatenate(blocks, axis=0) if blocks else None
-        model._vcache = (stacked, slices)
-    return model._vcache
+def record(model: Model, value: np.ndarray, vertex: np.ndarray,
+           solutions: dict[int, lp.LpSolution]) -> OperatorResult:
+    """The result with ``value`` that picks vertex ``vertex[x]`` in each
+    V-rep row ``x`` and the ``LpSolution`` ``solutions[x]`` in each H-rep
+    row; ``vertex`` is ignored on H-rep rows."""
+    selectors = vertex.tolist()
+    for x, sol in solutions.items():
+        selectors[x] = sol.basis
+    picks = np.where(model.vertex_counts > 0, model.vertex_offsets + vertex, -1)
+    return OperatorResult(value, Policy(tuple(selectors)), model, picks, solutions)
 
 
 def _apply(model: Model, f: np.ndarray, sign: float,
@@ -95,24 +70,27 @@ def _apply(model: Model, f: np.ndarray, sign: float,
         raise ValueError(f"function must have shape ({model.size},)")
     if start is not None and start.model is not model:
         raise ValueError("start is not a result of this model")
-    stacked, slices = _vertex_cache(model)
     objective = sign * f
-    dots = stacked @ objective if stacked is not None else None
+    stack, offsets = model.vertex_stack, model.vertex_offsets
+    counts = model.vertex_counts
+    rows = np.flatnonzero(counts)
+    # at least one column, so that argmin has an axis to reduce when no
+    # row is vertex-specified; padding points at the +inf appended to dots
+    width = np.arange(counts.max(initial=1))
+    grid = np.where(width < counts[rows, None],
+                    offsets[rows, None] + width, stack.shape[0])
+    dots = np.append(stack @ objective, np.inf)
+    vertex = np.zeros(model.size, dtype=np.intp)
+    vertex[rows] = dots[grid].argmin(axis=1)
     value = np.empty(model.size)
-    choices: list = []
-    for x, row in enumerate(model.rows):
-        if slices[x] is not None:
-            lo, hi = slices[x]
-            seg = dots[lo:hi]
-            k = int(np.argmin(seg))
-            value[x] = sign * seg[k]
-            choices.append(k)
-        else:
-            sol = lp.minimize_row(row, objective,
-                                  None if start is None else start.solutions[x])
-            value[x] = float(f @ sol.vertex)
-            choices.append(sol)
-    return record(model, value, choices)
+    value[rows] = sign * dots[offsets[rows] + vertex[rows]]
+    solutions = {}
+    for x in np.flatnonzero(counts == 0).tolist():
+        sol = lp.minimize_row(model.rows[x], objective,
+                              None if start is None else start.solutions[x])
+        value[x] = float(f @ sol.vertex)
+        solutions[x] = sol
+    return record(model, value, vertex, solutions)
 
 
 def lower_apply(model: Model, f: np.ndarray,

@@ -101,6 +101,8 @@ def test_config_validation():
         BenchConfig(sizes=(5,), vertices_per_row=0)
     with pytest.raises(ValueError):
         BenchConfig(sizes=(5,), seed=-1)
+    with pytest.raises(ValueError, match="init"):
+        BenchConfig(sizes=(5,), init="bogus")
 
 
 def test_random_model_argument_checks():

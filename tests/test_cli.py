@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from imchit import save_model
+from imchit import cli, save_model, solve_value
 from imchit.cli import main
 from modelzoo import gambler_model, isolated_cycle_model, line_model, precise_model
 
@@ -124,6 +124,14 @@ def test_solve_reachability_failure_exits_one(tmp_path, capsys):
     assert "ReachabilityViolation" in capsys.readouterr().err
 
 
+def test_brute_reachability_failure_exits_one(tmp_path, capsys):
+    path = tmp_path / "cycle.json"
+    save_model(isolated_cycle_model(), path)
+    assert main(["solve", "--model", str(path), "--method", "brute"]) == 1
+    err = capsys.readouterr().err
+    assert "ReachabilityViolation" in err and "from: c, d" in err
+
+
 def test_solve_on_invalid_model_exits_one(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({
@@ -138,6 +146,29 @@ def test_non_convergence_exits_one(gambler_path, capsys):
     assert main(["solve", "--model", gambler_path, "--method", "value",
                  "--max-iter", "1"]) == 1
     assert "MaxIterationsExceeded" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("method", ["policy", "value"])
+@pytest.mark.parametrize("cap", ["0", "-3"])
+def test_max_iter_below_one_is_a_usage_error(gambler_path, method, cap):
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--model", gambler_path, "--method", method,
+              "--max-iter", cap])
+    assert exc.value.code == 2
+
+
+def test_value_iteration_cap_defaults_only_when_absent(gambler_path, monkeypatch):
+    caps = []
+
+    def capture(*args, max_iter, **kwargs):
+        caps.append(max_iter)
+        return solve_value(*args, max_iter=max_iter, **kwargs)
+
+    monkeypatch.setattr(cli, "solve_value", capture)
+    assert main(["solve", "--model", gambler_path, "--method", "value"]) == 0
+    assert main(["solve", "--model", gambler_path, "--method", "value",
+                 "--max-iter", "500"]) == 0
+    assert caps == [10 ** 6, 500]
 
 
 def test_missing_file_is_domain_error(tmp_path, capsys):

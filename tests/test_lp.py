@@ -105,7 +105,7 @@ def test_infeasible_row_raises():
         assert not row_feasible(row)
         with pytest.raises(Infeasible):
             minimize_row(row, np.array([1.0, 0.0]))
-    assert lp._row_start(row).tableau is None
+    assert row.lp_start.tableau is None
     # mass demands exceeding the simplex are infeasible too
     row = RowPolytopeH(2, (Constraint(np.array([1.0, 0.0]), ">=", 0.7),
                            Constraint(np.array([0.0, 1.0]), ">=", 0.7)))
@@ -180,7 +180,7 @@ def test_cached_start_gives_the_fresh_answer(rng):
 def test_cached_start_is_read_only():
     row = box_row()
     minimize_row(row, np.array([1.0, 2.0, 3.0]))
-    start = lp._row_start(row)
+    start = row.lp_start
     with pytest.raises(ValueError):
         lp._pivot(start.tableau, list(start.basis), 0, 0)
     for array in (start.tableau, start.a, start.b):
@@ -188,7 +188,7 @@ def test_cached_start_is_read_only():
             array[...] = 0.0
     # phase two pivots on a copy, so the cache is the same object after it
     minimize_row(row, np.array([3.0, 2.0, 1.0]))
-    assert lp._row_start(row) is start
+    assert row.lp_start is start
 
 
 def test_non_finite_row_is_never_solved():
@@ -271,7 +271,7 @@ def test_start_from_another_row_is_refused():
 def test_start_tableaux_are_narrow_and_read_only():
     row = box_row()
     sol = minimize_row(row, np.array([1.0, 2.0, 3.0]))
-    start = lp._row_start(row)
+    start = row.lp_start
     # structural columns and the rhs; one row per constraint, the simplex
     # row and the objective row
     assert start.tableau.shape == (len(row.constraints) + 2, start.ncols + 1)
@@ -356,7 +356,7 @@ def test_simplex_matches_the_loop_reference(rng):
         row = interval_row(n, lower, upper)
         a, b, ncols = lp.standard_form(row)
         start, start_basis = reference_phase1(a, b, ncols)
-        narrow = lp._row_start(row).tableau
+        narrow = row.lp_start.tableau
         assert np.array_equal(narrow[:-1, :ncols], start[:-1, :ncols])
         assert np.array_equal(narrow[:-1, -1], start[:-1, -1])
         sol = ref = ref_basis = None

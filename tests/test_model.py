@@ -5,8 +5,10 @@ import pytest
 
 from imchit import (Constraint, Model, Policy, RowPolytopeH, RowPolytopeV,
                     SelectorOutOfRange, StateSpace, TargetSet,
-                    TransitionMatrix, load_model, model_from_dict,
-                    model_to_dict, policy_to_matrix, save_model, validate)
+                    TransitionMatrix, ValidationIssue, load_model,
+                    model_from_dict, model_to_dict, policy_to_matrix,
+                    save_model, validate)
+from imchit.lp import row_feasible
 from modelzoo import box_row, precise_model
 
 
@@ -178,3 +180,62 @@ def test_index_order_follows_file_order():
     m = model_from_dict(doc)
     assert m.states.labels == ("zeta", "alpha", "mid")
     assert m.target_indices.tolist() == [1]
+
+
+def reference_issues(model: Model) -> list[ValidationIssue]:
+    """Row issues found one vertex at a time, as ``validate`` reports them."""
+    issues = []
+    for x, row in enumerate(model.rows):
+        label = model.states.labels[x]
+        if isinstance(row, RowPolytopeV):
+            bad = [k for k, v in enumerate(row.vertices) if not np.isfinite(v).all()]
+            if bad:
+                issues.append(ValidationIssue(
+                    "NonFinite", label, f"vertices {bad} are not finite"))
+                continue
+            for k, v in enumerate(row.vertices):
+                total = v.sum()
+                if v.min() < -1e-12 or abs(total - 1.0) > 1e-12:
+                    issues.append(ValidationIssue(
+                        "NonStochasticVertex", label,
+                        f"vertex {k} has min {v.min():.3g}, sum {total!r}"))
+        elif not row_feasible(row):
+            issues.append(ValidationIssue(
+                "InfeasibleRow", label, "constraints admit no pmf"))
+    return issues
+
+
+def broken_model(rng) -> Model:
+    """Vertex rows scaled off the simplex, with a negative entry, or with a
+    NaN or infinite entry, mixed with sound rows and interval rows, some
+    of them empty."""
+    n = int(rng.integers(2, 7))
+    rows = []
+    for _ in range(n):
+        kind = int(rng.integers(0, 5))
+        if kind == 4:
+            upper = np.full(n, rng.choice([0.1, 1.0]))
+            rows.append(box_row(n, np.full(n, 0.01), upper))
+            continue
+        v = rng.dirichlet(np.ones(n), size=int(rng.integers(1, 5)))
+        k = int(rng.integers(0, len(v)))
+        if kind == 1:
+            v[k] *= 1.1
+        elif kind == 2:
+            v[k, int(rng.integers(0, n))] = rng.choice([np.nan, np.inf, -np.inf])
+        elif kind == 3:
+            v[k, 0] -= 0.3
+            v[k, -1] += 0.3
+        rows.append(RowPolytopeV(v))
+    return Model(StateSpace(tuple(f"s{i}" for i in range(n))),
+                 TargetSet({0}), tuple(rows))
+
+
+def test_validate_matches_the_per_vertex_scan(rng):
+    flagged = 0
+    for _ in range(60):
+        m = broken_model(rng)
+        issues = validate(m).issues
+        assert list(issues) == reference_issues(m)
+        flagged += bool(issues)
+    assert flagged >= 40

@@ -68,7 +68,7 @@ def test_absorbed_states_are_operator_consistent():
     # positive lower probability of sitting on the target
     for m in (line_model(), isolated_cycle_model()):
         report = check_reachability(m)
-        indicator = m.target_mask().astype(float)
+        indicator = m.target_mask.astype(float)
         for x, step in enumerate(report.reach_step):
             if step is not None and step > 0:
                 assert lower_apply_n(m, indicator, step)[x] > 1e-12

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -7,7 +8,8 @@ import pytest
 
 from imchit import (MaxIterationsExceeded, Model, ReachabilityViolation,
                     RowPolytopeV, StateSpace, TargetSet, TooManyCombinations,
-                    check_reachability, fixed_point_residual, initial_policy,
+                    TransitionMatrix, check_reachability,
+                    fixed_point_residual, initial_policy,
                     iter_extreme_solutions, lower_apply, policy_to_matrix,
                     solve_brute, solve_policy, solve_precise, solve_value,
                     upper_apply, validate)
@@ -51,7 +53,7 @@ def test_policy_matches_brute_on_random_models(rng):
 def test_value_iteration_first_sweep(rng):
     m = random_vrep_model(rng)
     report = solve_value(m, max_iter=10 ** 6, collect_iterates=True)
-    off_target = (~m.target_mask()).astype(float)
+    off_target = (~m.target_mask).astype(float)
     expected_h1 = off_target * (1.0 + lower_apply(m, off_target).value)
     assert np.allclose(report.iterates[1], expected_h1, atol=1e-12)
 
@@ -154,6 +156,9 @@ def test_reachability_violation_is_raised():
     assert exc.value.violating == ("c", "d")
     with pytest.raises(ReachabilityViolation):
         solve_value(m)
+    with pytest.raises(ReachabilityViolation) as exc:
+        solve_brute(m)
+    assert exc.value.violating == ("c", "d")
 
 
 def test_policy_iteration_cap(rng):
@@ -191,6 +196,23 @@ def test_componentwise_extremum_is_attained_by_one_combination(rng):
         deviations = [float(np.max(np.abs(h - best)))
                       for _, h in iter_extreme_solutions(m)]
         assert min(deviations) <= 1e-9 * (1.0 + np.max(best))
+
+
+def test_brute_force_solves_each_combination_as_solve_precise(rng):
+    for _ in range(8):
+        m = random_vrep_model(rng, max_vertices=4)
+        combinations = list(itertools.product(*(range(r.num_vertices) for r in m.rows)))
+        alone = [solve_precise(TransitionMatrix(np.stack(
+                     [row.vertices[k] for row, k in zip(m.rows, combination)])),
+                               m.target).values
+                 for combination in combinations]
+        solutions = list(iter_extreme_solutions(m))
+        assert [policy.selectors for policy, _ in solutions] == combinations
+        for (_, h), expected in zip(solutions, alone):
+            assert h.tobytes() == expected.tobytes()
+        for bound, extremum in (("lower", np.min), ("upper", np.max)):
+            h = solve_brute(m, bound).solution.values
+            assert h.tobytes() == extremum(alone, axis=0).tobytes()
 
 
 def test_bad_bound_is_rejected(rng):
@@ -259,7 +281,7 @@ def check_box_solves(n: int, seed: int, count_calls) -> None:
     assembled = count_calls(model_module, "policy_to_matrix")
     for bound in ("lower", "upper"):
         h = solve_policy(m, bound).solution.values
-        fixed_point = np.where(m.target_mask(), 0.0,
+        fixed_point = np.where(m.target_mask, 0.0,
                                1.0 + interval_extreme(lower, upper, h, bound))
         assert np.max(np.abs(h - fixed_point)) <= 1e-9 * (1.0 + np.max(h))
     assert rebuilt == [] and assembled == []
@@ -295,7 +317,7 @@ def test_init_rules_feed_the_first_improvement(rng):
     for rule in solvers.INIT_RULES:
         start = solvers._initial(m, rule, 4)
         assert start.policy == initial_policy(m, rule, 4)
-        on_target = m.target_mask().astype(float)
+        on_target = m.target_mask.astype(float)
         assert np.allclose(start.matrix() @ on_target, start.value, atol=1e-12)
         for bound in ("lower", "upper"):
             warm = (lower_apply if bound == "lower" else upper_apply)(

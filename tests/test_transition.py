@@ -1,12 +1,15 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from imchit import (Model, RowPolytopeV, StateSpace, TargetSet, lower_apply,
-                    lower_apply_n, policy_to_matrix, upper_apply,
+                    lower_apply_n, policy_to_matrix, random_model, upper_apply,
                     upper_apply_n)
-from modelzoo import precise_model, random_mixed_model
+from imchit import lp
+from modelzoo import box_model, box_row, precise_model, random_mixed_model
 
 
 @pytest.fixture
@@ -115,3 +118,89 @@ def test_start_from_another_model_is_refused(rng):
     other = random_mixed_model(rng)
     with pytest.raises(ValueError):
         lower_apply(m, np.zeros(m.size), start=lower_apply(other, np.zeros(other.size)))
+
+
+def ragged_model(rng, n: int = 7) -> Model:
+    """Vertex rows of 1 to 6 vertices, mixed with interval rows; a row of
+    three or more repeats its first vertex last, so its scores tie."""
+    rows = []
+    for x in range(n):
+        if x % 3 == 2:
+            rows.append(box_row(n, np.full(n, 0.02), np.full(n, 0.5)))
+            continue
+        vertices = rng.dirichlet(np.ones(n), size=int(rng.integers(1, 7)))
+        if len(vertices) > 2:
+            vertices[-1] = vertices[0]
+        rows.append(RowPolytopeV(vertices))
+    return Model(StateSpace(tuple(f"s{i}" for i in range(n))),
+                 TargetSet({n - 1}), tuple(rows))
+
+
+def reference_apply(m: Model, f: np.ndarray, sign: float):
+    """Row by row: an argmin over each vertex row's own scores, the
+    simplex on each constraint row.  The scores come from one product
+    with the whole stack, as in the operator: BLAS may round a product
+    with one row's block differently in the last bit."""
+    scores = m.vertex_stack @ (sign * f)
+    value, selectors, picks = [], [], []
+    for x, row in enumerate(m.rows):
+        if isinstance(row, RowPolytopeV):
+            lo = m.vertex_offsets[x]
+            dots = scores[lo:lo + row.num_vertices]
+            k = int(np.argmin(dots))
+            value.append(sign * dots[k])
+            selectors.append(k)
+            picks.append(m.vertex_offsets[x] + k)
+        else:
+            sol = lp.minimize_row(row, sign * f)
+            value.append(float(f @ sol.vertex))
+            selectors.append(sol.basis)
+            picks.append(-1)
+    return np.array(value), tuple(selectors), np.array(picks)
+
+
+def test_selection_matches_the_per_row_scan(rng):
+    for _ in range(20):
+        m = ragged_model(rng, n=int(rng.integers(3, 9)))
+        for f in (rng.normal(size=m.size), np.zeros(m.size),
+                  rng.integers(0, 3, size=m.size).astype(float)):
+            for apply_op, sign in ((lower_apply, 1.0), (upper_apply, -1.0)):
+                res = apply_op(m, f)
+                value, selectors, picks = reference_apply(m, f, sign)
+                assert res.value.tobytes() == value.tobytes()
+                assert res.policy.selectors == selectors
+                assert np.array_equal(res.picks, picks)
+
+
+def test_rows_are_views_of_the_packed_stack(rng):
+    m = ragged_model(rng)
+    assert not m.vertex_stack.flags.writeable
+    assert m.vertex_stack.shape == (int(m.vertex_counts.sum()), m.size)
+    for x, row in enumerate(m.rows):
+        if isinstance(row, RowPolytopeV):
+            lo = m.vertex_offsets[x]
+            assert np.shares_memory(row.vertices, m.vertex_stack)
+            assert np.array_equal(row.vertices,
+                                  m.vertex_stack[lo:lo + m.vertex_counts[x]])
+        else:
+            assert m.vertex_counts[x] == 0
+
+
+def test_first_application_copies_no_vertices():
+    m = random_model(60, 20, 1)
+    f = np.ones(m.size)
+    tracemalloc.start()
+    try:
+        lower_apply(m, f)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < m.vertex_stack.nbytes
+
+
+def test_matrix_of_a_model_without_vertex_rows():
+    m = box_model(6, 2)
+    assert m.vertex_stack.shape == (0, 6)
+    res = lower_apply(m, np.arange(6.0))
+    assert np.array_equal(res.matrix(), np.stack([res.solutions[x].vertex
+                                                  for x in range(6)]))
