@@ -37,7 +37,6 @@ class BenchConfig:
     vertices_per_row: int = 50
     trials: int = 50
     seed: int = 0
-    tol: float = 1e-9
     init: str = "greedy"
 
     def __post_init__(self):
@@ -93,7 +92,7 @@ def _run_trial(config: BenchConfig, size: int, trial: int) -> TrialRecord:
         try:
             # the solver checks reachability first; a model failing it is
             # drawn again
-            report = solve_policy(model, "lower", init=config.init, tol=config.tol)
+            report = solve_policy(model, "lower", init=config.init)
             break
         except ReachabilityViolation:
             regenerations += 1
@@ -111,6 +110,8 @@ def run_experiment(config: BenchConfig, jobs: int = 1) -> list[TrialRecord]:
 
     Records come back ordered by (size, trial), independent of ``jobs``.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     tasks = [(size, trial)
              for size in config.sizes for trial in range(config.trials)]
 

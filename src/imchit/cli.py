@@ -58,7 +58,7 @@ def _cmd_reach(args) -> int:
 def _cmd_solve(args) -> int:
     model = _load_validated(args.model)
     if args.method == "policy":
-        report = solve_policy(model, args.bound, init=args.init, tol=args.tol,
+        report = solve_policy(model, args.bound, init=args.init,
                               max_iter=args.max_iter, seed=args.seed)
     elif args.method == "value":
         cap = 10 ** 6 if args.max_iter is None else args.max_iter
@@ -88,8 +88,7 @@ def _cmd_bench(args) -> int:
     except ValueError:
         raise ImcError(f"cannot parse --sizes {args.sizes!r}") from None
     config = BenchConfig(sizes=sizes, vertices_per_row=args.vertices,
-                         trials=args.trials, seed=args.seed, tol=args.tol,
-                         init=args.init)
+                         trials=args.trials, seed=args.seed, init=args.init)
     records = run_experiment(config, jobs=args.jobs)
     write_csv(records, args.out)
     if args.hist:
@@ -105,6 +104,12 @@ def _positive_int(text: str) -> int:
     if int(text) < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {text}")
     return int(text)
+
+
+def _positive_float(text: str) -> float:
+    if not 0.0 < float(text) < float("inf"):  # also false for nan
+        raise argparse.ArgumentTypeError(f"must be finite and positive, got {text}")
+    return float(text)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -126,7 +131,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bound", choices=["lower", "upper"], default="lower")
     p.add_argument("--method", choices=["policy", "value", "brute"],
                    default="policy")
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=_positive_float, default=1e-9,
+                   help="stopping gap of value iteration (other methods ignore it)")
     p.add_argument("--init", choices=["greedy", "first", "random"],
                    default="greedy")
     p.add_argument("--seed", type=int, default=0)
@@ -144,10 +150,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output CSV path")
     p.add_argument("--hist", default=None,
                    help="optional histogram JSON output path")
-    p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--init", choices=["greedy", "first", "random"],
                    default="greedy")
-    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+    p.add_argument("--jobs", type=_positive_int, default=os.cpu_count() or 1)
     p.set_defaults(func=_cmd_bench)
     return parser
 

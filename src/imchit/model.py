@@ -35,7 +35,8 @@ _RELATIONS = ("<=", ">=", "=")
 
 
 def _readonly(a: np.ndarray, dtype=float) -> np.ndarray:
-    a = np.ascontiguousarray(a, dtype=dtype)
+    """A read-only view; the array it views, maybe the caller's, stays writeable."""
+    a = np.ascontiguousarray(a, dtype=dtype).view()
     a.flags.writeable = False
     return a
 
@@ -109,7 +110,8 @@ class Constraint:
     def __post_init__(self):
         if self.rel not in _RELATIONS:
             raise ValueError(f"relation must be one of {_RELATIONS}, got {self.rel!r}")
-        object.__setattr__(self, "a", _readonly(np.asarray(self.a, dtype=float)))
+        # a copy, so that the caller's later writes cannot outdate lp_start
+        object.__setattr__(self, "a", _readonly(np.array(self.a, dtype=float)))
         object.__setattr__(self, "b", float(self.b))
 
 
@@ -225,10 +227,6 @@ class Policy:
     """One extreme-row choice per state; equality is selector-wise."""
 
     selectors: tuple[Selector, ...]
-
-    def changed_states(self, other: "Policy") -> int:
-        """Number of states whose selector differs from ``other``."""
-        return sum(a != b for a, b in zip(self.selectors, other.selectors))
 
 
 @dataclass(frozen=True)

@@ -16,9 +16,9 @@ Three methods, each in a lower and an upper variant:
 
 Iteration counting follows the convention that a run converged after
 ``n > 1`` iterations when the ``n``-th iterate first repeats the previous
-one.  Policy iteration detects the repeat by policy equality, which makes
-the confirming iteration free: identical policies give identical linear
-systems, hence identical solutions.
+one.  Policy iteration detects the repeat by policy equality on the
+non-target rows, the only ones the linear system reads, which makes the
+confirming iteration free: identical systems give identical solutions.
 """
 
 from __future__ import annotations
@@ -85,6 +85,12 @@ def _defect(model: Model, h: np.ndarray, value: np.ndarray) -> float:
     return float(np.max(np.abs(h - fixed_point)))
 
 
+def _policy_changes(model: Model, new: Policy, old: Policy) -> int:
+    """Number of non-target rows whose selector differs between policies."""
+    return sum(new.selectors[x] != old.selectors[x]
+               for x in model.nontarget_indices.tolist())
+
+
 def _require_reachable(model: Model) -> None:
     report = check_reachability(model)
     if not report.holds:
@@ -134,15 +140,14 @@ def _hitting_times(model: Model, selected: OperatorResult) -> np.ndarray:
 
 
 def solve_policy(model: Model, bound: str = "lower", init: str = "greedy",
-                 tol: float = 1e-9, max_iter: int | None = None, seed: int = 0,
+                 max_iter: int | None = None, seed: int = 0,
                  collect_iterates: bool = False) -> SolveReport:
     """Policy iteration; finitely convergent and independent of the
     magnitude of the solution.
 
-    Terminates when the reselected policy equals the current one, or as a
-    fallback for exact value ties across distinct policies, when
-    successive solutions agree within ``tol`` relatively.  The safety cap
-    (default ``10 * |X|``) only trips on numerical cycling.
+    Terminates when an improvement leaves every non-target row's selector
+    unchanged.  The safety cap (default ``10 * |X|``) only trips on
+    numerical cycling.
     """
     start = time.perf_counter()
     improve = _operator(bound)
@@ -155,37 +160,26 @@ def solve_policy(model: Model, bound: str = "lower", init: str = "greedy",
     trace = [IterationStat(float(np.max(h)), 0)]
     iterates = [h]
     iterations = 1
-    residual = None
     while iterations < cap:
         selected = improve(model, h, start=selected)
-        if selected.policy == policy:
-            # repeating policy => repeating linear system => repeating h;
-            # the operator was just applied at h, so the residual is free
-            iterations += 1
+        changes = _policy_changes(model, selected.policy, policy)
+        iterations += 1
+        if changes == 0:
+            # h repeats; the operator was just applied at it: a free residual
             trace.append(IterationStat(float(np.max(h)), 0))
             iterates.append(h)
-            residual = _defect(model, h, selected.value)
-            break
-        h_next = _hitting_times(model, selected)
-        iterations += 1
-        trace.append(IterationStat(float(np.max(h_next)),
-                                   selected.policy.changed_states(policy)))
-        iterates.append(h_next)
-        gap = float(np.max(np.abs(h_next - h)))
+            return SolveReport(
+                bound=bound, method="policy", solution=HittingTimeVector(h),
+                iterations=iterations, residual=_defect(model, h, selected.value),
+                tolerance_limited=False, trace=tuple(trace),
+                wall_time=time.perf_counter() - start,
+                iterates=tuple(iterates) if collect_iterates else None)
         policy = selected.policy
-        h = h_next
-        if gap <= tol * (1.0 + float(np.max(h_next))):
-            residual = fixed_point_residual(model, h, bound)
-            break
-    if residual is None:
-        raise MaxIterationsExceeded(
-            f"policy iteration exceeded {cap} iterations", tuple(trace))
-    return SolveReport(
-        bound=bound, method="policy", solution=HittingTimeVector(h),
-        iterations=iterations, residual=residual,
-        tolerance_limited=False, trace=tuple(trace),
-        wall_time=time.perf_counter() - start,
-        iterates=tuple(iterates) if collect_iterates else None)
+        h = _hitting_times(model, selected)
+        trace.append(IterationStat(float(np.max(h)), changes))
+        iterates.append(h)
+    raise MaxIterationsExceeded(
+        f"policy iteration exceeded {cap} iterations", tuple(trace))
 
 
 def solve_value(model: Model, bound: str = "lower", tol: float = 1e-9,
@@ -212,7 +206,7 @@ def solve_value(model: Model, bound: str = "lower", tol: float = 1e-9,
         h_next = off_target * (1.0 + result.value)
         iterations += 1
         changes = 0 if previous_policy is None \
-            else result.policy.changed_states(previous_policy)
+            else _policy_changes(model, result.policy, previous_policy)
         trace.append(IterationStat(float(np.max(h_next)), changes))
         iterates.append(h_next)
         gap = float(np.max(np.abs(h_next - h)))

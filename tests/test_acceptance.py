@@ -17,6 +17,7 @@ from imchit import (BenchConfig, check_reachability, lower_apply,
                     run_experiment, save_model, solve_brute, solve_policy,
                     solve_precise, solve_value, upper_apply, upper_apply_n,
                     validate, initial_policy)
+from imchit import solvers
 from imchit.cli import main as cli_main
 from modelzoo import (gambler_model, isolated_cycle_model, line_model,
                       random_mixed_model, random_vrep_model)
@@ -30,18 +31,23 @@ def _criterion(num: int, ok: bool, detail: str) -> None:
     assert ok, f"criterion {num}: {detail}"
 
 
+def oracle_models():
+    """The criterion-1 model pool, drawn afresh on each call."""
+    rng = np.random.default_rng(20260810)
+    for _ in range(ORACLE_MODELS):
+        yield random_vrep_model(rng, size_choices=(3, 4, 5), max_vertices=3)
+
+
 @pytest.fixture(scope="module")
 def oracle_pool():
     """Criterion-1 model pool with all three solvers run on each model."""
-    rng = np.random.default_rng(20260810)
     entries = []
     start = time.perf_counter()
-    for _ in range(ORACLE_MODELS):
-        model = random_vrep_model(rng, size_choices=(3, 4, 5), max_vertices=3)
+    for model in oracle_models():
         entry = {"model": model}
         for bound in ("lower", "upper"):
             entry[f"policy_{bound}"] = solve_policy(
-                model, bound, tol=1e-9, collect_iterates=True)
+                model, bound, collect_iterates=True)
             entry[f"brute_{bound}"] = solve_brute(model, bound)
             entry[f"value_{bound}"] = solve_value(
                 model, bound, tol=1e-9, collect_iterates=True)
@@ -75,6 +81,15 @@ def test_criterion_2_method_agreement(oracle_pool):
                f"worst value-policy gap {worst:.2e} (tol 1e-6)")
 
 
+def test_policy_iteration_ends_by_policy_equality(count_calls):
+    residual_sweeps = count_calls(solvers, "fixed_point_residual")
+    for model in oracle_models():
+        for bound in ("lower", "upper"):
+            report = solve_policy(model, bound)
+            assert report.trace[-1].policy_changes == 0
+    assert residual_sweeps == []
+
+
 def test_criterion_3_gambler_ruin_closed_form():
     worst = 0.0
     for n in (4, 10):
@@ -89,7 +104,7 @@ def test_criterion_3_gambler_ruin_closed_form():
 
 def test_criterion_4_iteration_count_study():
     config = BenchConfig(sizes=(100, 200), vertices_per_row=50, trials=50,
-                         seed=1, tol=1e-9, init="greedy")
+                         seed=1, init="greedy")
     records = run_experiment(config, jobs=4)
     ok = True
     details = []

@@ -103,6 +103,15 @@ def test_config_validation():
         BenchConfig(sizes=(5,), seed=-1)
     with pytest.raises(ValueError, match="init"):
         BenchConfig(sizes=(5,), init="bogus")
+    with pytest.raises(TypeError):
+        BenchConfig(sizes=(5,), tol=1e-9)
+
+
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_experiment_needs_a_job(jobs):
+    config = BenchConfig(sizes=(5,), vertices_per_row=2, trials=1)
+    with pytest.raises(ValueError, match="jobs"):
+        run_experiment(config, jobs=jobs)
 
 
 def test_random_model_argument_checks():

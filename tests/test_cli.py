@@ -157,6 +157,14 @@ def test_max_iter_below_one_is_a_usage_error(gambler_path, method, cap):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
+def test_tol_must_be_finite_and_positive(gambler_path, tol):
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--model", gambler_path, "--method", "value",
+              "--tol", tol])
+    assert exc.value.code == 2
+
+
 def test_value_iteration_cap_defaults_only_when_absent(gambler_path, monkeypatch):
     caps = []
 
@@ -215,3 +223,13 @@ def test_bench_rejects_bad_sizes(tmp_path, capsys):
     assert main(["bench", "--sizes", "6;8", "--out",
                  str(tmp_path / "x.csv")]) == 1
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [["--jobs", "0"], ["--jobs", "-3"],
+                                   ["--tol", "1e-9"]])
+def test_bench_usage_errors_exit_two(tmp_path, flags):
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--sizes", "6", "--trials", "1",
+              "--out", str(tmp_path / "x.csv")] + flags)
+    assert exc.value.code == 2
+    assert not (tmp_path / "x.csv").exists()

@@ -239,3 +239,30 @@ def test_validate_matches_the_per_vertex_scan(rng):
         assert list(issues) == reference_issues(m)
         flagged += bool(issues)
     assert flagged >= 40
+
+
+def test_rows_leave_the_callers_array_writeable():
+    vertices = np.eye(3)
+    row = RowPolytopeV(vertices)
+    vertices[0, 0] = 2.0
+    assert not row.vertices.flags.writeable
+    a = np.ones(3)
+    constraint = Constraint(a, "<=", 0.5)
+    a[0] = 5.0
+    assert constraint.a.tolist() == [1.0, 1.0, 1.0]
+    assert not constraint.a.flags.writeable
+
+
+def test_model_ignores_later_writes_to_its_inputs():
+    vertices = np.array([[0.5, 0.5], [0.2, 0.8]])
+    a = np.array([1.0, 0.0])
+    m = Model(StateSpace(("a", "b")), TargetSet({1}),
+              (RowPolytopeV(vertices),
+               RowPolytopeH(2, (Constraint(a, ">=", 0.25),))))
+    stack, row_a = m.vertex_stack.copy(), m.rows[1].constraints[0].a.copy()
+    vertices[:] = np.nan
+    a[:] = np.nan
+    assert np.array_equal(m.vertex_stack, stack)
+    assert np.array_equal(m.rows[0].vertices, stack)
+    assert np.array_equal(m.rows[1].constraints[0].a, row_a)
+    assert validate(m).ok

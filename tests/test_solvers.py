@@ -77,9 +77,44 @@ def test_value_agrees_with_policy_at_ten_tol():
     for model in models:
         for bound in ("lower", "upper"):
             value = solve_value(model, bound, tol=1e-9)
-            policy = solve_policy(model, bound, tol=1e-9)
+            policy = solve_policy(model, bound)
             gap = np.max(np.abs(value.solution.values - policy.solution.values))
             assert gap <= 10 * 1e-9
+
+
+def target_swap_model(first_vertex_to_target: bool) -> Model:
+    """State ``a`` moves to itself or to the target ``t`` with 1/2 each;
+    ``t`` may step to ``t`` or to ``a``, so every bound is h = (2, 0), and
+    only the target row's choice can change during a solve."""
+    to_target, to_a = [0.0, 1.0], [1.0, 0.0]
+    target_row = [to_target, to_a] if first_vertex_to_target else [to_a, to_target]
+    rows = (RowPolytopeV(np.array([[0.5, 0.5]])), RowPolytopeV(np.array(target_row)))
+    return Model(StateSpace(("a", "t")), TargetSet({1}), rows)
+
+
+@pytest.mark.parametrize("bound, init, first_to_target", [
+    ("upper", "greedy", True),  # greedy picks t -> t, the upper bound t -> a
+    ("lower", "first", False),  # first picks t -> a, the lower bound t -> t
+])
+def test_target_row_changes_end_the_solve(bound, init, first_to_target,
+                                          count_calls):
+    m = target_swap_model(first_to_target)
+    start = initial_policy(m, init)
+    residual_sweeps = count_calls(solvers, "fixed_point_residual")
+    report = solve_policy(m, bound, init=init)
+    assert report.solution.values.tolist() == [2.0, 0.0]
+    assert report.iterations == 2
+    assert [t.policy_changes for t in report.trace] == [0, 0]
+    assert residual_sweeps == []
+    # the operator did move the target row, which nothing counts
+    improved = transition.lower_apply if bound == "lower" else transition.upper_apply
+    assert improved(m, report.solution.values).policy.selectors[1] \
+        != start.selectors[1]
+
+
+def test_policy_iteration_has_no_tolerance(rng):
+    with pytest.raises(TypeError):
+        solve_policy(random_vrep_model(rng), tol=1e-9)
 
 
 def test_policy_traces_are_monotone(rng):
