@@ -9,20 +9,18 @@ matrices compatible with the model.
 from .bench import (BenchConfig, TrialRecord, iteration_histogram,
                     random_model, run_experiment, write_csv)
 from .errors import (ImcError, Infeasible, MaxIterationsExceeded,
-                     ReachabilityViolation, SelectorOutOfRange,
-                     SingularSystem, TooManyCombinations)
+                     ReachabilityViolation, SingularSystem,
+                     TooManyCombinations)
 from .linsolve import HittingTimeVector, solve_precise
-from .lp import LpSolution, minimize_row, minimize_row_vrep, vertex_from_basis
+from .lp import LpSolution, minimize_row
 from .model import (Constraint, Model, Policy, RowPolytopeH, RowPolytopeV,
                     StateSpace, TargetSet, TransitionMatrix, ValidationIssue,
                     ValidationReport, load_model, model_from_dict,
-                    model_to_dict, policy_to_matrix, save_model, validate)
+                    model_to_dict, save_model, validate)
 from .reachability import ReachabilityReport, check_reachability
 from .solvers import (IterationStat, SolveReport, fixed_point_residual,
-                      initial_policy, iter_extreme_solutions, solve_brute,
-                      solve_policy, solve_value)
-from .transition import (OperatorResult, lower_apply, lower_apply_n,
-                         upper_apply, upper_apply_n)
+                      initial_policy, solve_brute, solve_policy, solve_value)
+from .transition import OperatorResult, lower_apply, upper_apply
 
 __version__ = "0.1.0"
 
@@ -31,14 +29,12 @@ __all__ = [
     "Infeasible", "IterationStat", "LpSolution", "MaxIterationsExceeded",
     "Model", "OperatorResult", "Policy", "ReachabilityReport",
     "ReachabilityViolation", "RowPolytopeH", "RowPolytopeV",
-    "SelectorOutOfRange", "SingularSystem", "SolveReport", "StateSpace",
-    "TargetSet", "TooManyCombinations",
-    "TransitionMatrix", "TrialRecord", "ValidationIssue", "ValidationReport",
-    "check_reachability", "fixed_point_residual", "initial_policy",
-    "iter_extreme_solutions", "iteration_histogram", "load_model",
-    "lower_apply", "lower_apply_n", "minimize_row", "minimize_row_vrep",
-    "model_from_dict", "model_to_dict", "policy_to_matrix", "random_model",
-    "run_experiment", "save_model", "solve_brute", "solve_policy",
-    "solve_precise", "solve_value", "upper_apply", "upper_apply_n",
-    "validate", "vertex_from_basis", "write_csv",
+    "SingularSystem", "SolveReport", "StateSpace", "TargetSet",
+    "TooManyCombinations", "TransitionMatrix", "TrialRecord",
+    "ValidationIssue", "ValidationReport", "check_reachability",
+    "fixed_point_residual", "initial_policy", "iteration_histogram",
+    "load_model", "lower_apply", "minimize_row", "model_from_dict",
+    "model_to_dict", "random_model", "run_experiment", "save_model",
+    "solve_brute", "solve_policy", "solve_precise", "solve_value",
+    "upper_apply", "validate", "write_csv",
 ]

@@ -144,8 +144,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="run the random-model iteration study")
     p.add_argument("--sizes", required=True,
                    help="comma-separated state-space sizes, e.g. 100,200")
-    p.add_argument("--vertices", type=int, default=50)
-    p.add_argument("--trials", type=int, default=50)
+    p.add_argument("--vertices", type=_positive_int, default=50)
+    p.add_argument("--trials", type=_positive_int, default=50)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="output CSV path")
     p.add_argument("--hist", default=None,

@@ -7,15 +7,6 @@ class ImcError(Exception):
     """Base class for all domain errors raised by this package."""
 
 
-class SelectorOutOfRange(ImcError):
-    """A policy selector does not name a vertex of its row polytope."""
-
-    def __init__(self, state: str, detail: str = ""):
-        self.state = state
-        super().__init__(f"invalid selector for state {state!r}"
-                         + (f": {detail}" if detail else ""))
-
-
 class Infeasible(ImcError):
     """Phase one of the simplex method found no feasible point."""
 

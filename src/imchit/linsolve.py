@@ -27,10 +27,6 @@ class HittingTimeVector:
 
     values: np.ndarray
 
-    @property
-    def sup_norm(self) -> float:
-        return float(np.max(np.abs(self.values))) if self.values.size else 0.0
-
 
 def solve_stack(entries: np.ndarray, nontarget: np.ndarray) -> np.ndarray:
     """Hitting times for each matrix of a stack ``entries`` of shape

@@ -3,9 +3,8 @@
 Constraint-specified rows are minimized by a dense two-phase simplex
 method with Bland's anti-cycling rule, so the optimum is always attained
 at a basic feasible solution, i.e. an extreme point of the row polytope.
-Vertex-specified rows are minimized by an exhaustive scan.  Both paths
-are deterministic: identical inputs give identical optima, vertices and
-basis identifiers.
+The method is deterministic: identical inputs give identical optima,
+vertices and basis identifiers.
 
 Standard form used for a row over ``n`` states with constraints
 ``a_i . p (rel_i) b_i``:
@@ -40,8 +39,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import Infeasible, SelectorOutOfRange
-from .model import FEAS_TOL, RowPolytopeH, RowPolytopeV
+from .errors import Infeasible
+from .model import FEAS_TOL, RowPolytopeH
 
 PIVOT_TOL = 1e-10      # entering/leaving significance threshold
 RATIO_TOL = 1e-12      # ratio-test tie threshold
@@ -52,18 +51,18 @@ PHASE1_TOL = 1e-8      # residual infeasibility accepted as zero
 class LpSolution:
     """Optimal value, the attaining vertex, and its basis identifier.
 
-    A constraint-row solution also keeps the row it solved, its final
-    tableau (read-only) and the basic column of each tableau row, so that
-    a later ``minimize_row`` call on the same row can start from it.  They
-    take no part in ``==`` or ``repr``.
+    It also keeps the row it solved, its final tableau (read-only) and the
+    basic column of each tableau row, so that a later ``minimize_row``
+    call on the same row can start from it.  They take no part in ``==``
+    or ``repr``.
     """
 
     optimum: float
     vertex: np.ndarray
-    basis: int | tuple[int, ...]
-    tableau: np.ndarray | None = field(default=None, repr=False, compare=False)
-    basic: tuple[int, ...] = field(default=(), repr=False, compare=False)
-    row: RowPolytopeH | None = field(default=None, repr=False, compare=False)
+    basis: tuple[int, ...]
+    tableau: np.ndarray = field(repr=False, compare=False)
+    basic: tuple[int, ...] = field(repr=False, compare=False)
+    row: RowPolytopeH = field(repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -87,35 +86,25 @@ class _RowStart:
     error: str | None
 
 
-def _standard_form(row: RowPolytopeH) -> tuple[np.ndarray, np.ndarray, int]:
-    n = row.num_states
-    slacks = [i for i, c in enumerate(row.constraints) if c.rel != "="]
-    ncols = n + len(slacks)
-    m = 1 + len(row.constraints)
-    a = np.zeros((m, ncols))
-    b = np.zeros(m)
-    a[0, :n] = 1.0
-    b[0] = 1.0
-    slack_col = n
-    for i, c in enumerate(row.constraints):
-        a[1 + i, :n] = c.a
-        b[1 + i] = c.b
-        if c.rel == "<=":
-            a[1 + i, slack_col] = 1.0
-            slack_col += 1
-        elif c.rel == ">=":
-            a[1 + i, slack_col] = -1.0
-            slack_col += 1
-    return a, b, ncols
-
-
 def row_start(row: RowPolytopeH) -> _RowStart:
     """Standard form and phase-one outcome of a constraint row.
 
     ``RowPolytopeH`` calls it once, when the row is built, and keeps the
     result as ``lp_start``.
     """
-    a, b, ncols = _standard_form(row)
+    n = row.num_states
+    ncols = n + sum(c.rel != "=" for c in row.constraints)
+    a = np.zeros((1 + len(row.constraints), ncols))
+    b = np.zeros(a.shape[0])
+    a[0, :n] = 1.0
+    b[0] = 1.0
+    slack_col = n
+    for i, c in enumerate(row.constraints, 1):
+        a[i, :n] = c.a
+        b[i] = c.b
+        if c.rel != "=":
+            a[i, slack_col] = 1.0 if c.rel == "<=" else -1.0
+            slack_col += 1
     a.flags.writeable = False
     b.flags.writeable = False
     return _RowStart(a, b, ncols, *_feasible_start(a, b, ncols))
@@ -136,15 +125,6 @@ def _feasible_start(a: np.ndarray, b: np.ndarray, ncols: int
     tab = np.hstack((tab[:, :ncols], tab[:, -1:]))
     tab.flags.writeable = False
     return tab, tuple(basis), None
-
-
-def standard_form(row: RowPolytopeH) -> tuple[np.ndarray, np.ndarray, int]:
-    """Equality standard form ``A x = b, x >= 0`` of a constraint row.
-
-    Returns ``(A, b, num_structural)``, read-only, from ``row.lp_start``.
-    """
-    start = row.lp_start
-    return start.a, start.b, start.ncols
 
 
 def _pivot(tab: np.ndarray, basis: list[int], row: int, col: int) -> None:
@@ -271,39 +251,3 @@ def minimize_row(row: RowPolytopeH, objective: np.ndarray,
     basis_id = tuple(sorted(basic[basic < ncols].tolist()))
     return LpSolution(float(objective @ vertex), vertex, basis_id,
                       tab, tuple(basis), row)
-
-
-def minimize_row_vrep(row: RowPolytopeV, objective: np.ndarray) -> LpSolution:
-    """Scan all vertices; ties broken towards the smallest vertex index."""
-    dots = row.vertices @ np.asarray(objective, dtype=float)
-    k = int(np.argmin(dots))
-    return LpSolution(float(dots[k]), row.vertices[k], k)
-
-
-def vertex_from_basis(row: RowPolytopeH, basis: tuple[int, ...],
-                      state_label: str = "?") -> np.ndarray:
-    """Reconstruct the vertex named by a basis identifier.
-
-    Solves the standard-form system restricted to the basic columns and
-    re-checks every constraint; raises ``SelectorOutOfRange`` when the
-    identifier is not a feasible basis of this row.
-    """
-    a, b, ncols = standard_form(row)
-    cols = list(basis)
-    if len(set(cols)) != len(cols) or not all(
-            isinstance(c, (int, np.integer)) and 0 <= c < ncols for c in cols):
-        raise SelectorOutOfRange(state_label, f"basis {basis} has invalid columns")
-    if len(cols) > a.shape[0]:
-        raise SelectorOutOfRange(state_label, "basis has more columns than rows")
-    sol, _, rank, _ = np.linalg.lstsq(a[:, cols], b, rcond=None)
-    if rank < len(cols):
-        raise SelectorOutOfRange(state_label, "basis columns are linearly dependent")
-    x = np.zeros(ncols)
-    x[cols] = sol
-    if np.max(np.abs(a @ x - b)) > FEAS_TOL:
-        raise SelectorOutOfRange(state_label, "basis does not solve the row system")
-    if x.min() < -FEAS_TOL:
-        raise SelectorOutOfRange(state_label, "basic solution is infeasible")
-    vertex = x[:row.num_states].copy()
-    vertex[(vertex < 0.0) & (vertex > -FEAS_TOL)] = 0.0
-    return vertex

@@ -22,8 +22,6 @@ from typing import Iterable, Union
 
 import numpy as np
 
-from .errors import SelectorOutOfRange
-
 # Row vertices must be pmfs up to this tolerance; stricter than the
 # geometric feasibility tolerance because vertices are literal input data.
 PMF_TOL = 1e-12
@@ -291,30 +289,6 @@ def validate(model: Model) -> ValidationReport:
     return ValidationReport(ok=not issues, issues=tuple(issues))
 
 
-def policy_to_matrix(model: Model, policy: Policy) -> TransitionMatrix:
-    """Assemble the precise transition matrix selected by ``policy``."""
-    from . import lp
-
-    n = model.size
-    if len(policy.selectors) != n:
-        raise ValueError("policy must have one selector per state")
-    m = np.empty((n, n))
-    for x, (row, sel) in enumerate(zip(model.rows, policy.selectors)):
-        label = model.states.labels[x]
-        if isinstance(row, RowPolytopeV):
-            if not isinstance(sel, (int, np.integer)):
-                raise SelectorOutOfRange(label, "expected a vertex index")
-            if not 0 <= sel < row.num_vertices:
-                raise SelectorOutOfRange(
-                    label, f"vertex index {sel} not in [0, {row.num_vertices})")
-            m[x] = row.vertices[sel]
-        else:
-            if not isinstance(sel, tuple):
-                raise SelectorOutOfRange(label, "expected a basis tuple")
-            m[x] = lp.vertex_from_basis(row, sel, state_label=label)
-    return TransitionMatrix.checked(m)
-
-
 # ---------------------------------------------------------------------------
 # JSON serialization.  The schema is shared by the CLI and bench modules:
 #
@@ -346,35 +320,48 @@ def model_to_dict(model: Model) -> dict:
 def model_from_dict(doc: dict) -> Model:
     if not isinstance(doc, dict):
         raise ValueError("model document must be a JSON object")
-    for key in ("states", "target", "rows"):
+    for key, kind, name in (("states", list, "array"), ("target", list, "array"),
+                            ("rows", dict, "object")):
         if key not in doc:
             raise ValueError(f"model document is missing {key!r}")
+        if not isinstance(doc[key], kind):
+            raise ValueError(f"{key!r} must be a JSON {name}")
     states = StateSpace(tuple(str(s) for s in doc["states"]))
-    n = states.size
     target = TargetSet(states.index(str(s)) for s in doc["target"])
     rows: list[Row] = []
     for label in states.labels:
+        if label not in doc["rows"]:
+            raise ValueError(f"no row polytope given for state {label!r}")
         try:
-            spec = doc["rows"][label]
-        except KeyError:
-            raise ValueError(f"no row polytope given for state {label!r}") from None
-        if "vertices" in spec:
-            rows.append(RowPolytopeV(np.asarray(spec["vertices"], dtype=float)))
-        elif "constraints" in spec:
-            cons = []
-            for c in spec["constraints"]:
-                a = np.zeros(n)
-                for lab, coef in c["a"].items():
-                    a[states.index(str(lab))] = float(coef)
-                cons.append(Constraint(a, str(c["rel"]), float(c["b"])))
-            rows.append(RowPolytopeH(n, tuple(cons)))
-        else:
+            rows.append(_row_from_dict(doc["rows"][label], states))
+        except KeyError as exc:
             raise ValueError(
-                f"row for state {label!r} needs 'vertices' or 'constraints'")
+                f"row for state {label!r}: a constraint is missing {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"row for state {label!r}: {exc}") from None
     extra = set(doc["rows"]) - set(states.labels)
     if extra:
         raise ValueError(f"rows given for unknown states: {sorted(extra)}")
     return Model(states, target, tuple(rows))
+
+
+def _row_from_dict(spec: dict, states: StateSpace) -> Row:
+    if not isinstance(spec, dict):
+        raise TypeError("a row must be a JSON object")
+    if "vertices" in spec:
+        return RowPolytopeV(np.asarray(spec["vertices"], dtype=float))
+    if "constraints" not in spec:
+        raise ValueError("needs 'vertices' or 'constraints'")
+    cons = []
+    for c in spec["constraints"]:
+        if not (isinstance(c, dict) and isinstance(c.get("a"), dict)):
+            raise TypeError("a constraint must be a JSON object whose 'a' "
+                            "maps state labels to coefficients")
+        a = np.zeros(states.size)
+        for lab, coef in c["a"].items():
+            a[states.index(str(lab))] = float(coef)
+        cons.append(Constraint(a, str(c["rel"]), float(c["b"])))
+    return RowPolytopeH(states.size, tuple(cons))
 
 
 def load_model(path) -> Model:

@@ -247,13 +247,6 @@ def _iter_chunks(model: Model) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         yield selectors, solve_stack(matrices, model.nontarget_indices)
 
 
-def iter_extreme_solutions(model: Model) -> Iterator[tuple[Policy, np.ndarray]]:
-    """Yield (policy, hitting times) for every extreme transition matrix."""
-    for selectors, h in _iter_chunks(model):
-        for i in range(selectors.shape[0]):
-            yield Policy(tuple(int(s) for s in selectors[i])), h[i]
-
-
 def solve_brute(model: Model, bound: str = "lower",
                 max_combinations: int = 10 ** 6) -> SolveReport:
     """Componentwise extremum over every combination of row vertices.

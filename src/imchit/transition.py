@@ -104,22 +104,3 @@ def upper_apply(model: Model, f: np.ndarray,
     """Upper transition operator: row-wise maximum of ``p . f``."""
     return _apply(model, f, -1.0, start)
 
-
-def lower_apply_n(model: Model, f: np.ndarray, n: int) -> np.ndarray:
-    """Value of the n-fold composition of the lower operator."""
-    if n < 1:
-        raise ValueError("n must be a positive integer")
-    value = np.asarray(f, dtype=float)
-    for _ in range(n):
-        value = lower_apply(model, value).value
-    return value
-
-
-def upper_apply_n(model: Model, f: np.ndarray, n: int) -> np.ndarray:
-    """Value of the n-fold composition of the upper operator."""
-    if n < 1:
-        raise ValueError("n must be a positive integer")
-    value = np.asarray(f, dtype=float)
-    for _ in range(n):
-        value = upper_apply(model, value).value
-    return value

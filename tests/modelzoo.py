@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from imchit import (Constraint, Model, RowPolytopeH, RowPolytopeV, StateSpace,
-                    TargetSet, check_reachability)
+from imchit import (Constraint, Model, Policy, RowPolytopeH, RowPolytopeV,
+                    StateSpace, TargetSet, check_reachability)
 
 
 def point_mass(n: int, i: int) -> np.ndarray:
@@ -112,6 +112,24 @@ def interval_extreme(lower: np.ndarray, upper: np.ndarray, h: np.ndarray,
     sign = 1.0 if bound == "lower" else -1.0
     return np.array([interval_minimum(lower[x], upper[x], sign * h) @ h
                      for x in range(h.size)])
+
+
+def vertex_from_basis(row: RowPolytopeH, basis: tuple[int, ...]) -> np.ndarray:
+    """The vertex a basis identifier names, rebuilt by least squares from
+    the row's standard form (``row.lp_start.a`` and ``.b``); the simplex
+    reads it off its final tableau instead."""
+    a, b = row.lp_start.a, row.lp_start.b
+    x = np.zeros(a.shape[1])
+    x[list(basis)] = np.linalg.lstsq(a[:, list(basis)], b, rcond=None)[0]
+    return x[:row.num_states]
+
+
+def policy_matrix(model: Model, policy: Policy) -> np.ndarray:
+    """The transition matrix ``policy`` selects, rebuilt from its selectors
+    alone: a vertex row's stored vertex, a constraint row's basis vertex."""
+    return np.stack([row.vertices[sel] if isinstance(row, RowPolytopeV)
+                     else vertex_from_basis(row, sel)
+                     for row, sel in zip(model.rows, policy.selectors)])
 
 
 def random_vrep_model(rng: np.random.Generator, size_choices=(3, 4, 5),

@@ -12,15 +12,14 @@ import time
 import numpy as np
 import pytest
 
-from imchit import (BenchConfig, check_reachability, lower_apply,
-                    lower_apply_n, policy_to_matrix, random_model,
-                    run_experiment, save_model, solve_brute, solve_policy,
-                    solve_precise, solve_value, upper_apply, upper_apply_n,
-                    validate, initial_policy)
+from imchit import (BenchConfig, TransitionMatrix, check_reachability,
+                    lower_apply, random_model, run_experiment, save_model,
+                    solve_brute, solve_policy, solve_precise, solve_value,
+                    upper_apply, validate)
 from imchit import solvers
 from imchit.cli import main as cli_main
 from modelzoo import (gambler_model, isolated_cycle_model, line_model,
-                      random_mixed_model, random_vrep_model)
+                      policy_matrix, random_mixed_model, random_vrep_model)
 
 ORACLE_MODELS = 200
 PROPERTY_CASES = 1000
@@ -94,7 +93,8 @@ def test_criterion_3_gambler_ruin_closed_form():
     worst = 0.0
     for n in (4, 10):
         model = gambler_model(n)
-        matrix = policy_to_matrix(model, initial_policy(model, "first"))
+        # one vertex per row: the stack is the chain's transition matrix
+        matrix = TransitionMatrix.checked(model.vertex_stack)
         h = solve_precise(matrix, model.target).values
         expected = np.array([x * (n - x) for x in range(n + 1)], dtype=float)
         worst = max(worst, float(np.max(np.abs(h - expected))))
@@ -146,21 +146,26 @@ def test_criterion_5_operator_property_suite():
         if not condition:
             failures[name] += 1
 
+    def apply_n(apply_op, m, f, n):
+        for _ in range(n):
+            f = apply_op(m, f).value
+        return f
+
     for case in range(PROPERTY_CASES):
         m = pool[case % len(pool)]
         f = rng.uniform(-8.0, 8.0, size=m.size)
         g = rng.uniform(-8.0, 8.0, size=m.size)
         n = int(rng.integers(1, 4))
-        low_f = lower_apply_n(m, f, n)
-        up_f = upper_apply_n(m, f, n)
+        low_f = apply_n(lower_apply, m, f, n)
+        up_f = apply_n(upper_apply, m, f, n)
         check("T1", f.min() - tol <= low_f.min()
               and (low_f <= up_f + tol).all() and up_f.max() <= f.max() + tol)
         above = f + rng.uniform(0.0, 3.0, size=m.size)
-        check("T2", (low_f <= lower_apply_n(m, above, n) + tol).all())
+        check("T2", (low_f <= apply_n(lower_apply, m, above, n) + tol).all())
         mu = float(rng.uniform(-5.0, 5.0))
-        check("T3", np.max(np.abs(lower_apply_n(m, f + mu, n)
+        check("T3", np.max(np.abs(apply_n(lower_apply, m, f + mu, n)
                                   - (low_f + mu))) <= tol)
-        low_g = lower_apply_n(m, g, n)
+        low_g = apply_n(lower_apply, m, g, n)
         check("T4", np.max(np.abs(low_f - low_g))
               <= np.max(np.abs(f - g)) + tol)
         alpha = float(rng.uniform(0.0, 4.0))
@@ -174,9 +179,9 @@ def test_criterion_5_operator_property_suite():
         low_res = lower_apply(m, f)
         up_res = upper_apply(m, f)
         check("attainment",
-              np.max(np.abs(policy_to_matrix(m, low_res.policy).entries @ f
+              np.max(np.abs(policy_matrix(m, low_res.policy) @ f
                             - low_res.value)) <= tol
-              and np.max(np.abs(policy_to_matrix(m, up_res.policy).entries @ f
+              and np.max(np.abs(policy_matrix(m, up_res.policy) @ f
                                 - up_res.value)) <= tol)
     total = sum(failures.values())
     _criterion(5, total == 0,

@@ -89,13 +89,13 @@ def test_solve_gambler_closed_form(gambler_path, capsys):
 
 
 def test_solve_precise_chain_matches_linear_solve(tmp_path, capsys, rng):
-    from imchit import initial_policy, policy_to_matrix, solve_precise
+    from imchit import TransitionMatrix, solve_precise
 
-    m = precise_model(rng.dirichlet(np.ones(3), size=3), {2})
+    matrix = rng.dirichlet(np.ones(3), size=3)
+    m = precise_model(matrix, {2})
     path = tmp_path / "precise.json"
     save_model(m, path)
-    expected = solve_precise(policy_to_matrix(m, initial_policy(m, "first")),
-                             m.target).values
+    expected = solve_precise(TransitionMatrix.checked(matrix), m.target).values
     for method in ("policy", "value", "brute"):
         assert main(["solve", "--model", str(path), "--method", method]) == 0
         doc = json.loads(capsys.readouterr().out)
@@ -191,6 +191,31 @@ def test_unparsable_file_is_domain_error(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+MALFORMED_ROWS = [
+    [{"vertices": [[1.0, 0.0]]}, {"vertices": [[0.0, 1.0]]}],
+    {"a": [[1.0, 0.0]], "b": {"vertices": [[0.0, 1.0]]}},
+    {"a": {"constraints": [{"a": {"b": 1.0}, "b": 0.3}]},
+     "b": {"vertices": [[0.0, 1.0]]}},
+    {"a": {"constraints": [{"a": [1.0, 0.0], "rel": "<=", "b": 0.3}]},
+     "b": {"vertices": [[0.0, 1.0]]}},
+]
+
+
+def test_malformed_model_is_domain_error(tmp_path, capsys):
+    path = tmp_path / "malformed.json"
+    docs = [{"states": "ab", "target": "b",
+             "rows": {"a": {"vertices": [[1.0, 0.0]]}, "b": {"vertices": [[0.0, 1.0]]}}}]
+    docs += [{"states": ["a", "b"], "target": ["b"], "rows": rows}
+             for rows in MALFORMED_ROWS]
+    for doc in docs:
+        path.write_text(json.dumps(doc))
+        for command in ("validate", "solve"):
+            assert main([command, "--model", str(path)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: invalid input: ")
+            assert "Traceback" not in err
+
+
 def test_usage_errors_exit_two(gambler_path):
     with pytest.raises(SystemExit) as exc:
         main(["solve", "--model", gambler_path, "--method", "wizardry"])
@@ -226,7 +251,8 @@ def test_bench_rejects_bad_sizes(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("flags", [["--jobs", "0"], ["--jobs", "-3"],
-                                   ["--tol", "1e-9"]])
+                                   ["--tol", "1e-9"], ["--vertices", "0"],
+                                   ["--trials", "0"]])
 def test_bench_usage_errors_exit_two(tmp_path, flags):
     with pytest.raises(SystemExit) as exc:
         main(["bench", "--sizes", "6", "--trials", "1",

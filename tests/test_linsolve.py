@@ -3,8 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from imchit import (SingularSystem, TargetSet, TransitionMatrix,
-                    initial_policy, policy_to_matrix, solve_precise,
+from imchit import (SingularSystem, TargetSet, TransitionMatrix, solve_precise,
                     solve_value)
 from modelzoo import gambler_model, precise_model
 
@@ -12,7 +11,7 @@ from modelzoo import gambler_model, precise_model
 @pytest.mark.parametrize("n", [4, 10])
 def test_gambler_ruin_closed_form(n):
     m = gambler_model(n)
-    matrix = policy_to_matrix(m, initial_policy(m, "first"))
+    matrix = TransitionMatrix.checked(m.vertex_stack)
     h = solve_precise(matrix, m.target).values
     expected = np.array([x * (n - x) for x in range(n + 1)], dtype=float)
     assert np.max(np.abs(h - expected)) <= 1e-10
@@ -62,7 +61,6 @@ def test_trivial_target_is_rejected(rng):
 def test_agrees_with_long_value_iteration(rng):
     matrix = rng.dirichlet(np.ones(4), size=4)
     m = precise_model(matrix, {2})
-    direct = solve_precise(policy_to_matrix(m, initial_policy(m, "first")),
-                           m.target).values
+    direct = solve_precise(TransitionMatrix.checked(matrix), m.target).values
     iterated = solve_value(m, tol=1e-12, max_iter=10 ** 6).solution.values
     assert np.max(np.abs(direct - iterated)) <= 1e-6

@@ -5,13 +5,13 @@ import dataclasses
 import numpy as np
 import pytest
 
-from imchit import (Constraint, Infeasible, RowPolytopeH, RowPolytopeV,
-                    SelectorOutOfRange, minimize_row, minimize_row_vrep,
-                    vertex_from_basis)
+from imchit import (Constraint, Infeasible, Model, RowPolytopeH, RowPolytopeV,
+                    StateSpace, TargetSet, lower_apply, minimize_row,
+                    upper_apply)
 from imchit import lp
 from imchit.lp import row_feasible
 from modelzoo import box_row as interval_row
-from modelzoo import interval_minimum
+from modelzoo import interval_minimum, vertex_from_basis
 
 # hand-enumerated vertices of {p in simplex(3) : p0 <= 0.5, p1 <= 0.3}
 BOX_VERTICES = np.array([
@@ -53,34 +53,43 @@ def test_two_vertex_row_from_one_lower_bound():
     assert np.allclose(sol.vertex, [0.4, 0.6])
 
 
-def test_vrep_single_vertex_and_tie_break():
-    v = np.array([[0.2, 0.8]])
-    sol = minimize_row_vrep(RowPolytopeV(v), np.array([1.0, 2.0]))
-    assert sol.optimum == pytest.approx(1.8) and sol.basis == 0
+def vertex_model(*vertex_sets) -> Model:
+    """One vertex row per state, with the given vertices; the last state
+    is the target."""
+    n = len(vertex_sets)
+    return Model(StateSpace(tuple(f"s{i}" for i in range(n))), TargetSet({n - 1}),
+                 tuple(RowPolytopeV(np.array(v)) for v in vertex_sets))
 
-    ties = RowPolytopeV(np.array([[0.5, 0.5], [0.5, 0.5]]))
-    assert minimize_row_vrep(ties, np.array([1.0, 3.0])).basis == 0
+
+def test_vrep_single_vertex_and_tie_break():
+    m = vertex_model([[0.2, 0.8]], [[0.0, 1.0]])
+    res = lower_apply(m, np.array([1.0, 2.0]))
+    assert res.value[0] == pytest.approx(1.8) and res.policy.selectors[0] == 0
+
+    ties = vertex_model([[0.5, 0.5], [0.5, 0.5]], [[0.0, 1.0]])
+    for apply_op in (lower_apply, upper_apply):
+        assert apply_op(ties, np.array([1.0, 3.0])).policy.selectors[0] == 0
 
 
 def test_vrep_matches_exhaustive_scan(rng):
     for _ in range(50):
-        vertices = rng.dirichlet(np.ones(4), size=3)
-        row = RowPolytopeV(vertices)
+        vertex_sets = [rng.dirichlet(np.ones(4), size=int(rng.integers(1, 5)))
+                       for _ in range(4)]
         f = rng.normal(size=4)
-        sol = minimize_row_vrep(row, f)
-        dots = [float(v @ f) for v in vertices]
-        assert sol.optimum == pytest.approx(min(dots), abs=1e-12)
-        assert sol.basis == int(np.argmin(dots))
+        res = lower_apply(vertex_model(*vertex_sets), f)
+        for x, vertices in enumerate(vertex_sets):
+            # a plain scan, keeping the first minimizer
+            dots = [float(v @ f) for v in vertices]
+            assert res.value[x] == pytest.approx(min(dots), abs=1e-12)
+            assert res.policy.selectors[x] == dots.index(min(dots))
 
 
 def test_hrep_agrees_with_vertex_scan_on_box(rng):
     row = box_row()
-    vrow = RowPolytopeV(BOX_VERTICES)
     for _ in range(100):
         f = rng.normal(size=3) * rng.uniform(0.1, 5.0)
         hsol = minimize_row(row, f)
-        vsol = minimize_row_vrep(vrow, f)
-        assert hsol.optimum == pytest.approx(vsol.optimum, abs=1e-8)
+        assert hsol.optimum == pytest.approx(min(BOX_VERTICES @ f), abs=1e-8)
         # optimum never beats any vertex or any feasible mixture of them
         assert all(hsol.optimum <= float(v @ f) + 1e-9 for v in BOX_VERTICES)
         weights = rng.dirichlet(np.ones(len(BOX_VERTICES)))
@@ -135,21 +144,6 @@ def test_vertex_from_basis_round_trip(rng):
         sol = minimize_row(row, rng.normal(size=3))
         rebuilt = vertex_from_basis(row, sol.basis)
         assert np.allclose(rebuilt, sol.vertex, atol=1e-9)
-
-
-def test_vertex_from_basis_rejects_garbage():
-    row = box_row()
-    with pytest.raises(SelectorOutOfRange):
-        vertex_from_basis(row, (0, 99))
-    with pytest.raises(SelectorOutOfRange):
-        vertex_from_basis(row, (0, 0, 1))
-    with pytest.raises(SelectorOutOfRange):
-        vertex_from_basis(row, (0, 1, 2, 3, 4))  # more columns than rows
-    # a basis whose solution violates p >= 0 is refused: p0+s0=0.5 and
-    # p1+s1=0.3 with p2 forced by the simplex row
-    with pytest.raises(SelectorOutOfRange):
-        vertex_from_basis(RowPolytopeH(2, (Constraint(np.array([0.0, 1.0]), ">=", 1.5),)),
-                          (0, 1))
 
 
 def random_interval_rows(rng, count=40):
@@ -263,9 +257,6 @@ def test_start_from_another_row_is_refused():
     sol = minimize_row(row, np.array([1.0, 2.0, 3.0]))
     with pytest.raises(ValueError):
         minimize_row(twin, np.array([1.0, 2.0, 3.0]), start=sol)
-    vsol = minimize_row_vrep(RowPolytopeV(BOX_VERTICES), np.array([1.0, 2.0, 3.0]))
-    with pytest.raises(ValueError):
-        minimize_row(row, np.array([1.0, 2.0, 3.0]), start=vsol)
 
 
 def test_start_tableaux_are_narrow_and_read_only():
@@ -354,7 +345,7 @@ def test_simplex_matches_the_loop_reference(rng):
     # lets a zero's sign differ) and equal bases, cold and warm
     for n, lower, upper in random_interval_rows(rng, count=25):
         row = interval_row(n, lower, upper)
-        a, b, ncols = lp.standard_form(row)
+        a, b, ncols = row.lp_start.a, row.lp_start.b, row.lp_start.ncols
         start, start_basis = reference_phase1(a, b, ncols)
         narrow = row.lp_start.tableau
         assert np.array_equal(narrow[:-1, :ncols], start[:-1, :ncols])

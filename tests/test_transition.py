@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from imchit import (Model, RowPolytopeV, StateSpace, TargetSet, lower_apply,
-                    lower_apply_n, policy_to_matrix, random_model, upper_apply,
-                    upper_apply_n)
+                    random_model, upper_apply)
 from imchit import lp
-from modelzoo import box_model, box_row, precise_model, random_mixed_model
+from modelzoo import (box_model, box_row, policy_matrix, precise_model,
+                      random_mixed_model)
 
 
 @pytest.fixture
@@ -33,7 +33,10 @@ def test_constant_functions_are_fixed(rng):
         f = np.full(m.size, mu)
         assert np.allclose(lower_apply(m, f).value, mu, atol=1e-9)
         assert np.allclose(upper_apply(m, f).value, mu, atol=1e-9)
-        assert np.allclose(lower_apply_n(m, f, 3), mu, atol=1e-9)
+        g = f
+        for _ in range(3):
+            g = lower_apply(m, g).value
+        assert np.allclose(g, mu, atol=1e-9)
 
 
 def test_two_state_scan(two_state):
@@ -44,26 +47,14 @@ def test_two_state_scan(two_state):
     assert up.value[0] == pytest.approx(5.0) and up.policy.selectors[0] == 1
 
 
-def test_apply_n_composes(two_state, rng):
-    f = rng.normal(size=2)
-    assert np.array_equal(lower_apply_n(two_state, f, 1), lower_apply(two_state, f).value)
-    once = lower_apply(two_state, f).value
-    assert np.array_equal(lower_apply_n(two_state, f, 2),
-                          lower_apply(two_state, once).value)
-    with pytest.raises(ValueError):
-        lower_apply_n(two_state, f, 0)
-    assert np.array_equal(upper_apply_n(two_state, f, 1),
-                          upper_apply(two_state, f).value)
-
-
 def test_policy_attains_the_value(rng):
     for _ in range(30):
         m = random_mixed_model(rng)
         f = rng.uniform(-8.0, 8.0, size=m.size)
         for apply_op in (lower_apply, upper_apply):
             res = apply_op(m, f)
-            matrix = policy_to_matrix(m, res.policy)
-            assert np.allclose(matrix.entries @ f, res.value, atol=1e-9)
+            matrix = policy_matrix(m, res.policy)
+            assert np.allclose(matrix @ f, res.value, atol=1e-9)
 
 
 def test_conjugacy(rng):
@@ -94,7 +85,7 @@ def test_result_matrix_is_the_policy_matrix(rng):
         f = rng.uniform(-8.0, 8.0, size=m.size)
         for apply_op in (lower_apply, upper_apply):
             res = apply_op(m, f)
-            rebuilt = policy_to_matrix(m, res.policy).entries
+            rebuilt = policy_matrix(m, res.policy)
             assert np.max(np.abs(res.matrix() - rebuilt)) <= 1e-9
             # V-rep rows are the stored vertices themselves
             for x, row in enumerate(m.rows):
