@@ -19,7 +19,7 @@ from .model import (Constraint, Model, Policy, RowPolytopeH, RowPolytopeV,
                     model_to_dict, save_model, validate)
 from .reachability import ReachabilityReport, check_reachability
 from .solvers import (IterationStat, SolveReport, fixed_point_residual,
-                      initial_policy, solve_brute, solve_policy, solve_value)
+                      solve_brute, solve_policy, solve_value)
 from .transition import OperatorResult, lower_apply, upper_apply
 
 __version__ = "0.1.0"
@@ -32,7 +32,7 @@ __all__ = [
     "SingularSystem", "SolveReport", "StateSpace", "TargetSet",
     "TooManyCombinations", "TransitionMatrix", "TrialRecord",
     "ValidationIssue", "ValidationReport", "check_reachability",
-    "fixed_point_residual", "initial_policy", "iteration_histogram",
+    "fixed_point_residual", "iteration_histogram",
     "load_model", "lower_apply", "minimize_row", "model_from_dict",
     "model_to_dict", "random_model", "run_experiment", "save_model",
     "solve_brute", "solve_policy", "solve_precise", "solve_value",

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ImcError, ReachabilityViolation
 from .model import Model, RowPolytopeV, StateSpace, TargetSet
-from .solvers import INIT_RULES, solve_policy
+from .solvers import solve_policy
 
 log = logging.getLogger(__name__)
 
@@ -37,7 +37,6 @@ class BenchConfig:
     vertices_per_row: int = 50
     trials: int = 50
     seed: int = 0
-    init: str = "greedy"
 
     def __post_init__(self):
         object.__setattr__(self, "sizes", tuple(int(s) for s in self.sizes))
@@ -49,8 +48,6 @@ class BenchConfig:
             raise ValueError("trials must be positive")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
-        if self.init not in INIT_RULES:
-            raise ValueError(f"init must be one of {INIT_RULES}, got {self.init!r}")
 
 
 @dataclass(frozen=True)
@@ -92,7 +89,7 @@ def _run_trial(config: BenchConfig, size: int, trial: int) -> TrialRecord:
         try:
             # the solver checks reachability first; a model failing it is
             # drawn again
-            report = solve_policy(model, "lower", init=config.init)
+            report = solve_policy(model, "lower")
             break
         except ReachabilityViolation:
             regenerations += 1

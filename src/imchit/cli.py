@@ -58,8 +58,7 @@ def _cmd_reach(args) -> int:
 def _cmd_solve(args) -> int:
     model = _load_validated(args.model)
     if args.method == "policy":
-        report = solve_policy(model, args.bound, init=args.init,
-                              max_iter=args.max_iter, seed=args.seed)
+        report = solve_policy(model, args.bound, max_iter=args.max_iter)
     elif args.method == "value":
         cap = 10 ** 6 if args.max_iter is None else args.max_iter
         report = solve_value(model, args.bound, tol=args.tol, max_iter=cap)
@@ -83,12 +82,8 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    try:
-        sizes = tuple(int(s) for s in args.sizes.split(","))
-    except ValueError:
-        raise ImcError(f"cannot parse --sizes {args.sizes!r}") from None
-    config = BenchConfig(sizes=sizes, vertices_per_row=args.vertices,
-                         trials=args.trials, seed=args.seed, init=args.init)
+    config = BenchConfig(sizes=args.sizes, vertices_per_row=args.vertices,
+                         trials=args.trials, seed=args.seed)
     records = run_experiment(config, jobs=args.jobs)
     write_csv(records, args.out)
     if args.hist:
@@ -100,10 +95,22 @@ def _cmd_bench(args) -> int:
     return 0
 
 
-def _positive_int(text: str) -> int:
-    if int(text) < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {text}")
+def _int_at_least(low: int, text: str) -> int:
+    if int(text) < low:
+        raise argparse.ArgumentTypeError(f"must be at least {low}, got {text}")
     return int(text)
+
+
+def _positive_int(text: str) -> int:
+    return _int_at_least(1, text)
+
+
+def _non_negative_int(text: str) -> int:
+    return _int_at_least(0, text)
+
+
+def _sizes(text: str) -> tuple[int, ...]:
+    return tuple(_int_at_least(2, size) for size in text.split(","))
 
 
 def _positive_float(text: str) -> float:
@@ -133,25 +140,20 @@ def _build_parser() -> argparse.ArgumentParser:
                    default="policy")
     p.add_argument("--tol", type=_positive_float, default=1e-9,
                    help="stopping gap of value iteration (other methods ignore it)")
-    p.add_argument("--init", choices=["greedy", "first", "random"],
-                   default="greedy")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-iter", type=_positive_int, default=None)
     p.add_argument("--trace", action="store_true",
                    help="include the per-iteration trace in the report")
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("bench", help="run the random-model iteration study")
-    p.add_argument("--sizes", required=True,
+    p.add_argument("--sizes", type=_sizes, required=True,
                    help="comma-separated state-space sizes, e.g. 100,200")
     p.add_argument("--vertices", type=_positive_int, default=50)
     p.add_argument("--trials", type=_positive_int, default=50)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
     p.add_argument("--out", required=True, help="output CSV path")
     p.add_argument("--hist", default=None,
                    help="optional histogram JSON output path")
-    p.add_argument("--init", choices=["greedy", "first", "random"],
-                   default="greedy")
     p.add_argument("--jobs", type=_positive_int, default=os.cpu_count() or 1)
     p.set_defaults(func=_cmd_bench)
     return parser
@@ -164,7 +166,7 @@ def main(argv=None) -> int:
     except ImcError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (json.JSONDecodeError, ValueError) as exc:

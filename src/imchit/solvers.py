@@ -30,16 +30,14 @@ from typing import Iterator
 
 import numpy as np
 
-from . import lp
 from .errors import (MaxIterationsExceeded, ReachabilityViolation,
                      TooManyCombinations)
 from .linsolve import HittingTimeVector, solve_precise, solve_stack
-from .model import Model, Policy, RowPolytopeV, TransitionMatrix
+from .model import Model, Policy, TransitionMatrix
 from .reachability import check_reachability
-from .transition import OperatorResult, lower_apply, record, upper_apply
+from .transition import OperatorResult, lower_apply, upper_apply
 
 BOUNDS = ("lower", "upper")
-INIT_RULES = ("greedy", "first", "random")
 
 _BRUTE_CHUNK = 4096
 
@@ -98,39 +96,9 @@ def _require_reachable(model: Model) -> None:
             tuple(model.states.labels[x] for x in sorted(report.violating)))
 
 
-def initial_policy(model: Model, rule: str = "greedy", seed: int = 0) -> Policy:
-    """Pick the starting extreme point for policy iteration.
-
-    ``greedy`` maximizes each row's one-step mass on the target,
-    ``first`` takes a fixed canonical vertex per row, and ``random``
-    draws one per row from a seeded generator.
-    """
-    return _initial(model, rule, seed).policy
-
-
-def _initial(model: Model, rule: str, seed: int) -> OperatorResult:
-    """The starting choice of ``initial_policy``, as an operator result
-    whose value is each chosen row's one-step mass on the target."""
-    if rule not in INIT_RULES:
-        raise ValueError(f"init rule must be one of {INIT_RULES}, got {rule!r}")
-    on_target = model.target_mask.astype(float)
-    if rule == "greedy":
-        return upper_apply(model, on_target)
-    rng = np.random.default_rng(seed) if rule == "random" else None
-    vertex = np.zeros(model.size, dtype=np.intp)
-    solutions = {}
-    value = np.empty(model.size)
-    for x, row in enumerate(model.rows):
-        if isinstance(row, RowPolytopeV):
-            k = 0 if rule == "first" else int(rng.integers(row.num_vertices))
-            vertex[x] = k
-            value[x] = row.vertices[k] @ on_target
-        else:
-            objective = np.zeros(model.size) if rule == "first" \
-                else rng.standard_normal(model.size)
-            sol = solutions[x] = lp.minimize_row(row, objective)
-            value[x] = sol.vertex @ on_target
-    return record(model, value, vertex, solutions)
+def _initial(model: Model) -> OperatorResult:
+    """Each row's choice with the most one-step mass on the target."""
+    return upper_apply(model, model.target_mask.astype(float))
 
 
 def _hitting_times(model: Model, selected: OperatorResult) -> np.ndarray:
@@ -139,8 +107,8 @@ def _hitting_times(model: Model, selected: OperatorResult) -> np.ndarray:
     return solve_precise(matrix, model.target).values
 
 
-def solve_policy(model: Model, bound: str = "lower", init: str = "greedy",
-                 max_iter: int | None = None, seed: int = 0,
+def solve_policy(model: Model, bound: str = "lower",
+                 max_iter: int | None = None,
                  collect_iterates: bool = False) -> SolveReport:
     """Policy iteration; finitely convergent and independent of the
     magnitude of the solution.
@@ -154,7 +122,7 @@ def solve_policy(model: Model, bound: str = "lower", init: str = "greedy",
     _require_reachable(model)
     cap = max_iter if max_iter is not None else 10 * model.size
     # each improvement starts its simplex solves from the previous choice
-    selected = _initial(model, init, seed)
+    selected = _initial(model)
     policy = selected.policy
     h = _hitting_times(model, selected)
     trace = [IterationStat(float(np.max(h)), 0)]

@@ -50,18 +50,6 @@ class OperatorResult:
         return m
 
 
-def record(model: Model, value: np.ndarray, vertex: np.ndarray,
-           solutions: dict[int, lp.LpSolution]) -> OperatorResult:
-    """The result with ``value`` that picks vertex ``vertex[x]`` in each
-    V-rep row ``x`` and the ``LpSolution`` ``solutions[x]`` in each H-rep
-    row; ``vertex`` is ignored on H-rep rows."""
-    selectors = vertex.tolist()
-    for x, sol in solutions.items():
-        selectors[x] = sol.basis
-    picks = np.where(model.vertex_counts > 0, model.vertex_offsets + vertex, -1)
-    return OperatorResult(value, Policy(tuple(selectors)), model, picks, solutions)
-
-
 def _apply(model: Model, f: np.ndarray, sign: float,
            start: OperatorResult | None) -> OperatorResult:
     """Shared body: sign=+1 minimizes per row, sign=-1 maximizes."""
@@ -84,13 +72,16 @@ def _apply(model: Model, f: np.ndarray, sign: float,
     vertex[rows] = dots[grid].argmin(axis=1)
     value = np.empty(model.size)
     value[rows] = sign * dots[offsets[rows] + vertex[rows]]
+    selectors = vertex.tolist()
     solutions = {}
     for x in np.flatnonzero(counts == 0).tolist():
         sol = lp.minimize_row(model.rows[x], objective,
                               None if start is None else start.solutions[x])
         value[x] = float(f @ sol.vertex)
+        selectors[x] = sol.basis
         solutions[x] = sol
-    return record(model, value, vertex, solutions)
+    picks = np.where(counts > 0, offsets + vertex, -1)
+    return OperatorResult(value, Policy(tuple(selectors)), model, picks, solutions)
 
 
 def lower_apply(model: Model, f: np.ndarray,

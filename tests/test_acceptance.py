@@ -104,7 +104,7 @@ def test_criterion_3_gambler_ruin_closed_form():
 
 def test_criterion_4_iteration_count_study():
     config = BenchConfig(sizes=(100, 200), vertices_per_row=50, trials=50,
-                         seed=1, init="greedy")
+                         seed=1)
     records = run_experiment(config, jobs=4)
     ok = True
     details = []

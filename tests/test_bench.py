@@ -101,8 +101,8 @@ def test_config_validation():
         BenchConfig(sizes=(5,), vertices_per_row=0)
     with pytest.raises(ValueError):
         BenchConfig(sizes=(5,), seed=-1)
-    with pytest.raises(ValueError, match="init"):
-        BenchConfig(sizes=(5,), init="bogus")
+    with pytest.raises(TypeError):
+        BenchConfig(sizes=(5,), init="greedy")
     with pytest.raises(TypeError):
         BenchConfig(sizes=(5,), tol=1e-9)
 

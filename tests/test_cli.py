@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import csv
 import json
 
@@ -184,6 +185,18 @@ def test_missing_file_is_domain_error(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [
+    ["validate", "--model", "{dir}"],
+    ["bench", "--sizes", "5", "--vertices", "2", "--trials", "1",
+     "--jobs", "1", "--out", "{dir}"],
+])
+def test_unreadable_path_is_domain_error(tmp_path, capsys, command):
+    argv = [arg.format(dir=tmp_path) for arg in command]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_unparsable_file_is_domain_error(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
@@ -226,6 +239,26 @@ def test_usage_errors_exit_two(gambler_path):
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+    for removed in (["--init", "greedy"], ["--seed", "0"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--model", gambler_path] + removed)
+        assert exc.value.code == 2
+
+
+def test_cli_surface_is_pinned():
+    sub = next(action for action in cli._build_parser()._actions
+               if isinstance(action, argparse._SubParsersAction))
+    surface = {name: {option for action in parser._actions
+                      for option in action.option_strings}
+               for name, parser in sub.choices.items()}
+    assert surface == {
+        "validate": {"-h", "--help", "--model"},
+        "reach": {"-h", "--help", "--model"},
+        "solve": {"-h", "--help", "--model", "--bound", "--method", "--tol",
+                  "--max-iter", "--trace"},
+        "bench": {"-h", "--help", "--sizes", "--vertices", "--trials",
+                  "--seed", "--out", "--hist", "--jobs"},
+    }
 
 
 def test_bench_writes_csv_and_histogram(tmp_path, capsys):
@@ -245,14 +278,17 @@ def test_bench_writes_csv_and_histogram(tmp_path, capsys):
 
 
 def test_bench_rejects_bad_sizes(tmp_path, capsys):
-    assert main(["bench", "--sizes", "6;8", "--out",
-                 str(tmp_path / "x.csv")]) == 1
-    assert "error" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--sizes", "6;8", "--out", str(tmp_path / "x.csv")])
+    assert exc.value.code == 2
+    assert "argument --sizes" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flags", [["--jobs", "0"], ["--jobs", "-3"],
                                    ["--tol", "1e-9"], ["--vertices", "0"],
-                                   ["--trials", "0"]])
+                                   ["--trials", "0"], ["--sizes", "1"],
+                                   ["--sizes", "abc"], ["--seed", "-1"],
+                                   ["--init", "greedy"]])
 def test_bench_usage_errors_exit_two(tmp_path, flags):
     with pytest.raises(SystemExit) as exc:
         main(["bench", "--sizes", "6", "--trials", "1",

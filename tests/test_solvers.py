@@ -9,7 +9,7 @@ import pytest
 from imchit import (MaxIterationsExceeded, Model, ReachabilityViolation,
                     RowPolytopeV, StateSpace, TargetSet, TooManyCombinations,
                     TransitionMatrix, check_reachability,
-                    fixed_point_residual, initial_policy, lower_apply,
+                    fixed_point_residual, lower_apply,
                     solve_brute, solve_policy, solve_precise, solve_value,
                     upper_apply, validate)
 from imchit import lp, solvers, transition
@@ -79,39 +79,56 @@ def test_value_agrees_with_policy_at_ten_tol():
             assert gap <= 10 * 1e-9
 
 
-def target_swap_model(first_vertex_to_target: bool) -> Model:
+def target_swap_model() -> Model:
     """State ``a`` moves to itself or to the target ``t`` with 1/2 each;
     ``t`` may step to ``t`` or to ``a``, so every bound is h = (2, 0), and
-    only the target row's choice can change during a solve."""
-    to_target, to_a = [0.0, 1.0], [1.0, 0.0]
-    target_row = [to_target, to_a] if first_vertex_to_target else [to_a, to_target]
-    rows = (RowPolytopeV(np.array([[0.5, 0.5]])), RowPolytopeV(np.array(target_row)))
+    only the target row's choice can change during a solve.  The start
+    picks t -> t, the upper bound t -> a."""
+    rows = (RowPolytopeV(np.array([[0.5, 0.5]])),
+            RowPolytopeV(np.array([[0.0, 1.0], [1.0, 0.0]])))
     return Model(StateSpace(("a", "t")), TargetSet({1}), rows)
 
 
-@pytest.mark.parametrize("bound, init, first_to_target", [
-    ("upper", "greedy", True),  # greedy picks t -> t, the upper bound t -> a
-    ("lower", "first", False),  # first picks t -> a, the lower bound t -> t
-])
-def test_target_row_changes_end_the_solve(bound, init, first_to_target,
-                                          count_calls):
-    m = target_swap_model(first_to_target)
-    start = initial_policy(m, init)
+def target_pick_model() -> Model:
+    """``a`` steps to the target ``t``; ``b`` moves to itself or to ``t``
+    with 1/2 each, so every bound is h = (1, 2, 0), and only the target
+    row's choice can change.  The start picks t's vertex with 0.6 on t,
+    the lower bound the one with 0.5 on ``a`` (0.5 < 0.4 * 2)."""
+    rows = (RowPolytopeV(np.array([[0.0, 0.0, 1.0]])),
+            RowPolytopeV(np.array([[0.0, 0.5, 0.5]])),
+            RowPolytopeV(np.array([[0.5, 0.0, 0.5], [0.0, 0.4, 0.6]])))
+    return Model(StateSpace(("a", "b", "t")), TargetSet({2}), rows)
+
+
+@pytest.mark.parametrize("bound, build, h", [
+    ("upper", target_swap_model, [2.0, 0.0]),
+    ("lower", target_pick_model, [1.0, 2.0, 0.0]),
+], ids=["upper", "lower"])
+def test_target_row_changes_end_the_solve(bound, build, h, count_calls):
+    m = build()
+    target = m.size - 1
+    start = solvers._initial(m).policy
     residual_sweeps = count_calls(solvers, "fixed_point_residual")
-    report = solve_policy(m, bound, init=init)
-    assert report.solution.values.tolist() == [2.0, 0.0]
+    report = solve_policy(m, bound)
+    assert report.solution.values.tolist() == h
     assert report.iterations == 2
     assert [t.policy_changes for t in report.trace] == [0, 0]
     assert residual_sweeps == []
     # the operator did move the target row, which nothing counts
     improved = transition.lower_apply if bound == "lower" else transition.upper_apply
-    assert improved(m, report.solution.values).policy.selectors[1] \
-        != start.selectors[1]
+    assert improved(m, report.solution.values).policy.selectors[target] \
+        != start.selectors[target]
 
 
 def test_policy_iteration_has_no_tolerance(rng):
     with pytest.raises(TypeError):
         solve_policy(random_vrep_model(rng), tol=1e-9)
+
+
+@pytest.mark.parametrize("setting", [{"init": "greedy"}, {"seed": 0}])
+def test_policy_iteration_has_one_start(rng, setting):
+    with pytest.raises(TypeError):
+        solve_policy(random_vrep_model(rng), **setting)
 
 
 def test_policy_traces_are_monotone(rng):
@@ -162,23 +179,8 @@ def test_greedy_init_prefers_mass_on_target():
             RowPolytopeV(np.array([[0.0, 0.5, 0.5]])),
             RowPolytopeV(np.array([[0.0, 0.0, 1.0]])))
     m = Model(StateSpace(("a", "b", "c")), TargetSet({0}), rows)
-    policy = initial_policy(m, "greedy")
+    policy = solvers._initial(m).policy
     assert policy.selectors[0] == 0  # the vertex putting 0.9 on the target
-
-
-def test_init_rules_are_deterministic(rng):
-    m = random_vrep_model(rng)
-    assert initial_policy(m, "random", seed=42) == initial_policy(m, "random", seed=42)
-    assert initial_policy(m, "first").selectors == tuple([0] * m.size)
-    with pytest.raises(ValueError):
-        initial_policy(m, "clever")
-
-
-def test_precise_chain_has_one_policy_under_any_rule(rng):
-    matrix = rng.dirichlet(np.ones(3), size=3)
-    m = precise_model(matrix, {1})
-    policies = {initial_policy(m, rule, seed=9) for rule in ("greedy", "first", "random")}
-    assert len(policies) == 1
 
 
 def test_reachability_violation_is_raised():
@@ -344,16 +346,14 @@ def test_init_rules_feed_the_first_improvement(rng):
     m = random_mixed_model(rng, size_choices=(5,))
     while not (validate(m).ok and check_reachability(m).holds):
         m = random_mixed_model(rng, size_choices=(5,))
-    for rule in solvers.INIT_RULES:
-        start = solvers._initial(m, rule, 4)
-        assert start.policy == initial_policy(m, rule, 4)
-        on_target = m.target_mask.astype(float)
-        assert np.allclose(start.matrix() @ on_target, start.value, atol=1e-12)
-        for bound in ("lower", "upper"):
-            warm = (lower_apply if bound == "lower" else upper_apply)(
-                m, on_target, start=start)
-            cold = (lower_apply if bound == "lower" else upper_apply)(m, on_target)
-            assert np.max(np.abs(warm.value - cold.value)) <= 1e-12
+    start = solvers._initial(m)
+    on_target = m.target_mask.astype(float)
+    assert np.allclose(start.matrix() @ on_target, start.value, atol=1e-12)
+    for bound in ("lower", "upper"):
+        warm = (lower_apply if bound == "lower" else upper_apply)(
+            m, on_target, start=start)
+        cold = (lower_apply if bound == "lower" else upper_apply)(m, on_target)
+        assert np.max(np.abs(warm.value - cold.value)) <= 1e-12
 
 
 def solve_fractions(a: list[list[Fraction]], b: list[Fraction]) -> list[Fraction]:
