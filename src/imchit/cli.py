@@ -84,6 +84,10 @@ def _cmd_solve(args) -> int:
 def _cmd_bench(args) -> int:
     config = BenchConfig(sizes=args.sizes, vertices_per_row=args.vertices,
                          trials=args.trials, seed=args.seed)
+    # an unwritable output path fails here, not after every trial has run
+    for path in (args.out, args.hist):
+        if path is not None:
+            open(path, "a", encoding="utf-8").close()
     records = run_experiment(config, jobs=args.jobs)
     write_csv(records, args.out)
     if args.hist:

@@ -11,7 +11,10 @@ transition matrix (rows are separately specified).
 Row storage is packed once, when it is built: a model stacks the vertices
 of its vertex rows into one read-only array, of which each such row's
 ``vertices`` is a view, and a constraint row keeps its standard form and
-phase-one outcome (``RowPolytopeH.lp_start``).
+phase-one outcome (``RowPolytopeH.lp_start``).  A constraint row whose
+constraints each bound one coordinate is an interval row
+``lo <= p <= hi``; it keeps its bounds (``RowPolytopeH.bounds``), and a
+model stacks them next to the vertices.
 """
 
 from __future__ import annotations
@@ -120,11 +123,15 @@ class RowPolytopeH:
     The simplex constraints are implicit and always enforced; ``constraints``
     only lists the additional ones.  ``lp_start`` holds the row's standard
     form and phase-one outcome, computed once when the row is built.
+    ``bounds`` holds the read-only ``(lo, hi)`` of an interval row, whose
+    extreme points have a closed form, and None for a row that needs the
+    simplex.
     """
 
     num_states: int
     constraints: tuple[Constraint, ...]
     lp_start: "lp._RowStart" = field(init=False, repr=False)
+    bounds: tuple[np.ndarray, np.ndarray] | None = field(init=False, repr=False)
 
     def __post_init__(self):
         from . import lp  # deferred: lp imports the row types from here
@@ -134,6 +141,37 @@ class RowPolytopeH:
             if c.a.shape != (self.num_states,):
                 raise ValueError("constraint coefficient vector has wrong length")
         self.lp_start = lp.row_start(self)
+        self.bounds = _interval_bounds(self)
+
+
+def _interval_bounds(row: RowPolytopeH) -> tuple[np.ndarray, np.ndarray] | None:
+    """``(lo, hi)`` when every constraint of ``row`` bounds one coordinate.
+
+    A row keeps the simplex when phase one failed (so the same
+    ``Infeasible`` is raised) and when its bounds admit a pmf only within
+    phase one's tolerance: the closed form needs ``lo <= hi`` and
+    ``sum(lo) <= 1 <= sum(hi)`` exactly.
+    """
+    if row.lp_start.error is not None:
+        return None
+    n = row.num_states
+    a = np.reshape([c.a for c in row.constraints], (-1, n))
+    if (np.count_nonzero(a, axis=1) != 1).any():
+        return None
+    which = a.nonzero()[1]  # each constraint's coordinate, in constraint order
+    coef = a[np.arange(len(which)), which]
+    bound = np.array([c.b for c in row.constraints]) / coef
+    rel = np.array([c.rel for c in row.constraints], dtype=object)
+    # dividing by a negative coefficient flips the relation
+    equal, flip = rel == "=", coef < 0.0
+    lo, hi = np.zeros(n), np.ones(n)
+    below = equal | ((rel == ">=") != flip)
+    above = equal | ((rel == "<=") != flip)
+    np.maximum.at(lo, which[below], bound[below])
+    np.minimum.at(hi, which[above], bound[above])
+    if not ((lo <= hi).all() and lo.sum() <= 1.0 <= hi.sum()):
+        return None
+    return _readonly(lo), _readonly(hi)
 
 
 Row = Union[RowPolytopeV, RowPolytopeH]
@@ -146,6 +184,8 @@ class Model:
     The read-only arrays after ``rows`` are computed when it is built.
     Row ``x``'s vertices are ``vertex_stack[o:o + k]`` with ``o =
     vertex_offsets[x]`` and ``k = vertex_counts[x]`` (0 on H-rep rows).
+    Row ``interval_rows[i]`` is the interval row ``interval_lo[i] <= p <=
+    interval_hi[i]``.
     """
 
     states: StateSpace
@@ -154,6 +194,9 @@ class Model:
     vertex_stack: np.ndarray = field(init=False, repr=False)
     vertex_offsets: np.ndarray = field(init=False, repr=False)
     vertex_counts: np.ndarray = field(init=False, repr=False)
+    interval_rows: np.ndarray = field(init=False, repr=False)
+    interval_lo: np.ndarray = field(init=False, repr=False)
+    interval_hi: np.ndarray = field(init=False, repr=False)
     target_mask: np.ndarray = field(init=False, repr=False)
     nontarget_indices: np.ndarray = field(init=False, repr=False)
 
@@ -179,6 +222,13 @@ class Model:
                 row.vertices = self.vertex_stack[lo:lo + k]
         self.vertex_offsets = _readonly(offsets, np.intp)
         self.vertex_counts = _readonly(counts, np.intp)
+        intervals = [x for x, row in enumerate(self.rows)
+                     if isinstance(row, RowPolytopeH) and row.bounds is not None]
+        self.interval_rows = _readonly(intervals, np.intp)
+        self.interval_lo = _readonly(np.reshape(
+            [self.rows[x].bounds[0] for x in intervals], (-1, n)))
+        self.interval_hi = _readonly(np.reshape(
+            [self.rows[x].bounds[1] for x in intervals], (-1, n)))
         self.target_mask = _readonly(np.isin(range(n), list(self.target.members)), bool)
         self.nontarget_indices = _readonly(np.flatnonzero(~self.target_mask), np.intp)
 

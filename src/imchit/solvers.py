@@ -121,7 +121,8 @@ def solve_policy(model: Model, bound: str = "lower",
     improve = _operator(bound)
     _require_reachable(model)
     cap = max_iter if max_iter is not None else 10 * model.size
-    # each improvement starts its simplex solves from the previous choice
+    # each improvement starts from the previous choice: simplex bases, and
+    # interval vertices that are still optimal
     selected = _initial(model)
     policy = selected.policy
     h = _hitting_times(model, selected)

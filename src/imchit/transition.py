@@ -5,11 +5,18 @@ each state's row polytope independently; the upper operator maximizes.
 Besides the value vector, each application returns the policy of extreme
 points attaining it row by row, which is what the policy-iteration solver
 consumes.  One product with the model's vertex stack scores every vertex,
-and one padded ``argmin`` picks each vertex row's first minimizer.  An
-application may start each constraint row's simplex from the row's
-solution in an earlier result (``start=``); the policy-iteration solver
-passes the previous improvement step, whose bases are usually optimal
-again or a few pivots away.
+and one padded ``argmin`` picks each vertex row's first minimizer.
+Interval rows ``lo <= p <= hi`` are solved together in closed form: one
+sort of the objective, then every row starts at ``lo`` and hands its
+remaining mass to the cheapest coordinates first (de Campos, Huete &
+Moral 1994).  Only general constraint rows run the simplex.
+
+An application may start from an earlier result (``start=``); the
+policy-iteration solver passes the previous improvement step.  Each
+constraint row's simplex then starts from that row's basis, which is
+usually optimal again or a few pivots away, and each interval row keeps
+its vertex there while that vertex is still optimal within
+``lp.PIVOT_TOL``, so that ties in ``f`` do not flip the choice.
 """
 
 from __future__ import annotations
@@ -27,9 +34,15 @@ class OperatorResult:
     """Operator value plus one attaining extreme point per row.
 
     Each row's choice is recorded without copying its vertex: ``picks``
-    holds an index into the model's vertex stack (-1 on H-rep rows) and
-    ``solutions`` the ``LpSolution`` of each H-rep row.  ``matrix``
-    assembles the policy matrix from them on request.
+    holds an index into the model's vertex stack (-1 on H-rep rows),
+    ``interval_vertices`` the vertex of each of the model's
+    ``interval_rows``, and ``solutions`` the ``LpSolution`` of each other
+    H-rep row.  ``matrix`` assembles the policy matrix from them on
+    request.
+
+    An interval row's selector names its vertex: the sorted coordinates
+    of positive width at their upper bound, then the one coordinate
+    strictly between its bounds, or -1 when there is none.
     """
 
     value: np.ndarray
@@ -38,6 +51,8 @@ class OperatorResult:
     picks: np.ndarray | None = field(default=None, repr=False, compare=False)
     solutions: dict[int, lp.LpSolution] = field(
         default_factory=dict, repr=False, compare=False)
+    interval_vertices: np.ndarray | None = field(
+        default=None, repr=False, compare=False)
 
     def matrix(self) -> np.ndarray:
         """The transition matrix ``policy`` selects, as a plain array."""
@@ -45,9 +60,59 @@ class OperatorResult:
         stack = self.model.vertex_stack
         # an H-rep row's pick, -1, gathers a placeholder its vertex replaces
         m = stack[self.picks] if stack.size else np.empty((n, n))
+        m[self.model.interval_rows] = self.interval_vertices
         for x, sol in self.solutions.items():
             m[x] = sol.vertex
         return m
+
+
+def _interval_vertices(lo: np.ndarray, hi: np.ndarray, objective: np.ndarray
+                       ) -> tuple[np.ndarray, list]:
+    """Minimizing vertex and selector of the interval rows ``lo <= p <= hi``:
+    every row starts at ``lo`` and fills the cheapest coordinates first."""
+    order = np.argsort(objective, kind="stable")
+    lo_sorted, hi_sorted = lo[:, order], hi[:, order]
+    caps = hi_sorted - lo_sorted
+    left = 1.0 - lo.sum(axis=1)
+    fill = np.minimum(np.maximum(
+        left[:, None] - (np.cumsum(caps, axis=1) - caps), 0.0), caps)
+    # rounding can leave a sliver past the partial coordinate; a vertex has
+    # at most one coordinate strictly between its bounds
+    fill[np.cumsum(fill < caps, axis=1) > 1] = 0.0
+    vertices = np.empty_like(lo)
+    vertices[:, order] = np.where(fill == caps, hi_sorted, lo_sorted + fill)
+    vertices.flags.writeable = False
+    rows, cols = np.nonzero((vertices == hi) & (lo < hi))
+    ends = np.searchsorted(rows, np.arange(len(lo) + 1)).tolist()
+    cols = cols.tolist()
+    partial = (lo < vertices) & (vertices < hi)
+    last = np.where(partial.any(axis=1), partial.argmax(axis=1), -1).tolist()
+    return vertices, [tuple(cols[a:b]) + (j,) for a, b, j in zip(ends, ends[1:], last)]
+
+
+def _interval_choice(model: Model, objective: np.ndarray,
+                     start: OperatorResult | None) -> tuple[np.ndarray, list]:
+    """Minimizing vertex and selector of each of the model's interval rows."""
+    lo, hi = model.interval_lo, model.interval_hi
+    if not len(lo):
+        return lo, []
+    if start is None:
+        return _interval_vertices(lo, hi, objective)
+    # the start's vertex stays while no coordinate that can give mass costs
+    # more than one that can take it
+    vertices = start.interval_vertices
+    gives = np.where(vertices > lo, objective, -np.inf).max(axis=1)
+    takes = np.where(vertices < hi, objective, np.inf).min(axis=1)
+    stale = np.flatnonzero(gives > takes + lp.PIVOT_TOL)
+    selectors = [start.policy.selectors[x] for x in model.interval_rows.tolist()]
+    if stale.size:
+        fresh, chosen = _interval_vertices(lo[stale], hi[stale], objective)
+        vertices = vertices.copy()
+        vertices[stale] = fresh
+        vertices.flags.writeable = False
+        for i, selector in zip(stale.tolist(), chosen):
+            selectors[i] = selector
+    return vertices, selectors
 
 
 def _apply(model: Model, f: np.ndarray, sign: float,
@@ -73,15 +138,22 @@ def _apply(model: Model, f: np.ndarray, sign: float,
     value = np.empty(model.size)
     value[rows] = sign * dots[offsets[rows] + vertex[rows]]
     selectors = vertex.tolist()
+    intervals, chosen = _interval_choice(model, objective, start)
+    value[model.interval_rows] = intervals @ f
+    for x, selector in zip(model.interval_rows.tolist(), chosen):
+        selectors[x] = selector
     solutions = {}
     for x in np.flatnonzero(counts == 0).tolist():
+        if model.rows[x].bounds is not None:
+            continue
         sol = lp.minimize_row(model.rows[x], objective,
                               None if start is None else start.solutions[x])
         value[x] = float(f @ sol.vertex)
         selectors[x] = sol.basis
         solutions[x] = sol
     picks = np.where(counts > 0, offsets + vertex, -1)
-    return OperatorResult(value, Policy(tuple(selectors)), model, picks, solutions)
+    return OperatorResult(value, Policy(tuple(selectors)), model, picks,
+                          solutions, intervals)
 
 
 def lower_apply(model: Model, f: np.ndarray,

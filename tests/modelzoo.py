@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
+from typing import Iterable
+
 import numpy as np
 
 from imchit import (Constraint, Model, Policy, RowPolytopeH, RowPolytopeV,
@@ -73,6 +76,44 @@ def box_row(n: int, lower: np.ndarray, upper: np.ndarray) -> RowPolytopeH:
     return RowPolytopeH(n, tuple(cons))
 
 
+def coupled_row(n: int, lower: np.ndarray, upper: np.ndarray) -> RowPolytopeH:
+    """``box_row`` plus ``p[0] + p[1] <= c``, with ``c`` halfway between the
+    least and the greatest ``p[0] + p[1]`` on the interval row: a general
+    constraint row, which the simplex solves."""
+    least = max(lower[0] + lower[1], 1.0 - upper[2:].sum())
+    most = min(upper[0] + upper[1], 1.0 - lower[2:].sum())
+    pair = np.zeros(n)
+    pair[:2] = 1.0
+    return RowPolytopeH(n, box_row(n, lower, upper).constraints
+                        + (Constraint(pair, "<=", float(least + most) / 2),))
+
+
+def edge_rows() -> list[RowPolytopeH]:
+    """Constraint rows over six states, written in every way the interval
+    detection reads, and one general row last."""
+    e = np.eye(6)
+    return [
+        # zero width on state 0
+        box_row(6, np.array([0.1, 0.2, 0.0, 0.0, 0.0, 0.05]),
+                np.array([0.1, 0.5, 1.0, 1.0, 1.0, 1.0])),
+        # an equality
+        RowPolytopeH(6, (Constraint(e[1], "=", 0.25), Constraint(e[2], "<=", 0.3))),
+        # negative coefficients: p0 >= 0.2, p3 <= 0.5, p1 == 0.25
+        RowPolytopeH(6, (Constraint(-2.0 * e[0], "<=", -0.4),
+                         Constraint(-e[3], ">=", -0.5),
+                         Constraint(-4.0 * e[1], "=", -1.0))),
+        # several bounds on one coordinate: 0.2 <= p0 <= 0.4, and p3 >= 0.1
+        RowPolytopeH(6, (Constraint(e[0], "<=", 0.6), Constraint(e[0], "<=", 0.4),
+                         Constraint(e[0], ">=", 0.1), Constraint(e[0], ">=", 0.2),
+                         Constraint(2.0 * e[3], ">=", 0.2))),
+        # no constraint at all
+        RowPolytopeH(6, ()),
+        # one constraint on two coordinates: the simplex solves it
+        RowPolytopeH(6, (Constraint(e[0] + e[1], "<=", 0.5),
+                         Constraint(e[5], ">=", 0.1))),
+    ]
+
+
 def box_bounds(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Interval rows ``lower <= p <= upper`` at +-50 % around flat-Dirichlet
     centres; row ``x`` of each array belongs to state ``x``."""
@@ -80,14 +121,17 @@ def box_bounds(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     return 0.5 * centre, np.minimum(1.5 * centre, 1.0)
 
 
-def box_model(n: int, seed: int) -> Model:
-    """Interval rows from ``box_bounds(n, seed)``, the last state as target.
+def box_model(n: int, seed: int, coupled: Iterable[int] = ()) -> Model:
+    """Interval rows from ``box_bounds(n, seed)``, the last state as target;
+    the states in ``coupled`` get a ``coupled_row`` instead.
 
     Every row keeps positive mass on the target, so the target is reached
     in one step.
     """
     lower, upper = box_bounds(n, seed)
-    rows = tuple(box_row(n, lower[x], upper[x]) for x in range(n))
+    coupled = set(coupled)
+    rows = tuple((coupled_row if x in coupled else box_row)(n, lower[x], upper[x])
+                 for x in range(n))
     return Model(StateSpace(tuple(f"s{i}" for i in range(n))),
                  TargetSet({n - 1}), rows)
 
@@ -114,6 +158,31 @@ def interval_extreme(lower: np.ndarray, upper: np.ndarray, h: np.ndarray,
                      for x in range(h.size)])
 
 
+def interval_vertex(row: RowPolytopeH, selector: tuple[int, ...]) -> list[Fraction]:
+    """The vertex an interval row's selector names, in exact rationals.
+
+    The bounds are read off the row's constraints, one coordinate each.
+    The selector's leading coordinates sit at their upper bound; its last
+    entry, unless -1, takes the mass left over; every other coordinate
+    sits at its lower bound.
+    """
+    n = row.num_states
+    lower, upper = [Fraction(0)] * n, [Fraction(1)] * n
+    for c in row.constraints:
+        (y,) = np.flatnonzero(c.a).tolist()
+        bound = Fraction(c.b) / Fraction(float(c.a[y]))
+        rel = c.rel if c.a[y] > 0.0 else {"<=": ">=", ">=": "<="}.get(c.rel, "=")
+        if rel != "<=":
+            lower[y] = max(lower[y], bound)
+        if rel != ">=":
+            upper[y] = min(upper[y], bound)
+    *full, partial = selector
+    p = [upper[y] if y in full else lower[y] for y in range(n)]
+    if partial >= 0:
+        p[partial] += 1 - sum(p)
+    return p
+
+
 def vertex_from_basis(row: RowPolytopeH, basis: tuple[int, ...]) -> np.ndarray:
     """The vertex a basis identifier names, rebuilt by least squares from
     the row's standard form (``row.lp_start.a`` and ``.b``); the simplex
@@ -126,9 +195,11 @@ def vertex_from_basis(row: RowPolytopeH, basis: tuple[int, ...]) -> np.ndarray:
 
 def policy_matrix(model: Model, policy: Policy) -> np.ndarray:
     """The transition matrix ``policy`` selects, rebuilt from its selectors
-    alone: a vertex row's stored vertex, a constraint row's basis vertex."""
+    alone: a vertex row's stored vertex, an interval row's ``interval_vertex``,
+    another constraint row's basis vertex."""
     return np.stack([row.vertices[sel] if isinstance(row, RowPolytopeV)
-                     else vertex_from_basis(row, sel)
+                     else np.array(interval_vertex(row, sel), dtype=float)
+                     if row.bounds is not None else vertex_from_basis(row, sel)
                      for row, sel in zip(model.rows, policy.selectors)])
 
 
@@ -153,8 +224,10 @@ def random_vrep_model(rng: np.random.Generator, size_choices=(3, 4, 5),
             return model
 
 
-def random_mixed_model(rng: np.random.Generator, size_choices=(2, 3, 4, 5)) -> Model:
-    """Random model mixing vertex rows and feasible constraint rows."""
+def random_mixed_model(rng: np.random.Generator, size_choices=(2, 3, 4, 5),
+                       coupled: bool = False) -> Model:
+    """Random model mixing vertex rows and feasible constraint rows: interval
+    rows, or ``coupled_row``s when ``coupled`` (the same draws either way)."""
     n = int(rng.choice(size_choices))
     rows = []
     for _ in range(n):
@@ -166,7 +239,7 @@ def random_mixed_model(rng: np.random.Generator, size_choices=(2, 3, 4, 5)) -> M
             spread = rng.uniform(0.05, 0.6)
             lower = np.maximum(center - spread, 0.0)
             upper = np.minimum(center + spread, 1.0)
-            rows.append(box_row(n, lower, upper))
+            rows.append((coupled_row if coupled else box_row)(n, lower, upper))
     target = set(map(int, rng.choice(n, size=int(rng.integers(1, n)),
                                      replace=False)))
     return Model(StateSpace(tuple(f"s{i}" for i in range(n))),

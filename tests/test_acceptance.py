@@ -131,11 +131,14 @@ def test_thousand_state_smoke():
     assert len(records) == 1 and records[0].iterations <= 6
 
 
-def test_criterion_5_operator_property_suite():
+def operator_property_failures(coupled: bool) -> dict[str, int]:
+    """Criterion 5's property checks over random mixed models whose
+    constraint rows are interval rows, or general (``coupled``) rows that
+    the simplex solves."""
     rng = np.random.default_rng(55)
     pool = []
     while len(pool) < 60:
-        model = random_mixed_model(rng)
+        model = random_mixed_model(rng, coupled=coupled)
         if validate(model).ok:
             pool.append(model)
     failures = {name: 0 for name in
@@ -183,9 +186,23 @@ def test_criterion_5_operator_property_suite():
                             - low_res.value)) <= tol
               and np.max(np.abs(policy_matrix(m, up_res.policy) @ f
                                 - up_res.value)) <= tol)
+    return failures
+
+
+def test_criterion_5_operator_property_suite():
+    failures = operator_property_failures(coupled=True)
     total = sum(failures.values())
     _criterion(5, total == 0,
                f"{PROPERTY_CASES} cases per property, failures: {failures}")
+
+
+def test_criterion_5_on_interval_rows():
+    # the attainment check rebuilds each interval row's vertex from its
+    # selector with modelzoo's exact interval_vertex
+    failures = operator_property_failures(coupled=False)
+    total = sum(failures.values())
+    _criterion(5, total == 0, f"{PROPERTY_CASES} cases per property on "
+               f"interval rows, failures: {failures}")
 
 
 def test_criterion_6_monotone_sequences(oracle_pool):

@@ -197,6 +197,20 @@ def test_unreadable_path_is_domain_error(tmp_path, capsys, command):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("flag", ["--out", "--hist"])
+def test_bench_checks_output_paths_before_the_trials(tmp_path, capsys,
+                                                     count_calls, flag):
+    trials = count_calls(cli, "run_experiment")
+    paths = {"--out": str(tmp_path / "out.csv"), "--hist": str(tmp_path / "h.json")}
+    paths[flag] = str(tmp_path)
+    argv = ["bench", "--sizes", "5", "--vertices", "2", "--trials", "1",
+            "--jobs", "1", "--out", paths["--out"], "--hist", paths["--hist"]]
+    assert main(argv) == 1
+    assert trials == []
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Is a directory" in err
+
+
 def test_unparsable_file_is_domain_error(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json")

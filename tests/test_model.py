@@ -8,7 +8,8 @@ from imchit import (Constraint, Model, RowPolytopeH, RowPolytopeV, StateSpace,
                     lower_apply, model_from_dict, model_to_dict, save_model,
                     upper_apply, validate)
 from imchit.lp import row_feasible
-from modelzoo import box_row, precise_model, vertex_from_basis
+from modelzoo import (box_row, coupled_row, edge_rows, interval_vertex,
+                      precise_model, vertex_from_basis)
 
 
 def test_statespace_rejects_duplicates_and_singletons():
@@ -65,6 +66,38 @@ def test_contradictory_bounds_are_infeasible():
     assert [(i.code, i.state) for i in report.issues] == [("InfeasibleRow", "a")]
 
 
+def test_interval_bounds_are_read_off_the_constraints():
+    expected = [
+        ([0.1, 0.2, 0.0, 0.0, 0.0, 0.05], [0.1, 0.5, 1.0, 1.0, 1.0, 1.0]),
+        ([0.0, 0.25, 0.0, 0.0, 0.0, 0.0], [1.0, 0.25, 0.3, 1.0, 1.0, 1.0]),
+        ([0.2, 0.25, 0.0, 0.0, 0.0, 0.0], [1.0, 0.25, 1.0, 0.5, 1.0, 1.0]),
+        ([0.2, 0.0, 0.0, 0.1, 0.0, 0.0], [0.4, 1.0, 1.0, 1.0, 1.0, 1.0]),
+        ([0.0] * 6, [1.0] * 6),
+    ]
+    *intervals, general = edge_rows()
+    for row, (lo, hi) in zip(intervals, expected):
+        assert row.bounds[0].tolist() == lo and row.bounds[1].tolist() == hi
+        assert not (row.bounds[0].flags.writeable or row.bounds[1].flags.writeable)
+    assert general.bounds is None
+    m = Model(StateSpace(tuple("abcdef")), TargetSet({5}), tuple(edge_rows()))
+    assert m.interval_rows.tolist() == [0, 1, 2, 3, 4]
+    assert m.interval_lo.tolist() == [lo for lo, _ in expected]
+    assert m.interval_hi.tolist() == [hi for _, hi in expected]
+
+
+def test_rows_feasible_only_within_tolerance_keep_the_simplex():
+    e = np.eye(2)
+    # phase one accepts 1e-10 of excess mass; the closed form does not
+    near = RowPolytopeH(2, (Constraint(e[0], ">=", 0.5),
+                            Constraint(e[1], ">=", 0.5 + 1e-10)))
+    assert row_feasible(near) and near.bounds is None
+    # crossed bounds and non-finite data are phase one's to report
+    crossed = RowPolytopeH(2, (Constraint(e[0], ">=", 0.7), Constraint(e[0], "<=", 0.2)))
+    assert not row_feasible(crossed) and crossed.bounds is None
+    nan = RowPolytopeH(2, (Constraint(e[0], "<=", np.nan),))
+    assert not row_feasible(nan) and nan.bounds is None
+
+
 def test_empty_and_full_targets_are_reported():
     rows = (RowPolytopeV(np.array([[0.5, 0.5]])),
             RowPolytopeV(np.array([[0.5, 0.5]])))
@@ -109,8 +142,24 @@ def test_policy_to_matrix_on_vertex_rows():
             [(u, v)[selected[0]], np.eye(3)[2], np.eye(3)[2]]))
 
 
+def check_row_vertex(row, p, f, value) -> None:
+    """``p`` is a pmf meeting ``row``'s constraints, and ``p . f`` is ``value``."""
+    assert p.min() >= -1e-9
+    assert abs(p.sum() - 1.0) <= 1e-9
+    for c in row.constraints:
+        value_c = float(c.a @ p)
+        if c.rel == "<=":
+            assert value_c <= c.b + 1e-9
+        elif c.rel == ">=":
+            assert value_c >= c.b - 1e-9
+        else:
+            assert value_c == pytest.approx(c.b, abs=1e-9)
+    assert float(p @ f) == pytest.approx(value, abs=1e-9)
+
+
 def test_policy_to_matrix_reconstructs_hrep_vertices(rng):
-    row = box_row(3, np.array([0.1, 0.0, 0.2]), np.array([0.6, 0.5, 1.0]))
+    row = coupled_row(3, np.array([0.1, 0.0, 0.2]), np.array([0.6, 0.5, 1.0]))
+    assert row.bounds is None
     m = Model(StateSpace(("a", "b", "c")), TargetSet({2}),
               (row, RowPolytopeV(np.eye(3)[2:]), RowPolytopeV(np.eye(3)[2:])))
     assert validate(m).ok
@@ -122,17 +171,23 @@ def test_policy_to_matrix_reconstructs_hrep_vertices(rng):
         assert np.allclose(vertex_from_basis(row, res.policy.selectors[0]), p,
                            atol=1e-9)
         # check the vertex against the constraint list
-        assert p.min() >= -1e-9
-        assert abs(p.sum() - 1.0) <= 1e-9
-        for c in row.constraints:
-            value = float(c.a @ p)
-            if c.rel == "<=":
-                assert value <= c.b + 1e-9
-            elif c.rel == ">=":
-                assert value >= c.b - 1e-9
-            else:
-                assert value == pytest.approx(c.b, abs=1e-9)
-        assert float(p @ f) == pytest.approx(res.value[0], abs=1e-9)
+        check_row_vertex(row, p, f, res.value[0])
+
+
+def test_policy_to_matrix_reconstructs_interval_vertices(rng):
+    row = box_row(3, np.array([0.1, 0.0, 0.2]), np.array([0.6, 0.5, 1.0]))
+    m = Model(StateSpace(("a", "b", "c")), TargetSet({2}),
+              (row, RowPolytopeV(np.eye(3)[2:]), RowPolytopeV(np.eye(3)[2:])))
+    assert validate(m).ok
+    for _ in range(25):
+        f = rng.normal(size=3)
+        for apply_op in (lower_apply, upper_apply):
+            res = apply_op(m, f)
+            p = res.matrix()[0]
+            # the selector names the vertex the closed form returned
+            exact = np.array(interval_vertex(row, res.policy.selectors[0]), dtype=float)
+            assert np.max(np.abs(exact - p)) <= 1e-15
+            check_row_vertex(row, p, f, res.value[0])
 
 
 def test_json_round_trip(tmp_path):

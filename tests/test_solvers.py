@@ -14,9 +14,9 @@ from imchit import (MaxIterationsExceeded, Model, ReachabilityViolation,
                     upper_apply, validate)
 from imchit import lp, solvers, transition
 from modelzoo import (box_bounds, box_model, box_row, gambler_model,
-                      interval_extreme, isolated_cycle_model, line_model,
-                      precise_model, random_mixed_model, random_vrep_model,
-                      two_choice_model)
+                      interval_extreme, interval_vertex, isolated_cycle_model,
+                      line_model, precise_model, random_mixed_model,
+                      random_vrep_model, two_choice_model)
 
 
 def test_precise_chain_needs_one_linear_solve(rng):
@@ -319,17 +319,17 @@ def check_box_solves(n: int, seed: int) -> None:
         assert np.max(np.abs(h - fixed_point)) <= 1e-9 * (1.0 + np.max(h))
 
 
-def test_box_solve_uses_the_simplex_vertices():
+def test_interval_rows_never_reach_the_simplex(count_calls):
+    calls = count_calls(lp, "minimize_row")
     check_box_solves(20, 3)
+    assert calls == []
 
 
-@pytest.mark.slow
 def test_box_solve_at_eighty_states():
     check_box_solves(80, 3)
 
 
-def test_improvements_start_from_the_previous_choice(count_calls):
-    m = box_model(8, 5)
+def check_warm_simplex_calls(m, simplex_rows: int, count_calls) -> None:
     assert set(check_reachability(m).reach_step) == {0, 1}
     for bound in ("lower", "upper"):
         calls = count_calls(lp, "minimize_row")
@@ -338,8 +338,50 @@ def test_improvements_start_from_the_previous_choice(count_calls):
                 if kwargs.get("start", args[2] if len(args) > 2 else None) is None]
         # the reachability sweep and the greedy start solve every row cold;
         # each of the iterations - 1 improvements solves every row warm
-        assert len(cold) == 2 * m.size
-        assert len(calls) == (report.iterations + 1) * m.size
+        assert len(cold) == 2 * simplex_rows
+        assert len(calls) == (report.iterations + 1) * simplex_rows
+
+
+def test_improvements_start_from_the_previous_choice(count_calls):
+    m = box_model(8, 5, coupled=range(8))
+    check_warm_simplex_calls(m, m.size, count_calls)
+
+
+def test_mixed_model_runs_the_simplex_on_general_rows_only(count_calls):
+    m = box_model(8, 5, coupled=range(0, 8, 3))
+    assert m.interval_rows.tolist() == [1, 2, 4, 5, 7]
+    check_warm_simplex_calls(m, 3, count_calls)
+
+
+def test_interval_improvements_keep_the_incumbent():
+    # f ties states 0-2 and 3-5; a start from slightly tilted values orders
+    # each tie the other way, and its vertices stay optimal at f
+    m = box_model(8, 5)
+    f = np.array([0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 2.0, 3.0])
+    tilt = 1e-3 * np.arange(8.0)
+    for apply_op, tilted in ((lower_apply, f - tilt), (upper_apply, f + tilt)):
+        start = apply_op(m, tilted)
+        cold = apply_op(m, f)
+        warm = apply_op(m, f, start=start)
+        assert warm.policy == start.policy != cold.policy
+        assert np.array_equal(warm.interval_vertices, start.interval_vertices)
+        assert np.max(np.abs(warm.value - cold.value)) <= 1e-12
+        for row, sel, p in zip(m.rows, warm.policy.selectors, warm.matrix()):
+            exact = np.array(interval_vertex(row, sel), dtype=float)
+            assert np.max(np.abs(exact - p)) <= 1e-15
+        # a start that is no longer optimal gives way to the closed form
+        g = f[::-1].copy()
+        assert apply_op(m, g, start=start).policy == apply_op(m, g).policy
+
+
+def test_symmetric_interval_rows_end_below_the_cap():
+    # ties in h reorder the sort between iterations; keeping the incumbent
+    # on ties is what ends these solves
+    m = small_box_model()
+    for bound in ("lower", "upper"):
+        report = solve_policy(m, bound)
+        assert report.iterations < 10 * m.size
+        assert report.trace[-1].policy_changes == 0
 
 
 def test_init_rules_feed_the_first_improvement(rng):
@@ -373,7 +415,7 @@ def solve_fractions(a: list[list[Fraction]], b: list[Fraction]) -> list[Fraction
 def exact_vertex(row, basis: tuple[int, ...]) -> list[Fraction]:
     """The vertex a full basis names, solved in rationals from the row data."""
     a, b = row.lp_start.a, row.lp_start.b
-    assert len(basis) == a.shape[0]  # interval rows have no redundant row
+    assert len(basis) == a.shape[0]  # inequality rows have no redundant row
     x = solve_fractions([[Fraction(float(a[i, j])) for j in basis]
                          for i in range(a.shape[0])],
                         [Fraction(float(v)) for v in b])
@@ -384,14 +426,14 @@ def exact_vertex(row, basis: tuple[int, ...]) -> list[Fraction]:
     return p
 
 
-def test_mixed_solutions_match_exact_rationals():
-    # the policy matrix holds the vertices the simplex scored, so h is the
+def check_exact_rationals(coupled: bool) -> None:
+    # the policy matrix holds the vertices the operator scored, so h is the
     # exact hitting time of the final policy up to the linear solve: about
     # 1e-15 here, where rebuilding the vertices by least squares left 6e-13
     rng = np.random.default_rng(7)
     checked = 0
     while checked < 40:
-        m = random_mixed_model(rng)
+        m = random_mixed_model(rng, coupled=coupled)
         if not (validate(m).ok and check_reachability(m).holds):
             continue
         checked += 1
@@ -399,7 +441,9 @@ def test_mixed_solutions_match_exact_rationals():
             h = solve_policy(m, bound).solution.values
             policy = solvers._operator(bound)(m, h).policy
             rows = [[Fraction(float(v)) for v in row.vertices[sel]]
-                    if isinstance(row, RowPolytopeV) else exact_vertex(row, sel)
+                    if isinstance(row, RowPolytopeV)
+                    else interval_vertex(row, sel) if row.bounds is not None
+                    else exact_vertex(row, sel)
                     for row, sel in zip(m.rows, policy.selectors)]
             free = [x for x in range(m.size) if x not in m.target.members]
             u = solve_fractions([[int(x == y) - rows[x][y] for y in free] for x in free],
@@ -407,3 +451,11 @@ def test_mixed_solutions_match_exact_rationals():
             exact = np.zeros(m.size)
             exact[free] = [float(v) for v in u]
             assert np.max(np.abs(h - exact)) <= 1e-13 * (1.0 + np.max(exact))
+
+
+def test_mixed_solutions_match_exact_rationals():
+    check_exact_rationals(coupled=True)
+
+
+def test_interval_solutions_match_exact_rationals():
+    check_exact_rationals(coupled=False)

@@ -5,11 +5,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from imchit import (Model, RowPolytopeV, StateSpace, TargetSet, lower_apply,
-                    random_model, upper_apply)
+from imchit import (Constraint, Infeasible, Model, RowPolytopeH, RowPolytopeV,
+                    StateSpace, TargetSet, lower_apply, random_model,
+                    upper_apply)
 from imchit import lp
-from modelzoo import (box_model, box_row, policy_matrix, precise_model,
-                      random_mixed_model)
+from modelzoo import (box_model, box_row, coupled_row, edge_rows,
+                      interval_minimum, interval_vertex, policy_matrix,
+                      precise_model, random_mixed_model)
 
 
 @pytest.fixture
@@ -49,12 +51,22 @@ def test_two_state_scan(two_state):
 
 def test_policy_attains_the_value(rng):
     for _ in range(30):
-        m = random_mixed_model(rng)
+        m = random_mixed_model(rng, coupled=True)
         f = rng.uniform(-8.0, 8.0, size=m.size)
         for apply_op in (lower_apply, upper_apply):
             res = apply_op(m, f)
             matrix = policy_matrix(m, res.policy)
             assert np.allclose(matrix @ f, res.value, atol=1e-9)
+
+
+def test_interval_policy_attains_the_value(rng):
+    for _ in range(30):
+        m = random_mixed_model(rng)
+        f = rng.uniform(-8.0, 8.0, size=m.size)
+        for apply_op in (lower_apply, upper_apply):
+            res = apply_op(m, f)
+            matrix = policy_matrix(m, res.policy)
+            assert np.max(np.abs(matrix @ f - res.value)) <= 1e-12
 
 
 def test_conjugacy(rng):
@@ -81,7 +93,7 @@ def test_shape_mismatch_is_rejected(two_state):
 
 def test_result_matrix_is_the_policy_matrix(rng):
     for _ in range(30):
-        m = random_mixed_model(rng)
+        m = random_mixed_model(rng, coupled=True)
         f = rng.uniform(-8.0, 8.0, size=m.size)
         for apply_op in (lower_apply, upper_apply):
             res = apply_op(m, f)
@@ -91,6 +103,22 @@ def test_result_matrix_is_the_policy_matrix(rng):
             for x, row in enumerate(m.rows):
                 if isinstance(row, RowPolytopeV):
                     assert np.array_equal(res.matrix()[x], rebuilt[x])
+
+
+def test_interval_result_matrix_is_the_policy_matrix(rng):
+    for _ in range(30):
+        m = random_mixed_model(rng)
+        f = rng.uniform(-8.0, 8.0, size=m.size)
+        for apply_op in (lower_apply, upper_apply):
+            res = apply_op(m, f)
+            matrix = res.matrix()
+            assert np.array_equal(matrix[m.interval_rows], res.interval_vertices)
+            for x, row in enumerate(m.rows):
+                if isinstance(row, RowPolytopeV):
+                    assert np.array_equal(matrix[x], row.vertices[res.policy.selectors[x]])
+                else:
+                    exact = np.array(interval_vertex(row, res.policy.selectors[x]))
+                    assert np.max(np.abs(matrix[x] - exact.astype(float))) <= 1e-15
 
 
 def test_warm_operator_matches_the_cold_one(rng):
@@ -111,13 +139,14 @@ def test_start_from_another_model_is_refused(rng):
         lower_apply(m, np.zeros(m.size), start=lower_apply(other, np.zeros(other.size)))
 
 
-def ragged_model(rng, n: int = 7) -> Model:
-    """Vertex rows of 1 to 6 vertices, mixed with interval rows; a row of
-    three or more repeats its first vertex last, so its scores tie."""
+def ragged_model(rng, n: int = 7, constraint_row=coupled_row) -> Model:
+    """Vertex rows of 1 to 6 vertices, mixed with constraint rows (general
+    ones by default); a row of three or more vertices repeats its first
+    vertex last, so its scores tie."""
     rows = []
     for x in range(n):
         if x % 3 == 2:
-            rows.append(box_row(n, np.full(n, 0.02), np.full(n, 0.5)))
+            rows.append(constraint_row(n, np.full(n, 0.02), np.full(n, 0.5)))
             continue
         vertices = rng.dirichlet(np.ones(n), size=int(rng.integers(1, 7)))
         if len(vertices) > 2:
@@ -163,6 +192,31 @@ def test_selection_matches_the_per_row_scan(rng):
                 assert np.array_equal(res.picks, picks)
 
 
+def test_interval_selection_matches_the_closed_form(rng):
+    for _ in range(20):
+        m = ragged_model(rng, n=int(rng.integers(3, 9)), constraint_row=box_row)
+        lower, upper = np.full(m.size, 0.02), np.full(m.size, 0.5)
+        for f in (rng.normal(size=m.size), np.zeros(m.size),
+                  rng.integers(0, 3, size=m.size).astype(float)):
+            for apply_op, sign in ((lower_apply, 1.0), (upper_apply, -1.0)):
+                res = apply_op(m, f)
+                # the reference runs the simplex on the interval rows
+                value, selectors, picks = reference_apply(m, f, sign)
+                rows = m.interval_rows
+                vertex = np.flatnonzero(m.vertex_counts)
+                assert res.value[vertex].tobytes() == value[vertex].tobytes()
+                assert [res.policy.selectors[x] for x in vertex] \
+                    == [selectors[x] for x in vertex]
+                assert np.array_equal(res.picks, picks)
+                assert np.max(np.abs(res.value[rows] - value[rows])) <= 1e-12
+                best = float(interval_minimum(lower, upper, sign * f) @ f)
+                assert np.max(np.abs(res.value[rows] - best)) <= 1e-12
+                for x in rows.tolist():
+                    exact = np.array(interval_vertex(m.rows[x], res.policy.selectors[x]),
+                                     dtype=float)
+                    assert np.max(np.abs(res.matrix()[x] - exact)) <= 1e-15
+
+
 def test_rows_are_views_of_the_packed_stack(rng):
     m = ragged_model(rng)
     assert not m.vertex_stack.flags.writeable
@@ -190,8 +244,99 @@ def test_first_application_copies_no_vertices():
 
 
 def test_matrix_of_a_model_without_vertex_rows():
-    m = box_model(6, 2)
+    m = box_model(6, 2, coupled=range(6))
     assert m.vertex_stack.shape == (0, 6)
     res = lower_apply(m, np.arange(6.0))
     assert np.array_equal(res.matrix(), np.stack([res.solutions[x].vertex
                                                   for x in range(6)]))
+
+
+def test_matrix_of_a_model_of_interval_rows():
+    m = box_model(6, 2)
+    assert m.vertex_stack.shape == (0, 6)
+    res = lower_apply(m, np.arange(6.0))
+    assert res.solutions == {}
+    assert np.array_equal(res.matrix(), res.interval_vertices)
+    exact = np.array([interval_vertex(row, sel) for row, sel
+                      in zip(m.rows, res.policy.selectors)], dtype=float)
+    assert np.max(np.abs(res.matrix() - exact)) <= 1e-15
+
+
+def random_interval_model(rng) -> tuple[Model, np.ndarray, np.ndarray]:
+    """Feasible interval rows ``lower <= p <= upper`` around random pmfs,
+    with their bounds; some coordinates have zero width."""
+    n = int(rng.integers(2, 9))
+    center = rng.dirichlet(np.ones(n), size=n)
+    spread = rng.uniform(0.02, 0.5, size=(n, 1))
+    lower = np.maximum(center - spread * rng.random((n, n)), 0.0)
+    upper = np.minimum(center + spread * rng.random((n, n)), 1.0)
+    fixed = rng.random((n, n)) < 0.1
+    lower[fixed] = upper[fixed] = center[fixed]
+    rows = tuple(box_row(n, lower[x], upper[x]) for x in range(n))
+    model = Model(StateSpace(tuple(f"s{i}" for i in range(n))), TargetSet({n - 1}), rows)
+    return model, lower, upper
+
+
+def closed_form_cases(rng, count: int):
+    """Models of interval rows, each with a generic and a tied objective."""
+    for _ in range(count):
+        m, lower, upper = random_interval_model(rng)
+        assert m.interval_rows.size == m.size
+        for f in (rng.normal(size=m.size), rng.integers(0, 3, size=m.size) * 1.0):
+            yield m, lower, upper, f
+
+
+def check_interval_vertices(res, lower, upper) -> None:
+    p = res.interval_vertices
+    assert (p >= lower).all() and (p <= upper).all()
+    assert np.max(np.abs(p.sum(axis=1) - 1.0)) <= 1e-15
+
+
+def test_closed_form_matches_minimize_row(rng, count_calls):
+    for m, lower, upper, f in closed_form_cases(rng, 40):
+        for apply_op, sign in ((lower_apply, 1.0), (upper_apply, -1.0)):
+            calls = count_calls(lp, "minimize_row")
+            res = apply_op(m, f)
+            assert calls == []
+            check_interval_vertices(res, lower, upper)
+            for x, row in enumerate(m.rows):
+                sol = lp.minimize_row(row, sign * f)
+                assert abs(res.value[x] - sign * sol.optimum) <= 1e-12
+
+
+def test_closed_form_matches_highs(rng):
+    optimize = pytest.importorskip("scipy.optimize")
+    for m, lower, upper, f in closed_form_cases(rng, 15):
+        for apply_op, sign in ((lower_apply, 1.0), (upper_apply, -1.0)):
+            res = apply_op(m, f)
+            check_interval_vertices(res, lower, upper)
+            for x in range(m.size):
+                ref = optimize.linprog(sign * f, A_eq=np.ones((1, m.size)), b_eq=[1.0],
+                                       bounds=list(zip(lower[x], upper[x])),
+                                       method="highs")
+                assert ref.status == 0
+                assert abs(res.value[x] - sign * ref.fun) <= 1e-12
+
+
+def test_edge_rows_match_minimize_row(rng, count_calls):
+    rows = edge_rows()
+    m = Model(StateSpace(tuple("abcdef")), TargetSet({5}), tuple(rows))
+    for f in (rng.normal(size=6), np.zeros(6), np.array([1.0, 0, 1, 0, 1, 0])):
+        for apply_op, sign in ((lower_apply, 1.0), (upper_apply, -1.0)):
+            calls = count_calls(lp, "minimize_row")
+            res = apply_op(m, f)
+            # only the general row runs the simplex
+            assert [args[0] for args, _ in calls] == [rows[5]]
+            for x, row in enumerate(rows):
+                sol = lp.minimize_row(row, sign * f)
+                assert abs(res.value[x] - sign * sol.optimum) <= 1e-12
+            check_interval_vertices(res, m.interval_lo, m.interval_hi)
+
+
+def test_infeasible_interval_row_raises_in_the_operator():
+    e = np.eye(2)
+    crossed = RowPolytopeH(2, (Constraint(e[0], ">=", 0.7), Constraint(e[0], "<=", 0.2)))
+    m = Model(StateSpace(("a", "b")), TargetSet({1}),
+              (crossed, RowPolytopeV(np.array([[0.0, 1.0]]))))
+    with pytest.raises(Infeasible):
+        lower_apply(m, np.array([1.0, 0.0]))
