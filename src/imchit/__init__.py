@@ -8,9 +8,9 @@ matrices compatible with the model.
 
 from .bench import (BenchConfig, TrialRecord, iteration_histogram,
                     random_model, run_experiment, write_csv)
-from .errors import (ImcError, Infeasible, MaxIterationsExceeded,
-                     ReachabilityViolation, SingularSystem,
-                     TooManyCombinations)
+from .errors import (ImcError, Infeasible, InvalidModel,
+                     MaxIterationsExceeded, ReachabilityViolation,
+                     SingularSystem, TooManyCombinations)
 from .linsolve import HittingTimeVector, solve_precise
 from .lp import LpSolution, minimize_row
 from .model import (Constraint, Model, Policy, RowPolytopeH, RowPolytopeV,
@@ -26,7 +26,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BenchConfig", "Constraint", "HittingTimeVector", "ImcError",
-    "Infeasible", "IterationStat", "LpSolution", "MaxIterationsExceeded",
+    "Infeasible", "InvalidModel", "IterationStat", "LpSolution",
+    "MaxIterationsExceeded",
     "Model", "OperatorResult", "Policy", "ReachabilityReport",
     "ReachabilityViolation", "RowPolytopeH", "RowPolytopeV",
     "SingularSystem", "SolveReport", "StateSpace", "TargetSet",

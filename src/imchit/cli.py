@@ -15,26 +15,17 @@ import sys
 
 from . import jsonfmt
 from .bench import BenchConfig, iteration_histogram, run_experiment, write_csv
-from .errors import ImcError
-from .model import Model, load_model, validate
+from .errors import ImcError, InvalidModel
+from .model import load_model, validate
 from .reachability import check_reachability
 from .solvers import solve_brute, solve_policy, solve_value
 
 
-def _load_validated(path) -> Model:
-    model = load_model(path)
-    report = validate(model)
-    if not report.ok:
-        for issue in report.issues:
-            state = f" [{issue.state}]" if issue.state else ""
-            print(f"error: {issue.code}{state}: {issue.detail}", file=sys.stderr)
-        raise ImcError("model failed validation")
-    return model
-
-
 def _cmd_validate(args) -> int:
-    model = load_model(args.model)
-    report = validate(model)
+    try:
+        report = validate(load_model(args.model))
+    except InvalidModel as exc:
+        report = exc.report
     doc = {"ok": report.ok,
            "issues": [{"code": i.code, "state": i.state, "detail": i.detail}
                       for i in report.issues]}
@@ -43,7 +34,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_reach(args) -> int:
-    model = _load_validated(args.model)
+    model = load_model(args.model)
     report = check_reachability(model)
     labels = model.states.labels
     doc = {
@@ -56,7 +47,7 @@ def _cmd_reach(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    model = _load_validated(args.model)
+    model = load_model(args.model)
     if args.method == "policy":
         report = solve_policy(model, args.bound, max_iter=args.max_iter)
     elif args.method == "value":

@@ -7,6 +7,17 @@ class ImcError(Exception):
     """Base class for all domain errors raised by this package."""
 
 
+class InvalidModel(ImcError):
+    """A model failed validation when it was built; ``report`` is the
+    ``ValidationReport`` listing every issue found."""
+
+    def __init__(self, report):
+        self.report = report
+        super().__init__("; ".join(
+            f"{i.code}{f' [{i.state}]' if i.state else ''}: {i.detail}"
+            for i in report.issues))
+
+
 class Infeasible(ImcError):
     """Phase one of the simplex method found no feasible point."""
 

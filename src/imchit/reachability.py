@@ -3,9 +3,9 @@
 The check grows an absorbed set, starting from the target, by adding
 every state whose entire row polytope puts positive mass on the current
 set.  The fixed point is reached within ``|X|`` rounds; the model passes
-iff the fixed point is the whole state space.  All solvers require a
-passing model: it guarantees that the restricted hitting-time system is
-uniquely solvable for every admissible transition matrix.
+iff the fixed point is the whole state space.  The solvers refuse a model
+that fails the check, which guarantees that the restricted hitting-time
+system is uniquely solvable for every admissible transition matrix.
 """
 
 from __future__ import annotations

@@ -83,6 +83,11 @@ def _defect(model: Model, h: np.ndarray, value: np.ndarray) -> float:
     return float(np.max(np.abs(h - fixed_point)))
 
 
+def _require_cap(max_iter: int) -> None:
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
+
+
 def _policy_changes(model: Model, new: Policy, old: Policy) -> int:
     """Number of non-target rows whose selector differs between policies."""
     return sum(new.selectors[x] != old.selectors[x]
@@ -103,8 +108,7 @@ def _initial(model: Model) -> OperatorResult:
 
 def _hitting_times(model: Model, selected: OperatorResult) -> np.ndarray:
     """Exact hitting times under the policy matrix ``selected`` records."""
-    matrix = TransitionMatrix.checked(selected.matrix())
-    return solve_precise(matrix, model.target).values
+    return solve_precise(TransitionMatrix(selected.matrix()), model.target).values
 
 
 def solve_policy(model: Model, bound: str = "lower",
@@ -114,13 +118,14 @@ def solve_policy(model: Model, bound: str = "lower",
     magnitude of the solution.
 
     Terminates when an improvement leaves every non-target row's selector
-    unchanged.  The safety cap (default ``10 * |X|``) only trips on
-    numerical cycling.
+    unchanged.  The safety cap (default ``10 * |X|``, at least 1) only
+    trips on numerical cycling.
     """
     start = time.perf_counter()
     improve = _operator(bound)
-    _require_reachable(model)
     cap = max_iter if max_iter is not None else 10 * model.size
+    _require_cap(cap)
+    _require_reachable(model)
     # each improvement starts from the previous choice: simplex bases, and
     # interval vertices that are still optimal
     selected = _initial(model)
@@ -158,10 +163,14 @@ def solve_value(model: Model, bound: str = "lower", tol: float = 1e-9,
 
     The iterates increase monotonically towards the solution; the run is
     flagged tolerance-limited because stopping at ``tol`` leaves a
-    truncation error that never fully vanishes.
+    truncation error that never fully vanishes.  ``tol`` must be finite
+    and positive, and ``max_iter`` at least 1.
     """
     start = time.perf_counter()
     apply_op = _operator(bound)
+    if not 0.0 < tol < math.inf:  # also false for nan
+        raise ValueError(f"tol must be finite and positive, got {tol}")
+    _require_cap(max_iter)
     _require_reachable(model)
     off_target = (~model.target_mask).astype(float)
     h = off_target.copy()

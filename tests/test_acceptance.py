@@ -15,7 +15,7 @@ import pytest
 from imchit import (BenchConfig, TransitionMatrix, check_reachability,
                     lower_apply, random_model, run_experiment, save_model,
                     solve_brute, solve_policy, solve_precise, solve_value,
-                    upper_apply, validate)
+                    upper_apply)
 from imchit import solvers
 from imchit.cli import main as cli_main
 from modelzoo import (gambler_model, isolated_cycle_model, line_model,
@@ -136,11 +136,7 @@ def operator_property_failures(coupled: bool) -> dict[str, int]:
     constraint rows are interval rows, or general (``coupled``) rows that
     the simplex solves."""
     rng = np.random.default_rng(55)
-    pool = []
-    while len(pool) < 60:
-        model = random_mixed_model(rng, coupled=coupled)
-        if validate(model).ok:
-            pool.append(model)
+    pool = [random_mixed_model(rng, coupled=coupled) for _ in range(60)]
     failures = {name: 0 for name in
                 ("T1", "T2", "T3", "T4", "C1", "C2", "conjugacy", "attainment")}
     tol = 1e-9

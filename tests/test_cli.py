@@ -56,6 +56,13 @@ def test_validate_rejects_non_finite_data(tmp_path, capsys):
     assert not doc["ok"]
     assert [(i["code"], i["state"]) for i in doc["issues"]] == [
         ("NonFinite", "a"), ("NonFinite", "b")]
+    for command in ("reach", "solve"):
+        assert main([command, "--model", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: InvalidModel: NonFinite [a]: ")
+        assert "; NonFinite [b]: " in captured.err
+        assert "Traceback" not in captured.err
 
 
 def test_reach_on_line_chain(tmp_path, capsys):

@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
-from imchit import (Constraint, Model, RowPolytopeH, RowPolytopeV, StateSpace,
-                    TargetSet, TransitionMatrix, ValidationIssue, load_model,
-                    lower_apply, model_from_dict, model_to_dict, save_model,
+from imchit import (Constraint, ImcError, InvalidModel, Model, RowPolytopeH,
+                    RowPolytopeV, StateSpace, TargetSet, TransitionMatrix,
+                    ValidationIssue, ValidationReport, load_model, lower_apply,
+                    model_from_dict, model_to_dict, random_model, save_model,
                     upper_apply, validate)
 from imchit.lp import row_feasible
 from modelzoo import (box_row, coupled_row, edge_rows, interval_vertex,
@@ -31,13 +34,19 @@ def test_degenerate_precise_chain_is_accepted():
     assert report.ok and report.issues == ()
 
 
+def refused(*args) -> ValidationReport:
+    """The report of the ``InvalidModel`` that ``Model(*args)`` raises."""
+    with pytest.raises(InvalidModel) as exc:
+        Model(*args)
+    assert not exc.value.report.ok
+    return exc.value.report
+
+
 def test_non_stochastic_vertex_is_reported():
-    m = Model(StateSpace(("a", "b", "c")), TargetSet({2}),
-              (RowPolytopeV(np.array([[0.5, 0.6, 0.0]])),
-               RowPolytopeV(np.eye(3)[:1]),
-               RowPolytopeV(np.eye(3)[2:])))
-    report = validate(m)
-    assert not report.ok
+    report = refused(StateSpace(("a", "b", "c")), TargetSet({2}),
+                     (RowPolytopeV(np.array([[0.5, 0.6, 0.0]])),
+                      RowPolytopeV(np.eye(3)[:1]),
+                      RowPolytopeV(np.eye(3)[2:])))
     assert [(i.code, i.state) for i in report.issues] == [("NonStochasticVertex", "a")]
 
 
@@ -45,14 +54,13 @@ def test_non_finite_data_is_reported():
     target_row = RowPolytopeV(np.array([[0.0, 1.0]]))
     states = StateSpace(("a", "b"))
     nan_vertex = RowPolytopeV(np.array([[0.5, 0.5], [np.nan, 1.0]]))
-    report = validate(Model(states, TargetSet({1}), (nan_vertex, target_row)))
-    assert not report.ok
+    report = refused(states, TargetSet({1}), (nan_vertex, target_row))
     assert [(i.code, i.state) for i in report.issues] == [("NonFinite", "a")]
     for a, b in ((np.array([np.nan, 0.0]), 0.5), (np.array([1.0, 0.0]), np.inf),
                  (np.array([-np.inf, 1.0]), 0.2)):
         row = RowPolytopeH(2, (Constraint(np.array([0.0, 1.0]), ">=", 0.1),
                                Constraint(a, "<=", b)))
-        report = validate(Model(states, TargetSet({1}), (row, target_row)))
+        report = refused(states, TargetSet({1}), (row, target_row))
         assert [(i.code, i.state) for i in report.issues] == [("NonFinite", "a")]
         assert "[1]" in report.issues[0].detail
 
@@ -60,9 +68,8 @@ def test_non_finite_data_is_reported():
 def test_contradictory_bounds_are_infeasible():
     row = RowPolytopeH(2, (Constraint(np.array([1.0, 0.0]), ">=", 0.7),
                            Constraint(np.array([1.0, 0.0]), "<=", 0.2)))
-    m = Model(StateSpace(("a", "b")), TargetSet({1}),
-              (row, RowPolytopeV(np.array([[0.0, 1.0]]))))
-    report = validate(m)
+    report = refused(StateSpace(("a", "b")), TargetSet({1}),
+                     (row, RowPolytopeV(np.array([[0.0, 1.0]]))))
     assert [(i.code, i.state) for i in report.issues] == [("InfeasibleRow", "a")]
 
 
@@ -102,9 +109,9 @@ def test_empty_and_full_targets_are_reported():
     rows = (RowPolytopeV(np.array([[0.5, 0.5]])),
             RowPolytopeV(np.array([[0.5, 0.5]])))
     states = StateSpace(("a", "b"))
-    assert [i.code for i in validate(Model(states, TargetSet(set()), rows)).issues] \
+    assert [i.code for i in refused(states, TargetSet(set()), rows).issues] \
         == ["EmptyTarget"]
-    assert [i.code for i in validate(Model(states, TargetSet({0, 1}), rows)).issues] \
+    assert [i.code for i in refused(states, TargetSet({0, 1}), rows).issues] \
         == ["TargetIsWholeSpace"]
 
 
@@ -254,11 +261,10 @@ def test_index_order_follows_file_order():
     assert m.target_indices.tolist() == [1]
 
 
-def reference_issues(model: Model) -> list[ValidationIssue]:
+def reference_issues(labels: tuple[str, ...], rows) -> list[ValidationIssue]:
     """Row issues found one vertex at a time, as ``validate`` reports them."""
     issues = []
-    for x, row in enumerate(model.rows):
-        label = model.states.labels[x]
+    for label, row in zip(labels, rows):
         if isinstance(row, RowPolytopeV):
             bad = [k for k, v in enumerate(row.vertices) if not np.isfinite(v).all()]
             if bad:
@@ -277,10 +283,10 @@ def reference_issues(model: Model) -> list[ValidationIssue]:
     return issues
 
 
-def broken_model(rng) -> Model:
-    """Vertex rows scaled off the simplex, with a negative entry, or with a
-    NaN or infinite entry, mixed with sound rows and interval rows, some
-    of them empty."""
+def broken_model_args(rng) -> tuple[StateSpace, TargetSet, tuple]:
+    """``Model`` arguments whose vertex rows may be scaled off the simplex,
+    have a negative entry, or a NaN or infinite entry, mixed with sound
+    rows and interval rows, some of them empty."""
     n = int(rng.integers(2, 7))
     rows = []
     for _ in range(n):
@@ -299,16 +305,20 @@ def broken_model(rng) -> Model:
             v[k, 0] -= 0.3
             v[k, -1] += 0.3
         rows.append(RowPolytopeV(v))
-    return Model(StateSpace(tuple(f"s{i}" for i in range(n))),
-                 TargetSet({0}), tuple(rows))
+    return (StateSpace(tuple(f"s{i}" for i in range(n))),
+            TargetSet({0}), tuple(rows))
 
 
 def test_validate_matches_the_per_vertex_scan(rng):
     flagged = 0
     for _ in range(60):
-        m = broken_model(rng)
-        issues = validate(m).issues
-        assert list(issues) == reference_issues(m)
+        states, target, rows = broken_model_args(rng)
+        expected = reference_issues(states.labels, rows)
+        try:
+            issues = validate(Model(states, target, rows)).issues
+        except InvalidModel as exc:
+            issues = exc.report.issues
+        assert list(issues) == expected
         flagged += bool(issues)
     assert flagged >= 40
 
@@ -338,3 +348,66 @@ def test_model_ignores_later_writes_to_its_inputs():
     assert np.array_equal(m.rows[0].vertices, stack)
     assert np.array_equal(m.rows[1].constraints[0].a, row_a)
     assert validate(m).ok
+
+
+def motivating_doc() -> dict:
+    """``random_model(4, 3, 1)`` with row ``s0`` replaced by one vertex that
+    sums to 1.1; unchecked, value iteration and brute force solve it."""
+    doc = model_to_dict(random_model(4, 3, 1))
+    doc["rows"]["s0"] = {"vertices": [[0.5, 0.2, 0.2, 0.2]]}
+    return doc
+
+
+SOUND_ROWS = {"a": {"vertices": [[0.5, 0.5]]}, "b": {"vertices": [[0.0, 1.0]]}}
+INVALID_DOCS = {
+    "EmptyTarget": ({"states": ["a", "b"], "target": [], "rows": SOUND_ROWS},
+                    [("EmptyTarget", None)]),
+    "TargetIsWholeSpace": (
+        {"states": ["a", "b"], "target": ["a", "b"], "rows": SOUND_ROWS},
+        [("TargetIsWholeSpace", None)]),
+    "NonFinite": (
+        {"states": ["a", "b", "c"], "target": ["c"],
+         "rows": {"a": {"vertices": [[0.5, 0.5, 0.0], [np.nan, 0.5, 0.5]]},
+                  "b": {"constraints": [{"a": {"c": 1.0}, "rel": "<=", "b": np.inf}]},
+                  "c": {"vertices": [[0.0, 0.0, 1.0]]}}},
+        [("NonFinite", "a"), ("NonFinite", "b")]),
+    "NonStochasticVertex": (motivating_doc(), [("NonStochasticVertex", "s0")]),
+    "InfeasibleRow": (
+        {"states": ["a", "b"], "target": ["b"],
+         "rows": {"a": {"constraints": [{"a": {"a": 1.0}, "rel": ">=", "b": 0.7},
+                                        {"a": {"a": 1.0}, "rel": "<=", "b": 0.2}]},
+                  "b": {"vertices": [[0.0, 1.0]]}}},
+        [("InfeasibleRow", "a")]),
+}
+
+
+def model_args(doc: dict) -> tuple[StateSpace, TargetSet, tuple]:
+    """``Model`` arguments for a model document, built without the parser."""
+    states = StateSpace(tuple(doc["states"]))
+    rows = []
+    for label in states.labels:
+        spec = doc["rows"][label]
+        if "vertices" in spec:
+            rows.append(RowPolytopeV(np.array(spec["vertices"])))
+        else:
+            rows.append(RowPolytopeH(states.size, tuple(
+                Constraint(np.array([c["a"].get(s, 0.0) for s in states.labels]),
+                           c["rel"], c["b"])
+                for c in spec["constraints"])))
+    return states, TargetSet(map(states.index, doc["target"])), tuple(rows)
+
+
+@pytest.mark.parametrize("code", sorted(INVALID_DOCS))
+def test_every_entry_point_refuses_an_invalid_model(tmp_path, code):
+    doc, expected = INVALID_DOCS[code]
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    reports = [refused(*model_args(doc))]
+    for load, source in ((model_from_dict, doc), (load_model, path)):
+        with pytest.raises(InvalidModel) as exc:
+            load(source)
+        reports.append(exc.value.report)
+    assert reports[0] == reports[1] == reports[2]
+    assert [(i.code, i.state) for i in reports[0].issues] == expected
+    assert str(exc.value).startswith(code)
+    assert isinstance(exc.value, ImcError)

@@ -208,6 +208,21 @@ def test_value_iteration_cap(rng):
         solve_value(m, tol=1e-12, max_iter=2)
 
 
+@pytest.mark.parametrize("tol", [np.nan, -1e-9, 0.0, np.inf])
+def test_value_iteration_rejects_a_tol_it_cannot_meet(tol, count_calls):
+    sweeps = count_calls(transition, "lower_apply")
+    with pytest.raises(ValueError, match="tol must be finite and positive"):
+        solve_value(gambler_model(4), tol=tol)
+    assert sweeps == []
+
+
+@pytest.mark.parametrize("max_iter", [0, -3])
+@pytest.mark.parametrize("solve", [solve_policy, solve_value])
+def test_solvers_reject_a_cap_below_one(solve, max_iter):
+    with pytest.raises(ValueError, match="max_iter must be at least 1"):
+        solve(gambler_model(4), max_iter=max_iter)
+
+
 def test_brute_combination_cap():
     m = two_choice_model()
     with pytest.raises(TooManyCombinations):
@@ -292,12 +307,22 @@ def test_policy_iteration_operator_calls(count_calls):
         assert len(lower) + len(upper) - before == report.iterations + 1
 
 
+def test_policy_iteration_does_not_recheck_its_matrices(rng, count_calls):
+    checks = count_calls(TransitionMatrix, "checked")
+    for m in (random_vrep_model(rng), small_box_model(), gambler_model(9)):
+        for bound in ("lower", "upper"):
+            solve_policy(m, bound)
+    assert checks == []
+    TransitionMatrix.checked(np.eye(2))  # the counter sees a call
+    assert len(checks) == 1
+
+
 def test_reported_residual_is_the_fixed_point_residual(rng):
     models = [gambler_model(4), gambler_model(9), line_model(), two_choice_model()]
     models += [random_vrep_model(rng) for _ in range(10)]
     while len(models) < 24:
         m = random_mixed_model(rng)
-        if validate(m).ok and check_reachability(m).holds:
+        if check_reachability(m).holds:
             models.append(m)
     for m in models:
         for bound in ("lower", "upper"):
@@ -386,7 +411,7 @@ def test_symmetric_interval_rows_end_below_the_cap():
 
 def test_init_rules_feed_the_first_improvement(rng):
     m = random_mixed_model(rng, size_choices=(5,))
-    while not (validate(m).ok and check_reachability(m).holds):
+    while not check_reachability(m).holds:
         m = random_mixed_model(rng, size_choices=(5,))
     start = solvers._initial(m)
     on_target = m.target_mask.astype(float)
@@ -434,7 +459,7 @@ def check_exact_rationals(coupled: bool) -> None:
     checked = 0
     while checked < 40:
         m = random_mixed_model(rng, coupled=coupled)
-        if not (validate(m).ok and check_reachability(m).holds):
+        if not check_reachability(m).holds:
             continue
         checked += 1
         for bound in ("lower", "upper"):

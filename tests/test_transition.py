@@ -5,9 +5,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from imchit import (Constraint, Infeasible, Model, RowPolytopeH, RowPolytopeV,
-                    StateSpace, TargetSet, lower_apply, random_model,
-                    upper_apply)
+from imchit import (Constraint, InvalidModel, Model, RowPolytopeH,
+                    RowPolytopeV, StateSpace, TargetSet, lower_apply,
+                    random_model, upper_apply)
 from imchit import lp
 from modelzoo import (box_model, box_row, coupled_row, edge_rows,
                       interval_minimum, interval_vertex, policy_matrix,
@@ -333,10 +333,16 @@ def test_edge_rows_match_minimize_row(rng, count_calls):
             check_interval_vertices(res, m.interval_lo, m.interval_hi)
 
 
-def test_infeasible_interval_row_raises_in_the_operator():
-    e = np.eye(2)
-    crossed = RowPolytopeH(2, (Constraint(e[0], ">=", 0.7), Constraint(e[0], "<=", 0.2)))
-    m = Model(StateSpace(("a", "b")), TargetSet({1}),
-              (crossed, RowPolytopeV(np.array([[0.0, 1.0]]))))
-    with pytest.raises(Infeasible):
-        lower_apply(m, np.array([1.0, 0.0]))
+@pytest.mark.parametrize("bounds", [
+    [(0, ">=", 0.7), (0, "<=", 0.2)],   # crossed: lo > hi
+    [(0, ">=", 0.6), (1, ">=", 0.6)],   # sum(lo) > 1
+    [(0, "<=", 0.3), (1, "<=", 0.3), (2, "<=", 0.3)],   # sum(hi) < 1
+], ids=["crossed", "over_full", "under_full"])
+def test_model_refuses_an_empty_interval_row(bounds):
+    e = np.eye(3)
+    row = RowPolytopeH(3, tuple(Constraint(e[i], rel, b) for i, rel, b in bounds))
+    assert row.bounds is None
+    with pytest.raises(InvalidModel) as exc:
+        Model(StateSpace(("a", "b", "c")), TargetSet({2}),
+              (row, RowPolytopeV(e[2:]), RowPolytopeV(e[2:])))
+    assert [(i.code, i.state) for i in exc.value.report.issues] == [("InfeasibleRow", "a")]
