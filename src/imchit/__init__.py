@@ -14,9 +14,9 @@ from .errors import (ImcError, Infeasible, InvalidModel,
 from .linsolve import HittingTimeVector, solve_precise
 from .lp import LpSolution, minimize_row
 from .model import (Constraint, Model, Policy, RowPolytopeH, RowPolytopeV,
-                    StateSpace, TargetSet, TransitionMatrix, ValidationIssue,
-                    ValidationReport, load_model, model_from_dict,
-                    model_to_dict, save_model, validate)
+                    StateSpace, TargetSet, ValidationIssue, ValidationReport,
+                    load_model, model_from_dict, model_to_dict, save_model,
+                    validate)
 from .reachability import ReachabilityReport, check_reachability
 from .solvers import (IterationStat, SolveReport, fixed_point_residual,
                       solve_brute, solve_policy, solve_value)
@@ -31,7 +31,7 @@ __all__ = [
     "Model", "OperatorResult", "Policy", "ReachabilityReport",
     "ReachabilityViolation", "RowPolytopeH", "RowPolytopeV",
     "SingularSystem", "SolveReport", "StateSpace", "TargetSet",
-    "TooManyCombinations", "TransitionMatrix", "TrialRecord",
+    "TooManyCombinations", "TrialRecord",
     "ValidationIssue", "ValidationReport", "check_reachability",
     "fixed_point_residual", "iteration_histogram",
     "load_model", "lower_apply", "minimize_row", "model_from_dict",

@@ -9,12 +9,14 @@ constraints on top of the implicit simplex constraints ``p >= 0`` and
 transition matrix (rows are separately specified).
 
 Row storage is packed once, when it is built: a model stacks the vertices
-of its vertex rows into one read-only array, of which each such row's
-``vertices`` is a view, and a constraint row keeps its standard form and
-phase-one outcome (``RowPolytopeH.lp_start``).  A constraint row whose
-constraints each bound one coordinate is an interval row
-``lo <= p <= hi``; it keeps its bounds (``RowPolytopeH.bounds``), and a
-model stacks them next to the vertices.
+of its vertex rows into one read-only array, of which each of the model's
+own vertex rows is a view (the rows it was given keep their arrays), and
+a constraint row keeps its standard form and phase-one outcome
+(``RowPolytopeH.lp_start``).  A constraint row whose constraints each
+bound one coordinate is an interval row ``lo <= p <= hi``; it keeps its
+bounds (``RowPolytopeH.bounds``), and a model stacks them next to the
+vertices.  The other constraint rows, which need the simplex, are listed
+in ``Model.simplex_rows``.
 """
 
 from __future__ import annotations
@@ -190,7 +192,8 @@ class Model:
     Row ``x``'s vertices are ``vertex_stack[o:o + k]`` with ``o =
     vertex_offsets[x]`` and ``k = vertex_counts[x]`` (0 on H-rep rows).
     Row ``interval_rows[i]`` is the interval row ``interval_lo[i] <= p <=
-    interval_hi[i]``.
+    interval_hi[i]``.  The other H-rep rows, which need the simplex, are
+    ``simplex_rows``.
     """
 
     states: StateSpace
@@ -202,6 +205,7 @@ class Model:
     interval_rows: np.ndarray = field(init=False, repr=False)
     interval_lo: np.ndarray = field(init=False, repr=False)
     interval_hi: np.ndarray = field(init=False, repr=False)
+    simplex_rows: np.ndarray = field(init=False, repr=False)
     target_mask: np.ndarray = field(init=False, repr=False)
     nontarget_indices: np.ndarray = field(init=False, repr=False)
 
@@ -219,17 +223,27 @@ class Model:
         counts = np.array([row.num_vertices if isinstance(row, RowPolytopeV) else 0
                            for row in self.rows])
         offsets = np.cumsum(counts) - counts
+        # The model's own vertex rows view its stack; the caller's stay as
+        # given.  Made after the stack, their small buffers sat above it in
+        # glibc's thread arenas, and run_experiment(n=200, jobs=2) peaked
+        # about 15 MB higher (2-vCPU host).
+        rows = [RowPolytopeV(row.vertices) if isinstance(row, RowPolytopeV) else row
+                for row in self.rows]
         self.vertex_stack = _readonly(np.concatenate(
             [np.empty((0, n))] + [row.vertices for row in self.rows
                                   if isinstance(row, RowPolytopeV)]))
-        for row, lo, k in zip(self.rows, offsets.tolist(), counts.tolist()):
+        for row, lo, k in zip(rows, offsets.tolist(), counts.tolist()):
             if k:
                 row.vertices = self.vertex_stack[lo:lo + k]
+        self.rows = tuple(rows)
         self.vertex_offsets = _readonly(offsets, np.intp)
         self.vertex_counts = _readonly(counts, np.intp)
-        intervals = [x for x, row in enumerate(self.rows)
-                     if isinstance(row, RowPolytopeH) and row.bounds is not None]
+        constrained = [x for x, row in enumerate(self.rows)
+                       if isinstance(row, RowPolytopeH)]
+        intervals = [x for x in constrained if self.rows[x].bounds is not None]
         self.interval_rows = _readonly(intervals, np.intp)
+        self.simplex_rows = _readonly(
+            [x for x in constrained if self.rows[x].bounds is None], np.intp)
         self.interval_lo = _readonly(np.reshape(
             [self.rows[x].bounds[0] for x in intervals], (-1, n)))
         self.interval_hi = _readonly(np.reshape(
@@ -247,30 +261,6 @@ class Model:
     @property
     def target_indices(self) -> np.ndarray:
         return np.flatnonzero(self.target_mask)
-
-
-@dataclass(eq=False)
-class TransitionMatrix:
-    """One precise row-stochastic transition matrix."""
-
-    entries: np.ndarray
-
-    @classmethod
-    def checked(cls, entries: np.ndarray) -> "TransitionMatrix":
-        """Validate row-stochasticity; tiny negative round-off is zeroed."""
-        m = np.array(entries, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError("transition matrix must be square")
-        if not np.isfinite(m).all():
-            raise ValueError("transition matrix has non-finite entries")
-        if m.min() < -PMF_TOL:
-            raise ValueError("transition matrix has negative entries")
-        np.clip(m, 0.0, None, out=m)
-        sums = m.sum(axis=1)
-        bad = np.abs(sums - 1.0) > PMF_TOL
-        if bad.any():
-            raise ValueError(f"rows {np.nonzero(bad)[0].tolist()} do not sum to 1")
-        return cls(_readonly(m))
 
 
 # A selector is a vertex index for V-rep rows and a sorted tuple of basic
@@ -321,14 +311,14 @@ _SUM_BLOCK = 1024
 def _passes(model: Model) -> bool:
     """Whether ``validate`` accepts ``model``, from two reductions over the
     vertex stack; NaN fails the first comparison, -inf the minimum and
-    +inf the sums."""
+    +inf the sums.  An interval row passed phase one: it has bounds."""
     stack = model.vertex_stack
     return (0 < len(model.target.members) < model.size
             and stack.min(initial=0.0) >= -PMF_TOL
             and all(_sums_near_one(stack[lo:lo + _SUM_BLOCK])
                     for lo in range(0, len(stack), _SUM_BLOCK))
             and all(model.rows[x].lp_start.error is None
-                    for x in np.flatnonzero(model.vertex_counts == 0).tolist()))
+                    for x in model.simplex_rows.tolist()))
 
 
 def _sums_near_one(block: np.ndarray) -> bool:

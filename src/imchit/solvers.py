@@ -32,8 +32,8 @@ import numpy as np
 
 from .errors import (MaxIterationsExceeded, ReachabilityViolation,
                      TooManyCombinations)
-from .linsolve import HittingTimeVector, solve_precise, solve_stack
-from .model import Model, Policy, TransitionMatrix
+from .linsolve import HittingTimeVector, solve_precise
+from .model import Model, Policy
 from .reachability import check_reachability
 from .transition import OperatorResult, lower_apply, upper_apply
 
@@ -106,11 +106,6 @@ def _initial(model: Model) -> OperatorResult:
     return upper_apply(model, model.target_mask.astype(float))
 
 
-def _hitting_times(model: Model, selected: OperatorResult) -> np.ndarray:
-    """Exact hitting times under the policy matrix ``selected`` records."""
-    return solve_precise(TransitionMatrix(selected.matrix()), model.target).values
-
-
 def solve_policy(model: Model, bound: str = "lower",
                  max_iter: int | None = None,
                  collect_iterates: bool = False) -> SolveReport:
@@ -130,7 +125,7 @@ def solve_policy(model: Model, bound: str = "lower",
     # interval vertices that are still optimal
     selected = _initial(model)
     policy = selected.policy
-    h = _hitting_times(model, selected)
+    h = solve_precise(selected.matrix(), model.nontarget_indices)
     trace = [IterationStat(float(np.max(h)), 0)]
     iterates = [h]
     iterations = 1
@@ -149,7 +144,7 @@ def solve_policy(model: Model, bound: str = "lower",
                 wall_time=time.perf_counter() - start,
                 iterates=tuple(iterates) if collect_iterates else None)
         policy = selected.policy
-        h = _hitting_times(model, selected)
+        h = solve_precise(selected.matrix(), model.nontarget_indices)
         trace.append(IterationStat(float(np.max(h)), changes))
         iterates.append(h)
     raise MaxIterationsExceeded(
@@ -222,7 +217,7 @@ def _iter_chunks(model: Model) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         selectors = np.stack(
             np.unravel_index(np.arange(lo, hi), counts), axis=1)
         matrices = model.vertex_stack[model.vertex_offsets + selectors]
-        yield selectors, solve_stack(matrices, model.nontarget_indices)
+        yield selectors, solve_precise(matrices, model.nontarget_indices)
 
 
 def solve_brute(model: Model, bound: str = "lower",

@@ -143,9 +143,7 @@ def _apply(model: Model, f: np.ndarray, sign: float,
     for x, selector in zip(model.interval_rows.tolist(), chosen):
         selectors[x] = selector
     solutions = {}
-    for x in np.flatnonzero(counts == 0).tolist():
-        if model.rows[x].bounds is not None:
-            continue
+    for x in model.simplex_rows.tolist():
         sol = lp.minimize_row(model.rows[x], objective,
                               None if start is None else start.solutions[x])
         value[x] = float(f @ sol.vertex)

@@ -15,8 +15,7 @@ def rng():
 def count_calls(monkeypatch):
     """``count_calls(module, name)`` wraps every package binding of
     ``module.name`` and returns the list the wrapper appends each call's
-    ``(args, kwargs)`` to.  ``module`` may be a class, whose attribute
-    ``name`` is then wrapped in place."""
+    ``(args, kwargs)`` to."""
 
     def install(module, name: str) -> list:
         original = getattr(module, name)
@@ -26,8 +25,6 @@ def count_calls(monkeypatch):
             calls.append((args, kwargs))
             return original(*args, **kwargs)
 
-        if isinstance(module, type):
-            monkeypatch.setattr(module, name, staticmethod(counted))
         for key, mod in list(sys.modules.items()):
             if key.split(".")[0] == "imchit" and getattr(mod, name, None) is original:
                 monkeypatch.setattr(mod, name, counted)

@@ -12,10 +12,9 @@ import time
 import numpy as np
 import pytest
 
-from imchit import (BenchConfig, TransitionMatrix, check_reachability,
-                    lower_apply, random_model, run_experiment, save_model,
-                    solve_brute, solve_policy, solve_precise, solve_value,
-                    upper_apply)
+from imchit import (BenchConfig, check_reachability, lower_apply,
+                    random_model, run_experiment, save_model, solve_brute,
+                    solve_policy, solve_precise, solve_value, upper_apply)
 from imchit import solvers
 from imchit.cli import main as cli_main
 from modelzoo import (gambler_model, isolated_cycle_model, line_model,
@@ -94,8 +93,7 @@ def test_criterion_3_gambler_ruin_closed_form():
     for n in (4, 10):
         model = gambler_model(n)
         # one vertex per row: the stack is the chain's transition matrix
-        matrix = TransitionMatrix.checked(model.vertex_stack)
-        h = solve_precise(matrix, model.target).values
+        h = solve_precise(model.vertex_stack, model.nontarget_indices)
         expected = np.array([x * (n - x) for x in range(n + 1)], dtype=float)
         worst = max(worst, float(np.max(np.abs(h - expected))))
     _criterion(3, worst <= 1e-10,

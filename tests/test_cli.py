@@ -97,13 +97,13 @@ def test_solve_gambler_closed_form(gambler_path, capsys):
 
 
 def test_solve_precise_chain_matches_linear_solve(tmp_path, capsys, rng):
-    from imchit import TransitionMatrix, solve_precise
+    from imchit import solve_precise
 
     matrix = rng.dirichlet(np.ones(3), size=3)
     m = precise_model(matrix, {2})
     path = tmp_path / "precise.json"
     save_model(m, path)
-    expected = solve_precise(TransitionMatrix.checked(matrix), m.target).values
+    expected = solve_precise(matrix, m.nontarget_indices)
     for method in ("policy", "value", "brute"):
         assert main(["solve", "--model", str(path), "--method", method]) == 0
         doc = json.loads(capsys.readouterr().out)

@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 
 from imchit import (Constraint, ImcError, InvalidModel, Model, RowPolytopeH,
-                    RowPolytopeV, StateSpace, TargetSet, TransitionMatrix,
-                    ValidationIssue, ValidationReport, load_model, lower_apply,
-                    model_from_dict, model_to_dict, random_model, save_model,
-                    upper_apply, validate)
+                    RowPolytopeV, StateSpace, TargetSet, ValidationIssue,
+                    ValidationReport, load_model, lower_apply, model_from_dict,
+                    model_to_dict, random_model, save_model, upper_apply,
+                    validate)
 from imchit.lp import row_feasible
-from modelzoo import (box_row, coupled_row, edge_rows, interval_vertex,
-                      precise_model, vertex_from_basis)
+from modelzoo import (box_model, box_row, coupled_row, edge_rows,
+                      interval_vertex, precise_model, vertex_from_basis)
 
 
 def test_statespace_rejects_duplicates_and_singletons():
@@ -90,6 +90,15 @@ def test_interval_bounds_are_read_off_the_constraints():
     assert m.interval_rows.tolist() == [0, 1, 2, 3, 4]
     assert m.interval_lo.tolist() == [lo for lo, _ in expected]
     assert m.interval_hi.tolist() == [hi for _, hi in expected]
+    assert m.simplex_rows.tolist() == [5]
+
+
+def test_simplex_rows_are_the_general_constraint_rows():
+    assert box_model(8, 1).simplex_rows.tolist() == []
+    m = box_model(8, 1, coupled=(5, 2))
+    assert m.simplex_rows.tolist() == [2, 5]
+    assert m.interval_rows.tolist() == [0, 1, 3, 4, 6, 7]
+    assert not m.simplex_rows.flags.writeable
 
 
 def test_rows_feasible_only_within_tolerance_keep_the_simplex():
@@ -121,15 +130,6 @@ def test_model_shape_errors():
         Model(StateSpace(("a", "b")), TargetSet({1}), rows)
     with pytest.raises(ValueError):
         Model(StateSpace(("a", "b")), TargetSet({7}), rows * 2)
-
-
-def test_transition_matrix_checks():
-    with pytest.raises(ValueError):
-        TransitionMatrix.checked(np.array([[0.5, 0.6], [0.0, 1.0]]))
-    with pytest.raises(ValueError):
-        TransitionMatrix.checked(np.array([[-0.1, 1.1], [0.0, 1.0]]))
-    m = TransitionMatrix.checked(np.array([[0.5, 0.5], [1e-15, 1.0 - 1e-15]]))
-    assert m.entries.sum(axis=1) == pytest.approx([1.0, 1.0], abs=1e-12)
 
 
 def test_policy_to_matrix_on_vertex_rows():
@@ -411,3 +411,16 @@ def test_every_entry_point_refuses_an_invalid_model(tmp_path, code):
     assert [(i.code, i.state) for i in reports[0].issues] == expected
     assert str(exc.value).startswith(code)
     assert isinstance(exc.value, ImcError)
+
+
+def test_building_a_model_leaves_the_callers_rows_as_given():
+    first = random_model(5, 3, 1)
+    second = Model(first.states, first.target, first.rows)
+    for mine, theirs in zip(first.rows, second.rows):
+        assert np.shares_memory(mine.vertices, first.vertex_stack)
+        assert np.shares_memory(theirs.vertices, second.vertex_stack)
+    # a refused build keeps no row pointing into its stack
+    args = model_args(INVALID_DOCS["NonStochasticVertex"][0])
+    given = [row.vertices for row in args[2]]
+    refused(*args)
+    assert all(row.vertices is v for row, v in zip(args[2], given))

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 
 import imchit as ic
+from imchit.cli import main
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
 
@@ -32,3 +33,14 @@ def test_model_file_format_example_loads_and_solves():
     assert model.states.labels == ("a", "b", "c")
     assert lower[2] == upper[2] == 0.0
     assert np.all(1.0 <= lower[:2]) and np.all(lower <= upper)
+
+
+def test_report_schema_example_is_the_file_format_examples_report(tmp_path, capsys):
+    path = tmp_path / "model.json"
+    path.write_text(code_block("Model file format", "json"), encoding="utf-8")
+    assert main(["solve", "--model", str(path), "--trace"]) == 0
+    printed = json.loads(capsys.readouterr().out)
+    documented = json.loads(code_block("Report schemas", "json"))
+    assert printed.keys() == documented.keys()
+    del printed["wall_time_s"], documented["wall_time_s"]
+    assert printed == documented

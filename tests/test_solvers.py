@@ -8,8 +8,7 @@ import pytest
 
 from imchit import (MaxIterationsExceeded, Model, ReachabilityViolation,
                     RowPolytopeV, StateSpace, TargetSet, TooManyCombinations,
-                    TransitionMatrix, check_reachability,
-                    fixed_point_residual, lower_apply,
+                    check_reachability, fixed_point_residual, lower_apply,
                     solve_brute, solve_policy, solve_precise, solve_value,
                     upper_apply, validate)
 from imchit import lp, solvers, transition
@@ -23,7 +22,7 @@ def test_precise_chain_needs_one_linear_solve(rng):
     matrix = rng.dirichlet(np.ones(4), size=4)
     m = precise_model(matrix, {3})
     report = solve_policy(m)
-    exact = solve_precise(TransitionMatrix.checked(matrix), m.target).values
+    exact = solve_precise(matrix, m.nontarget_indices)
     assert np.array_equal(report.solution.values, exact)
     # one linear solve, then the unchanged policy confirms convergence
     assert report.iterations == 2
@@ -251,9 +250,9 @@ def test_brute_force_solves_each_combination_as_solve_precise(rng):
     for _ in range(8):
         m = random_vrep_model(rng, max_vertices=4)
         combinations = list(itertools.product(*(range(r.num_vertices) for r in m.rows)))
-        alone = [solve_precise(TransitionMatrix(np.stack(
-                     [row.vertices[k] for row, k in zip(m.rows, combination)])),
-                               m.target).values
+        alone = [solve_precise(np.stack([row.vertices[k] for row, k
+                                         in zip(m.rows, combination)]),
+                               m.nontarget_indices)
                  for combination in combinations]
         chunks = list(solvers._iter_chunks(m))
         selectors = np.concatenate([s for s, _ in chunks])
@@ -305,16 +304,6 @@ def test_policy_iteration_operator_calls(count_calls):
         assert report.trace[-1].policy_changes == 0  # ended by policy equality
         # one reachability sweep, the greedy start, iterations - 1 improvements
         assert len(lower) + len(upper) - before == report.iterations + 1
-
-
-def test_policy_iteration_does_not_recheck_its_matrices(rng, count_calls):
-    checks = count_calls(TransitionMatrix, "checked")
-    for m in (random_vrep_model(rng), small_box_model(), gambler_model(9)):
-        for bound in ("lower", "upper"):
-            solve_policy(m, bound)
-    assert checks == []
-    TransitionMatrix.checked(np.eye(2))  # the counter sees a call
-    assert len(checks) == 1
 
 
 def test_reported_residual_is_the_fixed_point_residual(rng):
