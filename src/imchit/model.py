@@ -187,7 +187,9 @@ class Model:
 
     Building one raises ``ValueError`` when the rows or the target do not
     fit the state space, and ``InvalidModel`` when ``validate``, run once
-    the arrays are packed, fails.
+    the arrays are packed, fails.  A valid model then runs
+    ``check_reachability`` once and keeps its report as ``reachability``;
+    a model that fails that check still builds, and the solvers refuse it.
     The read-only arrays after ``rows`` are computed when it is built.
     Row ``x``'s vertices are ``vertex_stack[o:o + k]`` with ``o =
     vertex_offsets[x]`` and ``k = vertex_counts[x]`` (0 on H-rep rows).
@@ -208,6 +210,7 @@ class Model:
     simplex_rows: np.ndarray = field(init=False, repr=False)
     target_mask: np.ndarray = field(init=False, repr=False)
     nontarget_indices: np.ndarray = field(init=False, repr=False)
+    reachability: "reachability.ReachabilityReport" = field(init=False, repr=False)
 
     def __post_init__(self):
         n = self.states.size
@@ -253,6 +256,8 @@ class Model:
         report = validate(self)
         if not report.ok:
             raise InvalidModel(report)
+        from . import reachability  # deferred: reachability imports Model from here
+        self.reachability = reachability.check_reachability(self)
 
     @property
     def size(self) -> int:

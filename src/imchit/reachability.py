@@ -3,8 +3,12 @@
 The check grows an absorbed set, starting from the target, by adding
 every state whose entire row polytope puts positive mass on the current
 set.  The fixed point is reached within ``|X|`` rounds; the model passes
-iff the fixed point is the whole state space.  The solvers refuse a model
-that fails the check, which guarantees that the restricted hitting-time
+iff the fixed point is the whole state space.
+
+Building a ``Model`` runs the check once, after validation, and keeps the
+report as ``Model.reachability``; the solvers and ``imchit reach`` read
+that report rather than running the check again.  The solvers refuse a
+model that fails it, which guarantees that the restricted hitting-time
 system is uniquely solvable for every admissible transition matrix.
 """
 

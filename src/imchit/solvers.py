@@ -14,6 +14,11 @@ Three methods, each in a lower and an upper variant:
   the componentwise extremum of the precise solutions; the test-scale
   ground truth.
 
+Each solver refuses a model whose target is not reachable with positive
+lower probability from every state, raising ``ReachabilityViolation``.
+It reads the model's ``reachability`` report, which the model computed
+once when it was built, so solving both bounds runs no check of its own.
+
 Iteration counting follows the convention that a run converged after
 ``n > 1`` iterations when the ``n``-th iterate first repeats the previous
 one.  Policy iteration detects the repeat by policy equality on the
@@ -34,12 +39,14 @@ from .errors import (MaxIterationsExceeded, ReachabilityViolation,
                      TooManyCombinations)
 from .linsolve import HittingTimeVector, solve_precise
 from .model import Model, Policy
-from .reachability import check_reachability
 from .transition import OperatorResult, lower_apply, upper_apply
 
 BOUNDS = ("lower", "upper")
 
-_BRUTE_CHUNK = 4096
+# Bytes of arrays that brute force may hold for one chunk of combinations.
+# Each combination takes at most four n x n float arrays: its gathered
+# matrix, and solve_precise's non-target block, I minus it and the LU copy.
+_BRUTE_BYTES = 32 * 2 ** 20
 
 
 @dataclass(frozen=True)
@@ -95,7 +102,7 @@ def _policy_changes(model: Model, new: Policy, old: Policy) -> int:
 
 
 def _require_reachable(model: Model) -> None:
-    report = check_reachability(model)
+    report = model.reachability
     if not report.holds:
         raise ReachabilityViolation(
             tuple(model.states.labels[x] for x in sorted(report.violating)))
@@ -127,7 +134,7 @@ def solve_policy(model: Model, bound: str = "lower",
     policy = selected.policy
     h = solve_precise(selected.matrix(), model.nontarget_indices)
     trace = [IterationStat(float(np.max(h)), 0)]
-    iterates = [h]
+    iterates = [h] if collect_iterates else None
     iterations = 1
     while iterations < cap:
         selected = improve(model, h, start=selected)
@@ -136,17 +143,19 @@ def solve_policy(model: Model, bound: str = "lower",
         if changes == 0:
             # h repeats; the operator was just applied at it: a free residual
             trace.append(IterationStat(float(np.max(h)), 0))
-            iterates.append(h)
+            if iterates is not None:
+                iterates.append(h)
             return SolveReport(
                 bound=bound, method="policy", solution=HittingTimeVector(h),
                 iterations=iterations, residual=_defect(model, h, selected.value),
                 tolerance_limited=False, trace=tuple(trace),
                 wall_time=time.perf_counter() - start,
-                iterates=tuple(iterates) if collect_iterates else None)
+                iterates=None if iterates is None else tuple(iterates))
         policy = selected.policy
         h = solve_precise(selected.matrix(), model.nontarget_indices)
         trace.append(IterationStat(float(np.max(h)), changes))
-        iterates.append(h)
+        if iterates is not None:
+            iterates.append(h)
     raise MaxIterationsExceeded(
         f"policy iteration exceeded {cap} iterations", tuple(trace))
 
@@ -171,7 +180,7 @@ def solve_value(model: Model, bound: str = "lower", tol: float = 1e-9,
     h = off_target.copy()
     previous_policy: Policy | None = None
     trace: list[IterationStat] = []
-    iterates = [h]
+    iterates = [h] if collect_iterates else None
     iterations = 0
     converged = False
     while iterations < max_iter:
@@ -181,7 +190,8 @@ def solve_value(model: Model, bound: str = "lower", tol: float = 1e-9,
         changes = 0 if previous_policy is None \
             else _policy_changes(model, result.policy, previous_policy)
         trace.append(IterationStat(float(np.max(h_next)), changes))
-        iterates.append(h_next)
+        if iterates is not None:
+            iterates.append(h_next)
         gap = float(np.max(np.abs(h_next - h)))
         previous_policy = result.policy
         h = h_next
@@ -197,35 +207,48 @@ def solve_value(model: Model, bound: str = "lower", tol: float = 1e-9,
         iterations=iterations, residual=fixed_point_residual(model, h, bound),
         tolerance_limited=True, trace=tuple(trace),
         wall_time=time.perf_counter() - start,
-        iterates=tuple(iterates) if collect_iterates else None)
+        iterates=None if iterates is None else tuple(iterates))
 
 
 def _vertex_counts(model: Model) -> list[int]:
-    constrained = np.flatnonzero(model.vertex_counts == 0)
+    """The vertex counts of the non-target rows, the only rows the linear
+    systems read and therefore the only rows brute force enumerates."""
+    nontarget = model.nontarget_indices
+    constrained = nontarget[model.vertex_counts[nontarget] == 0]
     if constrained.size:
         raise ValueError(
-            f"brute force needs vertex-specified rows; state "
+            f"brute force needs vertex-specified non-target rows; state "
             f"{model.states.labels[constrained[0]]!r} is constraint-specified")
-    return model.vertex_counts.tolist()
+    return model.vertex_counts[nontarget].tolist()
 
 
 def _iter_chunks(model: Model) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Each chunk's vertex choices, one column per non-target row, and the
+    hitting times of the matrices they select."""
+    nontarget = model.nontarget_indices
     counts = _vertex_counts(model)
     total = math.prod(counts)
-    for lo in range(0, total, _BRUTE_CHUNK):
-        hi = min(lo + _BRUTE_CHUNK, total)
+    n = model.size
+    chunk = max(1, _BRUTE_BYTES // (4 * n * n * 8))
+    for lo in range(0, total, chunk):
+        hi = min(lo + chunk, total)
         selectors = np.stack(
             np.unravel_index(np.arange(lo, hi), counts), axis=1)
-        matrices = model.vertex_stack[model.vertex_offsets + selectors]
-        yield selectors, solve_precise(matrices, model.nontarget_indices)
+        # target rows gather the stack's first vertex, which the solve
+        # never reads
+        picks = np.zeros((hi - lo, n), dtype=np.intp)
+        picks[:, nontarget] = model.vertex_offsets[nontarget] + selectors
+        yield selectors, solve_precise(model.vertex_stack[picks], nontarget)
 
 
 def solve_brute(model: Model, bound: str = "lower",
                 max_combinations: int = 10 ** 6) -> SolveReport:
-    """Componentwise extremum over every combination of row vertices.
+    """Componentwise extremum over every combination of the non-target
+    rows' vertices; target rows may be constraint-specified.
 
     Ground truth at test scale; the extremum is attained by a single
-    combination, so it solves the non-linear system exactly.
+    combination, so it solves the non-linear system exactly.  The report's
+    ``iterations`` is the number of combinations.
     """
     start = time.perf_counter()
     _operator(bound)  # validates the bound string

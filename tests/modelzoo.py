@@ -8,7 +8,7 @@ from typing import Iterable
 import numpy as np
 
 from imchit import (Constraint, Model, Policy, RowPolytopeH, RowPolytopeV,
-                    StateSpace, TargetSet, check_reachability)
+                    StateSpace, TargetSet)
 
 
 def point_mass(n: int, i: int) -> np.ndarray:
@@ -62,6 +62,46 @@ def two_choice_model() -> Model:
     rows = (RowPolytopeV(np.array([[0.5, 0.5], [0.8, 0.2]])),
             RowPolytopeV(np.array([[0.0, 1.0]])))
     return Model(StateSpace(("a", "b")), TargetSet({1}), rows)
+
+
+# The two vertices of an interior state of ``drift_chain_model``: mass
+# (away from the target, toward it).  Each pair sums to 1 exactly.
+DRIFT_VERTICES = ((0.6, 1.0 - 0.6), (0.5, 0.5))
+
+
+def drift_chain_model(n: int) -> Model:
+    """Birth-death chain on 0..n-1 with target {n - 1}: state 0 stays or
+    steps up with 0.5 each, and every interior state picks one of
+    ``DRIFT_VERTICES``.  The upper bound drifts away from the target in
+    every row, so its hitting times grow like 1.5 ** n."""
+    rows = [RowPolytopeV(0.5 * (point_mass(n, 0) + point_mass(n, 1))[None, :])]
+    for x in range(1, n - 1):
+        rows.append(RowPolytopeV(np.array(
+            [away * point_mass(n, x - 1) + toward * point_mass(n, x + 1)
+             for away, toward in DRIFT_VERTICES])))
+    rows.append(RowPolytopeV(point_mass(n, n - 1)[None, :]))
+    return Model(StateSpace(tuple(f"s{i}" for i in range(n))),
+                 TargetSet({n - 1}), tuple(rows))
+
+
+def drift_chain_upper(n: int) -> list[Fraction]:
+    """Exact upper hitting times of ``drift_chain_model(n)``.
+
+    With ``d_x = h_x - h_{x+1}``, state 0 gives ``d_0 = 2`` and an interior
+    state with mass ``a`` away and ``b`` toward the target gives
+    ``d_x = (1 + a d_{x-1}) / b``; ``h`` sums the ``d`` from ``x`` on.
+    Every ``d_x`` is positive, so ``h`` falls toward the target and the
+    upper bound takes the vertex with the most mass away from it.
+    """
+    away = max(Fraction(a) for a, _ in DRIFT_VERTICES)
+    toward = 1 - away
+    d = [Fraction(2)]
+    for _ in range(1, n - 1):
+        d.append((1 + away * d[-1]) / toward)
+    h = [Fraction(0)]
+    for step in reversed(d):
+        h.append(h[-1] + step)
+    return h[::-1]
 
 
 def box_row(n: int, lower: np.ndarray, upper: np.ndarray) -> RowPolytopeH:
@@ -220,7 +260,7 @@ def random_vrep_model(rng: np.random.Generator, size_choices=(3, 4, 5),
                                          replace=False)))
         model = Model(StateSpace(tuple(f"s{i}" for i in range(n))),
                       TargetSet(target), rows)
-        if check_reachability(model).holds:
+        if model.reachability.holds:
             return model
 
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import weakref
 
 import numpy as np
 import pytest
@@ -19,6 +20,24 @@ def test_same_seed_gives_identical_models():
     c = random_model(6, 4, 124)
     assert not all(np.array_equal(ra.vertices, rc.vertices)
                    for ra, rc in zip(a.rows, c.rows))
+
+
+def test_draws_are_freed_before_the_reachability_check(monkeypatch):
+    drawn, alive = [], []
+
+    def row(vertices):
+        drawn.append(weakref.ref(vertices))
+        return RowPolytopeV(vertices)
+
+    def check(model, original=reachability.check_reachability):
+        alive.append(sum(ref() is not None for ref in drawn))
+        return original(model)
+
+    monkeypatch.setattr(bench, "RowPolytopeV", row)
+    monkeypatch.setattr(reachability, "check_reachability", check)
+    random_model(6, 3, 0)
+    assert len(drawn) == 6
+    assert alive == [0]
 
 
 def test_sampled_vertices_live_on_the_simplex():
@@ -151,7 +170,8 @@ def test_unreachable_draw_is_regenerated(monkeypatch, count_calls):
     assert record.regenerations == 1
     assert drawn == [_trial_seed(4, 6, 0, 0), _trial_seed(4, 6, 0, 1)]
     assert record.seed_used == drawn[1]
-    assert len(calls) == 2
+    # one check per model built: stuck_model builds two, the redraw one
+    assert len(calls) == 3
 
 
 def test_trial_fails_after_too_many_regenerations(monkeypatch, caplog):

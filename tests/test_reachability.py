@@ -3,9 +3,11 @@ from __future__ import annotations
 import numpy as np
 
 from imchit import (Model, RowPolytopeV, StateSpace, TargetSet,
-                    check_reachability, lower_apply, random_model)
+                    check_reachability, lower_apply, random_model, solve_brute,
+                    solve_policy, solve_value)
 from imchit import reachability
-from modelzoo import isolated_cycle_model, line_model, precise_model
+from modelzoo import (isolated_cycle_model, line_model, precise_model,
+                      two_choice_model)
 
 
 def test_one_step_mass_on_target_absorbs_everything(rng):
@@ -23,6 +25,8 @@ def test_one_step_mass_on_target_absorbs_everything(rng):
 
 
 def test_no_sweep_after_everything_is_absorbed(monkeypatch):
+    # built first: building a model runs the check once
+    m, line = precise_model(np.full((3, 3), 1.0 / 3.0), {2}), line_model()
     sweeps = []
     original = reachability.lower_apply
 
@@ -31,12 +35,11 @@ def test_no_sweep_after_everything_is_absorbed(monkeypatch):
         return original(model, f)
 
     monkeypatch.setattr(reachability, "lower_apply", counted)
-    m = precise_model(np.full((3, 3), 1.0 / 3.0), {2})
     assert check_reachability(m).reach_step == (1, 1, 0)
     assert len(sweeps) == 1
     # a chain absorbed over three rounds needs exactly three sweeps
     sweeps.clear()
-    assert check_reachability(line_model()).reach_step == (3, 2, 1, 0)
+    assert check_reachability(line).reach_step == (3, 2, 1, 0)
     assert len(sweeps) == 3
 
 
@@ -111,3 +114,18 @@ def test_rounds_are_bounded_by_state_count():
     report = check_reachability(line_model())
     steps = [s for s in report.reach_step if s is not None]
     assert max(steps) <= 4
+
+
+def test_model_keeps_the_report_of_its_build():
+    for m in (line_model(), isolated_cycle_model(), random_model(30, 5, 7)):
+        assert m.reachability == check_reachability(m)
+
+
+def test_one_check_per_model_over_every_solve(count_calls):
+    calls = count_calls(reachability, "check_reachability")
+    m = two_choice_model()
+    assert [args for args, _ in calls] == [(m,)]
+    for solve in (solve_policy, solve_value, solve_brute):
+        for bound in ("lower", "upper"):
+            solve(m, bound)
+    assert len(calls) == 1

@@ -1,21 +1,24 @@
 from __future__ import annotations
 
 import itertools
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from imchit import (MaxIterationsExceeded, Model, ReachabilityViolation,
-                    RowPolytopeV, StateSpace, TargetSet, TooManyCombinations,
-                    check_reachability, fixed_point_residual, lower_apply,
+                    RowPolytopeV, SingularSystem, StateSpace, TargetSet,
+                    TooManyCombinations, fixed_point_residual, lower_apply,
                     solve_brute, solve_policy, solve_precise, solve_value,
                     upper_apply, validate)
 from imchit import lp, solvers, transition
-from modelzoo import (box_bounds, box_model, box_row, gambler_model,
-                      interval_extreme, interval_vertex, isolated_cycle_model,
-                      line_model, precise_model, random_mixed_model,
-                      random_vrep_model, two_choice_model)
+from imchit.linsolve import RESID_RTOL
+from modelzoo import (box_bounds, box_model, box_row, drift_chain_model,
+                      drift_chain_upper, gambler_model, interval_extreme,
+                      interval_vertex, isolated_cycle_model, line_model,
+                      precise_model, random_mixed_model, random_vrep_model,
+                      two_choice_model)
 
 
 def test_precise_chain_needs_one_linear_solve(rng):
@@ -183,15 +186,28 @@ def test_greedy_init_prefers_mass_on_target():
 
 
 def test_reachability_violation_is_raised():
-    m = isolated_cycle_model()
-    with pytest.raises(ReachabilityViolation) as exc:
-        solve_policy(m)
-    assert exc.value.violating == ("c", "d")
-    with pytest.raises(ReachabilityViolation):
-        solve_value(m)
-    with pytest.raises(ReachabilityViolation) as exc:
-        solve_brute(m)
-    assert exc.value.violating == ("c", "d")
+    m = isolated_cycle_model()  # builds, with the failed check on record
+    assert not m.reachability.holds
+    for solve in (solve_policy, solve_value, solve_brute):
+        for bound in ("lower", "upper"):
+            with pytest.raises(ReachabilityViolation) as exc:
+                solve(m, bound)
+            assert exc.value.violating == ("c", "d")
+
+
+@pytest.mark.parametrize("n", [10, 20, 30, 40, 90, 120, 250])
+def test_ill_conditioned_chain_is_right_or_flagged(n):
+    m = drift_chain_model(n)
+    exact = drift_chain_upper(n)
+    try:
+        h = solve_policy(m, "upper").solution.values
+    except SingularSystem:
+        # the residual check cannot vouch for the digits; well-conditioned
+        # sizes must still solve
+        assert n >= 40
+        return
+    error = max(abs(Fraction(float(v)) - e) / e for v, e in zip(h[:-1], exact))
+    assert error <= RESID_RTOL
 
 
 def test_policy_iteration_cap(rng):
@@ -199,6 +215,26 @@ def test_policy_iteration_cap(rng):
     with pytest.raises(MaxIterationsExceeded) as exc:
         solve_policy(m, max_iter=1)
     assert exc.value.trace
+
+
+def test_value_iteration_keeps_no_iterates_unless_asked():
+    # every non-target state keeps 0.05 on the target and steps round a cycle
+    n = 500
+    matrix = np.zeros((n, n))
+    matrix[:-1, -1] = 0.05
+    matrix[np.arange(n - 1), (np.arange(n - 1) + 1) % (n - 1)] = 0.95
+    matrix[-1, -1] = 1.0
+    m = precise_model(matrix, {n - 1})
+    tracemalloc.start()
+    try:
+        report = solve_value(m)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.iterates is None
+    # the iterates alone would take 4 KB a sweep, over 400 sweeps
+    assert peak < report.iterations * report.solution.values.nbytes / 4
+    assert solve_policy(m).iterates is None
 
 
 def test_value_iteration_cap(rng):
@@ -209,9 +245,10 @@ def test_value_iteration_cap(rng):
 
 @pytest.mark.parametrize("tol", [np.nan, -1e-9, 0.0, np.inf])
 def test_value_iteration_rejects_a_tol_it_cannot_meet(tol, count_calls):
+    m = gambler_model(4)  # its build runs the reachability sweep
     sweeps = count_calls(transition, "lower_apply")
     with pytest.raises(ValueError, match="tol must be finite and positive"):
-        solve_value(gambler_model(4), tol=tol)
+        solve_value(m, tol=tol)
     assert sweeps == []
 
 
@@ -237,6 +274,45 @@ def test_brute_requires_vertex_rows():
         solve_brute(m)
 
 
+def test_brute_enumerates_non_target_rows_only():
+    # the target row is constraint-specified in one model and has three
+    # vertices in the other; neither changes the answer or the count
+    target_rows = (box_row(3, np.array([0.0, 0.0, 0.5]), np.ones(3)),
+                   RowPolytopeV(np.array([[0.0, 0.0, 1.0], [0.5, 0.0, 0.5],
+                                          [0.2, 0.3, 0.5]])))
+    for target_row in target_rows:
+        m = Model(StateSpace(("a", "b", "c")), TargetSet({2}),
+                  (RowPolytopeV(np.array([[0.5, 0.2, 0.3], [0.2, 0.2, 0.6]])),
+                   RowPolytopeV(np.array([[0.3, 0.3, 0.4], [0.6, 0.3, 0.1],
+                                          [0.1, 0.1, 0.8]])),
+                   target_row))
+        for bound in ("lower", "upper"):
+            report = solve_brute(m, bound)
+            assert report.iterations == 6
+            assert np.allclose(report.solution.values,
+                               solve_policy(m, bound).solution.values,
+                               rtol=1e-12, atol=0.0)
+
+
+def test_brute_chunks_fit_the_byte_budget(rng):
+    # 12 two-vertex rows of 30 states: 4096 combinations, whose 30 x 30
+    # matrices alone take 28 MiB
+    n = 30
+    rows = tuple(RowPolytopeV(rng.dirichlet(np.ones(n), size=2 if x < 12 else 1))
+                 for x in range(n))
+    m = Model(StateSpace(tuple(f"s{i}" for i in range(n))), TargetSet({n - 1}), rows)
+    tracemalloc.start()
+    try:
+        report = solve_brute(m)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.iterations == 4096
+    assert peak <= solvers._BRUTE_BYTES
+    chunks = [len(selectors) for selectors, _ in solvers._iter_chunks(m)]
+    assert len(chunks) > 1 and sum(chunks) == 4096
+
+
 def test_componentwise_extremum_is_attained_by_one_combination(rng):
     for _ in range(5):
         m = random_vrep_model(rng)
@@ -249,11 +325,14 @@ def test_componentwise_extremum_is_attained_by_one_combination(rng):
 def test_brute_force_solves_each_combination_as_solve_precise(rng):
     for _ in range(8):
         m = random_vrep_model(rng, max_vertices=4)
-        combinations = list(itertools.product(*(range(r.num_vertices) for r in m.rows)))
-        alone = [solve_precise(np.stack([row.vertices[k] for row, k
-                                         in zip(m.rows, combination)]),
+        nontarget = m.nontarget_indices.tolist()
+        combinations = list(itertools.product(
+            *(range(m.rows[x].num_vertices) for x in nontarget)))
+        # target rows take their last vertex here, which the solve never reads
+        alone = [solve_precise(np.stack([row.vertices[choice.get(x, -1)]
+                                         for x, row in enumerate(m.rows)]),
                                m.nontarget_indices)
-                 for combination in combinations]
+                 for choice in (dict(zip(nontarget, c)) for c in combinations)]
         chunks = list(solvers._iter_chunks(m))
         selectors = np.concatenate([s for s, _ in chunks])
         assert list(map(tuple, selectors.tolist())) == combinations
@@ -295,15 +374,16 @@ def test_phase_one_runs_once_per_hrep_row(count_calls):
 
 def test_policy_iteration_operator_calls(count_calls):
     m = small_box_model()
-    assert set(check_reachability(m).reach_step) == {0, 1}
+    assert set(m.reachability.reach_step) == {0, 1}
     lower = count_calls(transition, "lower_apply")
     upper = count_calls(transition, "upper_apply")
     for bound in ("lower", "upper"):
         before = len(lower) + len(upper)
         report = solve_policy(m, bound)
         assert report.trace[-1].policy_changes == 0  # ended by policy equality
-        # one reachability sweep, the greedy start, iterations - 1 improvements
-        assert len(lower) + len(upper) - before == report.iterations + 1
+        # the greedy start and iterations - 1 improvements; the model ran
+        # its reachability sweep when it was built
+        assert len(lower) + len(upper) - before == report.iterations
 
 
 def test_reported_residual_is_the_fixed_point_residual(rng):
@@ -311,7 +391,7 @@ def test_reported_residual_is_the_fixed_point_residual(rng):
     models += [random_vrep_model(rng) for _ in range(10)]
     while len(models) < 24:
         m = random_mixed_model(rng)
-        if check_reachability(m).holds:
+        if m.reachability.holds:
             models.append(m)
     for m in models:
         for bound in ("lower", "upper"):
@@ -344,16 +424,16 @@ def test_box_solve_at_eighty_states():
 
 
 def check_warm_simplex_calls(m, simplex_rows: int, count_calls) -> None:
-    assert set(check_reachability(m).reach_step) == {0, 1}
+    assert set(m.reachability.reach_step) == {0, 1}
     for bound in ("lower", "upper"):
         calls = count_calls(lp, "minimize_row")
         report = solve_policy(m, bound)
         cold = [args for args, kwargs in calls
                 if kwargs.get("start", args[2] if len(args) > 2 else None) is None]
-        # the reachability sweep and the greedy start solve every row cold;
-        # each of the iterations - 1 improvements solves every row warm
-        assert len(cold) == 2 * simplex_rows
-        assert len(calls) == (report.iterations + 1) * simplex_rows
+        # the greedy start solves every row cold; each of the iterations - 1
+        # improvements solves every row warm
+        assert len(cold) == simplex_rows
+        assert len(calls) == report.iterations * simplex_rows
 
 
 def test_improvements_start_from_the_previous_choice(count_calls):
@@ -400,7 +480,7 @@ def test_symmetric_interval_rows_end_below_the_cap():
 
 def test_init_rules_feed_the_first_improvement(rng):
     m = random_mixed_model(rng, size_choices=(5,))
-    while not check_reachability(m).holds:
+    while not m.reachability.holds:
         m = random_mixed_model(rng, size_choices=(5,))
     start = solvers._initial(m)
     on_target = m.target_mask.astype(float)
@@ -448,7 +528,7 @@ def check_exact_rationals(coupled: bool) -> None:
     checked = 0
     while checked < 40:
         m = random_mixed_model(rng, coupled=coupled)
-        if not check_reachability(m).holds:
+        if not m.reachability.holds:
             continue
         checked += 1
         for bound in ("lower", "upper"):
