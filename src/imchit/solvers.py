@@ -108,9 +108,11 @@ def _require_reachable(model: Model) -> None:
             tuple(model.states.labels[x] for x in sorted(report.violating)))
 
 
-def _initial(model: Model) -> OperatorResult:
-    """Each row's choice with the most one-step mass on the target."""
-    return upper_apply(model, model.target_mask.astype(float))
+def _initial(model: Model, bound: str) -> OperatorResult:
+    """Each row's greedy choice for ``bound``: the most one-step mass on
+    the target for the lower bound, the least for the upper bound."""
+    on_target = model.target_mask.astype(float)
+    return (upper_apply if bound == "lower" else lower_apply)(model, on_target)
 
 
 def solve_policy(model: Model, bound: str = "lower",
@@ -130,7 +132,7 @@ def solve_policy(model: Model, bound: str = "lower",
     _require_reachable(model)
     # each improvement starts from the previous choice: simplex bases, and
     # interval vertices that are still optimal
-    selected = _initial(model)
+    selected = _initial(model, bound)
     policy = selected.policy
     h = solve_precise(selected.matrix(), model.nontarget_indices)
     trace = [IterationStat(float(np.max(h)), 0)]

@@ -5,7 +5,11 @@ each state's row polytope independently; the upper operator maximizes.
 Besides the value vector, each application returns the policy of extreme
 points attaining it row by row, which is what the policy-iteration solver
 consumes.  One product with the model's vertex stack scores every vertex,
-and one padded ``argmin`` picks each vertex row's first minimizer.
+and one padded ``argmin`` picks each vertex row's first minimizer.  When
+fewer than an eighth of the objective's entries are nonzero, as for the
+target indicator of the policy-iteration start and of the early
+reachability rounds, the product reads only those columns of the stack.
+A model without vertex rows skips this kernel.
 Interval rows ``lo <= p <= hi`` are solved together in closed form: one
 sort of the objective, then every row starts at ``lo`` and hands its
 remaining mass to the cheapest coordinates first (de Campos, Huete &
@@ -115,6 +119,18 @@ def _interval_choice(model: Model, objective: np.ndarray,
     return vertices, selectors
 
 
+def _scores(stack: np.ndarray, objective: np.ndarray) -> np.ndarray:
+    """``stack @ objective``, read from the objective's nonzero columns
+    when they are fewer than an eighth of the states.  A column gather
+    reads one 64-byte cache line (eight floats) per vertex and column,
+    the full product n / 8 lines per vertex, so the gather reads less
+    below that share."""
+    support = np.flatnonzero(objective)
+    if 8 * len(support) < len(objective):
+        return stack[:, support] @ objective[support]
+    return stack @ objective
+
+
 def _apply(model: Model, f: np.ndarray, sign: float,
            start: OperatorResult | None) -> OperatorResult:
     """Shared body: sign=+1 minimizes per row, sign=-1 maximizes."""
@@ -126,17 +142,17 @@ def _apply(model: Model, f: np.ndarray, sign: float,
     objective = sign * f
     stack, offsets = model.vertex_stack, model.vertex_offsets
     counts = model.vertex_counts
-    rows = np.flatnonzero(counts)
-    # at least one column, so that argmin has an axis to reduce when no
-    # row is vertex-specified; padding points at the +inf appended to dots
-    width = np.arange(counts.max(initial=1))
-    grid = np.where(width < counts[rows, None],
-                    offsets[rows, None] + width, stack.shape[0])
-    dots = np.append(stack @ objective, np.inf)
     vertex = np.zeros(model.size, dtype=np.intp)
-    vertex[rows] = dots[grid].argmin(axis=1)
     value = np.empty(model.size)
-    value[rows] = sign * dots[offsets[rows] + vertex[rows]]
+    if len(stack):
+        rows = np.flatnonzero(counts)
+        # padding points at the +inf appended to dots
+        width = np.arange(counts.max())
+        grid = np.where(width < counts[rows, None],
+                        offsets[rows, None] + width, stack.shape[0])
+        dots = np.append(_scores(stack, objective), np.inf)
+        vertex[rows] = dots[grid].argmin(axis=1)
+        value[rows] = sign * dots[offsets[rows] + vertex[rows]]
     selectors = vertex.tolist()
     intervals, chosen = _interval_choice(model, objective, start)
     value[model.interval_rows] = intervals @ f

@@ -81,38 +81,26 @@ def test_value_agrees_with_policy_at_ten_tol():
             assert gap <= 10 * 1e-9
 
 
-def target_swap_model() -> Model:
-    """State ``a`` moves to itself or to the target ``t`` with 1/2 each;
-    ``t`` may step to ``t`` or to ``a``, so every bound is h = (2, 0), and
-    only the target row's choice can change during a solve.  The start
-    picks t -> t, the upper bound t -> a."""
-    rows = (RowPolytopeV(np.array([[0.5, 0.5]])),
-            RowPolytopeV(np.array([[0.0, 1.0], [1.0, 0.0]])))
-    return Model(StateSpace(("a", "t")), TargetSet({1}), rows)
-
-
 def target_pick_model() -> Model:
     """``a`` steps to the target ``t``; ``b`` moves to itself or to ``t``
     with 1/2 each, so every bound is h = (1, 2, 0), and only the target
-    row's choice can change.  The start picks t's vertex with 0.6 on t,
-    the lower bound the one with 0.5 on ``a`` (0.5 < 0.4 * 2)."""
+    row's choice can change.  The lower start picks t's vertex with 0.6 on
+    t, the lower bound the one with 0.5 on ``a`` (0.5 < 0.4 * 2); the upper
+    start picks the vertex with 0.5 on t, the upper bound the other one."""
     rows = (RowPolytopeV(np.array([[0.0, 0.0, 1.0]])),
             RowPolytopeV(np.array([[0.0, 0.5, 0.5]])),
             RowPolytopeV(np.array([[0.5, 0.0, 0.5], [0.0, 0.4, 0.6]])))
     return Model(StateSpace(("a", "b", "t")), TargetSet({2}), rows)
 
 
-@pytest.mark.parametrize("bound, build, h", [
-    ("upper", target_swap_model, [2.0, 0.0]),
-    ("lower", target_pick_model, [1.0, 2.0, 0.0]),
-], ids=["upper", "lower"])
-def test_target_row_changes_end_the_solve(bound, build, h, count_calls):
-    m = build()
+@pytest.mark.parametrize("bound", ["upper", "lower"])
+def test_target_row_changes_end_the_solve(bound, count_calls):
+    m = target_pick_model()
     target = m.size - 1
-    start = solvers._initial(m).policy
+    start = solvers._initial(m, bound).policy
     residual_sweeps = count_calls(solvers, "fixed_point_residual")
     report = solve_policy(m, bound)
-    assert report.solution.values.tolist() == h
+    assert report.solution.values.tolist() == [1.0, 2.0, 0.0]
     assert report.iterations == 2
     assert [t.policy_changes for t in report.trace] == [0, 0]
     assert residual_sweeps == []
@@ -181,8 +169,19 @@ def test_greedy_init_prefers_mass_on_target():
             RowPolytopeV(np.array([[0.0, 0.5, 0.5]])),
             RowPolytopeV(np.array([[0.0, 0.0, 1.0]])))
     m = Model(StateSpace(("a", "b", "c")), TargetSet({0}), rows)
-    policy = solvers._initial(m).policy
+    policy = solvers._initial(m, "lower").policy
     assert policy.selectors[0] == 0  # the vertex putting 0.9 on the target
+
+
+def test_greedy_upper_init_prefers_least_mass_on_target():
+    rows = (RowPolytopeV(np.array([[0.0, 0.5, 0.5]])),
+            RowPolytopeV(np.array([[0.9, 0.0, 0.1],
+                                   [0.1, 0.0, 0.9],
+                                   [0.3, 0.0, 0.7]])),
+            RowPolytopeV(np.array([[1.0, 0.0, 0.0]])))
+    m = Model(StateSpace(("a", "b", "c")), TargetSet({0}), rows)
+    policy = solvers._initial(m, "upper").policy
+    assert policy.selectors[1] == 1  # the vertex putting 0.1 on the target
 
 
 def test_reachability_violation_is_raised():
@@ -482,10 +481,10 @@ def test_init_rules_feed_the_first_improvement(rng):
     m = random_mixed_model(rng, size_choices=(5,))
     while not m.reachability.holds:
         m = random_mixed_model(rng, size_choices=(5,))
-    start = solvers._initial(m)
     on_target = m.target_mask.astype(float)
-    assert np.allclose(start.matrix() @ on_target, start.value, atol=1e-12)
     for bound in ("lower", "upper"):
+        start = solvers._initial(m, bound)
+        assert np.allclose(start.matrix() @ on_target, start.value, atol=1e-12)
         warm = (lower_apply if bound == "lower" else upper_apply)(
             m, on_target, start=start)
         cold = (lower_apply if bound == "lower" else upper_apply)(m, on_target)

@@ -192,6 +192,33 @@ def test_selection_matches_the_per_row_scan(rng):
                 assert np.array_equal(res.picks, picks)
 
 
+def test_sparse_objectives_match_the_full_product(rng):
+    # below an eighth of the states the operator scores the vertices from
+    # the objective's nonzero columns; the oracle multiplies the whole stack
+    for n in (16, 24, 40):
+        for _ in range(4):
+            m = random_mixed_model(rng, size_choices=(n,))
+            # the start's objective for a one-state target and for the
+            # model's own target, which has one or more states
+            objectives = [np.eye(n)[rng.integers(n)], m.target_mask.astype(float)]
+            for size in (-(-n // 8) - 1, n // 8 + 1):
+                f = np.zeros(n)
+                f[rng.choice(n, size=size, replace=False)] = rng.normal(size=size)
+                objectives.append(f)
+            assert len(np.flatnonzero(objectives[-2])) < n / 8 \
+                < len(np.flatnonzero(objectives[-1]))
+            rows = np.flatnonzero(m.vertex_counts)
+            for f in objectives:
+                scores = m.vertex_stack @ f
+                for apply_op, pick in ((lower_apply, np.argmin), (upper_apply, np.argmax)):
+                    res = apply_op(m, f)
+                    for x in rows.tolist():
+                        lo = m.vertex_offsets[x]
+                        k = int(pick(scores[lo:lo + m.vertex_counts[x]]))
+                        assert res.picks[x] == lo + k
+                        assert abs(res.value[x] - scores[lo + k]) <= 1e-14
+
+
 def test_interval_selection_matches_the_closed_form(rng):
     for _ in range(20):
         m = ragged_model(rng, n=int(rng.integers(3, 9)), constraint_row=box_row)
