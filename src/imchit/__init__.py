@@ -20,7 +20,7 @@ from .model import (Constraint, Model, Policy, RowPolytopeH, RowPolytopeV,
 from .reachability import ReachabilityReport, check_reachability
 from .solvers import (IterationStat, SolveReport, fixed_point_residual,
                       solve_brute, solve_policy, solve_value)
-from .transition import OperatorResult, lower_apply, upper_apply
+from .transition import OperatorResult, apply
 
 __version__ = "0.1.0"
 
@@ -32,10 +32,10 @@ __all__ = [
     "ReachabilityViolation", "RowPolytopeH", "RowPolytopeV",
     "SingularSystem", "SolveReport", "StateSpace", "TargetSet",
     "TooManyCombinations", "TrialRecord",
-    "ValidationIssue", "ValidationReport", "check_reachability",
+    "ValidationIssue", "ValidationReport", "apply", "check_reachability",
     "fixed_point_residual", "iteration_histogram",
-    "load_model", "lower_apply", "minimize_row", "model_from_dict",
+    "load_model", "minimize_row", "model_from_dict",
     "model_to_dict", "random_model", "run_experiment", "save_model",
     "solve_brute", "solve_policy", "solve_precise", "solve_value",
-    "upper_apply", "validate", "write_csv",
+    "validate", "write_csv",
 ]

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import Model
-from .transition import lower_apply
+from .transition import apply
 
 # LP round-off must not fabricate reachability, so "positive" means
 # exceeding this threshold.
@@ -44,7 +44,7 @@ def check_reachability(model: Model) -> ReachabilityReport:
     absorbed = model.target_mask.copy()
     steps: list[int | None] = [0 if absorbed[x] else None for x in range(model.size)]
     for round_no in range(1, model.size + 1):
-        value = lower_apply(model, absorbed.astype(float)).value
+        value = apply(model, absorbed.astype(float), "lower").value
         fresh = ~absorbed & (value > EPS_REACH)
         if not fresh.any():
             break

@@ -39,9 +39,7 @@ from .errors import (MaxIterationsExceeded, ReachabilityViolation,
                      TooManyCombinations)
 from .linsolve import HittingTimeVector, solve_precise
 from .model import Model, Policy
-from .transition import OperatorResult, lower_apply, upper_apply
-
-BOUNDS = ("lower", "upper")
+from .transition import OperatorResult, apply, check_bound
 
 # Bytes of arrays that brute force may hold for one chunk of combinations.
 # Each combination takes at most four n x n float arrays: its gathered
@@ -73,15 +71,9 @@ class SolveReport:
     iterates: tuple[np.ndarray, ...] | None = None
 
 
-def _operator(bound: str):
-    if bound not in BOUNDS:
-        raise ValueError(f"bound must be one of {BOUNDS}, got {bound!r}")
-    return lower_apply if bound == "lower" else upper_apply
-
-
 def fixed_point_residual(model: Model, h: np.ndarray, bound: str = "lower") -> float:
     """Sup-norm defect of ``h`` in the non-linear hitting-time system."""
-    return _defect(model, h, _operator(bound)(model, h).value)
+    return _defect(model, h, apply(model, h, bound).value)
 
 
 def _defect(model: Model, h: np.ndarray, value: np.ndarray) -> float:
@@ -111,8 +103,7 @@ def _require_reachable(model: Model) -> None:
 def _initial(model: Model, bound: str) -> OperatorResult:
     """Each row's greedy choice for ``bound``: the most one-step mass on
     the target for the lower bound, the least for the upper bound."""
-    on_target = model.target_mask.astype(float)
-    return (upper_apply if bound == "lower" else lower_apply)(model, on_target)
+    return apply(model, -model.target_mask.astype(float), bound)
 
 
 def solve_policy(model: Model, bound: str = "lower",
@@ -126,7 +117,7 @@ def solve_policy(model: Model, bound: str = "lower",
     trips on numerical cycling.
     """
     start = time.perf_counter()
-    improve = _operator(bound)
+    check_bound(bound)
     cap = max_iter if max_iter is not None else 10 * model.size
     _require_cap(cap)
     _require_reachable(model)
@@ -139,7 +130,7 @@ def solve_policy(model: Model, bound: str = "lower",
     iterates = [h] if collect_iterates else None
     iterations = 1
     while iterations < cap:
-        selected = improve(model, h, start=selected)
+        selected = apply(model, h, bound, start=selected)
         changes = _policy_changes(model, selected.policy, policy)
         iterations += 1
         if changes == 0:
@@ -173,7 +164,7 @@ def solve_value(model: Model, bound: str = "lower", tol: float = 1e-9,
     and positive, and ``max_iter`` at least 1.
     """
     start = time.perf_counter()
-    apply_op = _operator(bound)
+    check_bound(bound)
     if not 0.0 < tol < math.inf:  # also false for nan
         raise ValueError(f"tol must be finite and positive, got {tol}")
     _require_cap(max_iter)
@@ -186,7 +177,7 @@ def solve_value(model: Model, bound: str = "lower", tol: float = 1e-9,
     iterations = 0
     converged = False
     while iterations < max_iter:
-        result = apply_op(model, h)
+        result = apply(model, h, bound)
         h_next = off_target * (1.0 + result.value)
         iterations += 1
         changes = 0 if previous_policy is None \
@@ -253,7 +244,7 @@ def solve_brute(model: Model, bound: str = "lower",
     ``iterations`` is the number of combinations.
     """
     start = time.perf_counter()
-    _operator(bound)  # validates the bound string
+    check_bound(bound)
     total = math.prod(_vertex_counts(model))
     if total > max_combinations:
         raise TooManyCombinations(total, max_combinations)
@@ -261,7 +252,7 @@ def solve_brute(model: Model, bound: str = "lower",
     best: np.ndarray | None = None
     reduce = np.minimum if bound == "lower" else np.maximum
     for _, h in _iter_chunks(model):
-        extremum = h.min(axis=0) if bound == "lower" else h.max(axis=0)
+        extremum = reduce.reduce(h, axis=0)
         best = extremum if best is None else reduce(best, extremum)
     best.flags.writeable = False
     return SolveReport(

@@ -1,7 +1,8 @@
 """Row-wise evaluation of the lower and upper transition operators.
 
-Applying the lower operator to a function ``f`` minimizes ``p . f`` over
-each state's row polytope independently; the upper operator maximizes.
+Both bounds run one operator, ``apply(model, f, bound)``: the lower bound
+minimizes ``p . f`` over each state's row polytope independently, and the
+upper bound is its conjugate, the same minimization of ``p . (-f)``.
 Besides the value vector, each application returns the policy of extreme
 points attaining it row by row, which is what the policy-iteration solver
 consumes.  One product with the model's vertex stack scores every vertex,
@@ -31,6 +32,13 @@ import numpy as np
 
 from . import lp
 from .model import Model, Policy
+
+BOUNDS = ("lower", "upper")
+
+
+def check_bound(bound: str) -> None:
+    if bound not in BOUNDS:
+        raise ValueError(f"bound must be one of {BOUNDS}, got {bound!r}")
 
 
 @dataclass
@@ -131,14 +139,17 @@ def _scores(stack: np.ndarray, objective: np.ndarray) -> np.ndarray:
     return stack @ objective
 
 
-def _apply(model: Model, f: np.ndarray, sign: float,
-           start: OperatorResult | None) -> OperatorResult:
-    """Shared body: sign=+1 minimizes per row, sign=-1 maximizes."""
+def apply(model: Model, f: np.ndarray, bound: str,
+          start: OperatorResult | None = None) -> OperatorResult:
+    """The ``bound`` transition operator at ``f``: the row-wise minimum of
+    ``p . f`` for ``"lower"``, the maximum for ``"upper"``."""
+    check_bound(bound)
     f = np.asarray(f, dtype=float)
-    if f.shape != (model.size,):
-        raise ValueError(f"function must have shape ({model.size},)")
+    if f.shape != (model.size,) or not np.isfinite(f).all():
+        raise ValueError(f"function must be finite with shape ({model.size},)")
     if start is not None and start.model is not model:
         raise ValueError("start is not a result of this model")
+    sign = 1.0 if bound == "lower" else -1.0
     objective = sign * f
     stack, offsets = model.vertex_stack, model.vertex_offsets
     counts = model.vertex_counts
@@ -168,16 +179,3 @@ def _apply(model: Model, f: np.ndarray, sign: float,
     picks = np.where(counts > 0, offsets + vertex, -1)
     return OperatorResult(value, Policy(tuple(selectors)), model, picks,
                           solutions, intervals)
-
-
-def lower_apply(model: Model, f: np.ndarray,
-                start: OperatorResult | None = None) -> OperatorResult:
-    """Lower transition operator: row-wise minimum of ``p . f``."""
-    return _apply(model, f, 1.0, start)
-
-
-def upper_apply(model: Model, f: np.ndarray,
-                start: OperatorResult | None = None) -> OperatorResult:
-    """Upper transition operator: row-wise maximum of ``p . f``."""
-    return _apply(model, f, -1.0, start)
-

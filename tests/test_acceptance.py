@@ -12,9 +12,9 @@ import time
 import numpy as np
 import pytest
 
-from imchit import (BenchConfig, check_reachability, lower_apply,
-                    random_model, run_experiment, save_model, solve_brute,
-                    solve_policy, solve_precise, solve_value, upper_apply)
+from imchit import (BenchConfig, apply, check_reachability, random_model,
+                    run_experiment, save_model, solve_brute, solve_policy,
+                    solve_precise, solve_value)
 from imchit import solvers
 from imchit.cli import main as cli_main
 from modelzoo import (gambler_model, isolated_cycle_model, line_model,
@@ -143,9 +143,9 @@ def operator_property_failures(coupled: bool) -> dict[str, int]:
         if not condition:
             failures[name] += 1
 
-    def apply_n(apply_op, m, f, n):
+    def apply_n(m, f, bound, n):
         for _ in range(n):
-            f = apply_op(m, f).value
+            f = apply(m, f, bound).value
         return f
 
     for case in range(PROPERTY_CASES):
@@ -153,33 +153,29 @@ def operator_property_failures(coupled: bool) -> dict[str, int]:
         f = rng.uniform(-8.0, 8.0, size=m.size)
         g = rng.uniform(-8.0, 8.0, size=m.size)
         n = int(rng.integers(1, 4))
-        low_f = apply_n(lower_apply, m, f, n)
-        up_f = apply_n(upper_apply, m, f, n)
+        low_f = apply_n(m, f, "lower", n)
+        up_f = apply_n(m, f, "upper", n)
         check("T1", f.min() - tol <= low_f.min()
               and (low_f <= up_f + tol).all() and up_f.max() <= f.max() + tol)
         above = f + rng.uniform(0.0, 3.0, size=m.size)
-        check("T2", (low_f <= apply_n(lower_apply, m, above, n) + tol).all())
+        check("T2", (low_f <= apply_n(m, above, "lower", n) + tol).all())
         mu = float(rng.uniform(-5.0, 5.0))
-        check("T3", np.max(np.abs(apply_n(lower_apply, m, f + mu, n)
+        check("T3", np.max(np.abs(apply_n(m, f + mu, "lower", n)
                                   - (low_f + mu))) <= tol)
-        low_g = apply_n(lower_apply, m, g, n)
+        low_g = apply_n(m, g, "lower", n)
         check("T4", np.max(np.abs(low_f - low_g))
               <= np.max(np.abs(f - g)) + tol)
         alpha = float(rng.uniform(0.0, 4.0))
-        one_f = lower_apply(m, f).value
-        check("C1", np.max(np.abs(lower_apply(m, alpha * f).value
+        one_f = apply(m, f, "lower").value
+        check("C1", np.max(np.abs(apply(m, alpha * f, "lower").value
                                   - alpha * one_f)) <= tol)
-        one_g = lower_apply(m, g).value
-        check("C2", (one_f + one_g <= lower_apply(m, f + g).value + tol).all())
-        check("conjugacy", np.max(np.abs(upper_apply(m, f).value
-                                         + lower_apply(m, -f).value)) <= tol)
-        low_res = lower_apply(m, f)
-        up_res = upper_apply(m, f)
-        check("attainment",
-              np.max(np.abs(policy_matrix(m, low_res.policy) @ f
-                            - low_res.value)) <= tol
-              and np.max(np.abs(policy_matrix(m, up_res.policy) @ f
-                                - up_res.value)) <= tol)
+        one_g = apply(m, g, "lower").value
+        check("C2", (one_f + one_g <= apply(m, f + g, "lower").value + tol).all())
+        check("conjugacy", np.max(np.abs(apply(m, f, "upper").value
+                                         + apply(m, -f, "lower").value)) <= tol)
+        check("attainment", all(
+            np.max(np.abs(policy_matrix(m, res.policy) @ f - res.value)) <= tol
+            for res in (apply(m, f, bound) for bound in ("lower", "upper"))))
     return failures
 
 

@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from imchit import (Constraint, Infeasible, Model, RowPolytopeH, RowPolytopeV,
-                    StateSpace, TargetSet, lower_apply, minimize_row,
-                    upper_apply)
+                    StateSpace, TargetSet, apply, minimize_row)
 from imchit import lp
 from imchit.lp import row_feasible
 from modelzoo import box_row as interval_row
@@ -63,12 +62,12 @@ def vertex_model(*vertex_sets) -> Model:
 
 def test_vrep_single_vertex_and_tie_break():
     m = vertex_model([[0.2, 0.8]], [[0.0, 1.0]])
-    res = lower_apply(m, np.array([1.0, 2.0]))
+    res = apply(m, np.array([1.0, 2.0]), "lower")
     assert res.value[0] == pytest.approx(1.8) and res.policy.selectors[0] == 0
 
     ties = vertex_model([[0.5, 0.5], [0.5, 0.5]], [[0.0, 1.0]])
-    for apply_op in (lower_apply, upper_apply):
-        assert apply_op(ties, np.array([1.0, 3.0])).policy.selectors[0] == 0
+    for bound in ("lower", "upper"):
+        assert apply(ties, np.array([1.0, 3.0]), bound).policy.selectors[0] == 0
 
 
 def test_vrep_matches_exhaustive_scan(rng):
@@ -76,7 +75,7 @@ def test_vrep_matches_exhaustive_scan(rng):
         vertex_sets = [rng.dirichlet(np.ones(4), size=int(rng.integers(1, 5)))
                        for _ in range(4)]
         f = rng.normal(size=4)
-        res = lower_apply(vertex_model(*vertex_sets), f)
+        res = apply(vertex_model(*vertex_sets), f, "lower")
         for x, vertices in enumerate(vertex_sets):
             # a plain scan, keeping the first minimizer
             dots = [float(v @ f) for v in vertices]

@@ -7,9 +7,8 @@ import pytest
 
 from imchit import (Constraint, ImcError, InvalidModel, Model, RowPolytopeH,
                     RowPolytopeV, StateSpace, TargetSet, ValidationIssue,
-                    ValidationReport, load_model, lower_apply, model_from_dict,
-                    model_to_dict, random_model, save_model, upper_apply,
-                    validate)
+                    ValidationReport, apply, load_model, model_from_dict,
+                    model_to_dict, random_model, save_model, validate)
 from imchit.lp import row_feasible
 from modelzoo import (box_model, box_row, coupled_row, edge_rows,
                       interval_vertex, precise_model, vertex_from_basis)
@@ -142,8 +141,8 @@ def test_policy_to_matrix_on_vertex_rows():
     # single-vertex rows leave no choice; the two-vertex row follows the
     # selector: u . f = 0.7, v . f = 0.2
     f = np.array([0.0, 1.0, 0.0])
-    for apply_op, selected in ((lower_apply, (1, 0, 0)), (upper_apply, (0, 0, 0))):
-        res = apply_op(m, f)
+    for bound, selected in (("lower", (1, 0, 0)), ("upper", (0, 0, 0))):
+        res = apply(m, f, bound)
         assert res.policy.selectors == selected
         assert np.array_equal(res.matrix(), np.stack(
             [(u, v)[selected[0]], np.eye(3)[2], np.eye(3)[2]]))
@@ -172,7 +171,7 @@ def test_policy_to_matrix_reconstructs_hrep_vertices(rng):
     assert validate(m).ok
     for _ in range(25):
         f = rng.normal(size=3)
-        res = lower_apply(m, f)
+        res = apply(m, f, "lower")
         p = res.matrix()[0]
         # the basis names the vertex the simplex returned
         assert np.allclose(vertex_from_basis(row, res.policy.selectors[0]), p,
@@ -188,8 +187,8 @@ def test_policy_to_matrix_reconstructs_interval_vertices(rng):
     assert validate(m).ok
     for _ in range(25):
         f = rng.normal(size=3)
-        for apply_op in (lower_apply, upper_apply):
-            res = apply_op(m, f)
+        for bound in ("lower", "upper"):
+            res = apply(m, f, bound)
             p = res.matrix()[0]
             # the selector names the vertex the closed form returned
             exact = np.array(interval_vertex(row, res.policy.selectors[0]), dtype=float)

@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 
 from imchit import (Model, RowPolytopeV, StateSpace, TargetSet,
-                    check_reachability, lower_apply, random_model, solve_brute,
+                    apply, check_reachability, random_model, solve_brute,
                     solve_policy, solve_value)
 from imchit import reachability
 from modelzoo import (isolated_cycle_model, line_model, precise_model,
@@ -28,13 +28,13 @@ def test_no_sweep_after_everything_is_absorbed(monkeypatch):
     # built first: building a model runs the check once
     m, line = precise_model(np.full((3, 3), 1.0 / 3.0), {2}), line_model()
     sweeps = []
-    original = reachability.lower_apply
+    original = reachability.apply
 
-    def counted(model, f):
+    def counted(model, f, bound):
         sweeps.append(f)
-        return original(model, f)
+        return original(model, f, bound)
 
-    monkeypatch.setattr(reachability, "lower_apply", counted)
+    monkeypatch.setattr(reachability, "apply", counted)
     assert check_reachability(m).reach_step == (1, 1, 0)
     assert len(sweeps) == 1
     # a chain absorbed over three rounds needs exactly three sweeps
@@ -76,7 +76,7 @@ def test_absorbed_states_are_operator_consistent():
             if step is not None and step > 0:
                 value = indicator
                 for _ in range(step):
-                    value = lower_apply(m, value).value
+                    value = apply(m, value, "lower").value
                 assert value[x] > 1e-12
 
 

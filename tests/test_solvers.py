@@ -9,9 +9,9 @@ import pytest
 
 from imchit import (MaxIterationsExceeded, Model, ReachabilityViolation,
                     RowPolytopeV, SingularSystem, StateSpace, TargetSet,
-                    TooManyCombinations, fixed_point_residual, lower_apply,
+                    TooManyCombinations, apply, fixed_point_residual,
                     solve_brute, solve_policy, solve_precise, solve_value,
-                    upper_apply, validate)
+                    validate)
 from imchit import lp, solvers, transition
 from imchit.linsolve import RESID_RTOL
 from modelzoo import (box_bounds, box_model, box_row, drift_chain_model,
@@ -53,7 +53,7 @@ def test_value_iteration_first_sweep(rng):
     m = random_vrep_model(rng)
     report = solve_value(m, max_iter=10 ** 6, collect_iterates=True)
     off_target = (~m.target_mask).astype(float)
-    expected_h1 = off_target * (1.0 + lower_apply(m, off_target).value)
+    expected_h1 = off_target * (1.0 + apply(m, off_target, "lower").value)
     assert np.allclose(report.iterates[1], expected_h1, atol=1e-12)
 
 
@@ -105,8 +105,7 @@ def test_target_row_changes_end_the_solve(bound, count_calls):
     assert [t.policy_changes for t in report.trace] == [0, 0]
     assert residual_sweeps == []
     # the operator did move the target row, which nothing counts
-    improved = transition.lower_apply if bound == "lower" else transition.upper_apply
-    assert improved(m, report.solution.values).policy.selectors[target] \
+    assert apply(m, report.solution.values, bound).policy.selectors[target] \
         != start.selectors[target]
 
 
@@ -245,7 +244,7 @@ def test_value_iteration_cap(rng):
 @pytest.mark.parametrize("tol", [np.nan, -1e-9, 0.0, np.inf])
 def test_value_iteration_rejects_a_tol_it_cannot_meet(tol, count_calls):
     m = gambler_model(4)  # its build runs the reachability sweep
-    sweeps = count_calls(transition, "lower_apply")
+    sweeps = count_calls(transition, "apply")
     with pytest.raises(ValueError, match="tol must be finite and positive"):
         solve_value(m, tol=tol)
     assert sweeps == []
@@ -342,10 +341,20 @@ def test_brute_force_solves_each_combination_as_solve_precise(rng):
             assert h.tobytes() == extremum(alone, axis=0).tobytes()
 
 
-def test_bad_bound_is_rejected(rng):
+def test_bad_bound_is_rejected(rng, count_calls):
     m = random_vrep_model(rng)
-    with pytest.raises(ValueError):
-        solve_policy(m, bound="sideways")
+    h = np.zeros(m.size)
+    chunks = count_calls(solvers, "_iter_chunks")
+    solves = count_calls(solvers, "solve_precise")
+    for entry in (lambda bound: apply(m, h, bound),
+                  lambda bound: solve_policy(m, bound),
+                  lambda bound: solve_value(m, bound),
+                  lambda bound: solve_brute(m, bound),
+                  lambda bound: fixed_point_residual(m, h, bound)):
+        with pytest.raises(ValueError, match="bound must be one of"):
+            entry("sideways")
+    # brute force refuses the bound before it enumerates a combination
+    assert chunks == [] and solves == []
 
 
 def small_box_model(n: int = 4) -> Model:
@@ -374,15 +383,15 @@ def test_phase_one_runs_once_per_hrep_row(count_calls):
 def test_policy_iteration_operator_calls(count_calls):
     m = small_box_model()
     assert set(m.reachability.reach_step) == {0, 1}
-    lower = count_calls(transition, "lower_apply")
-    upper = count_calls(transition, "upper_apply")
+    calls = count_calls(transition, "apply")
     for bound in ("lower", "upper"):
-        before = len(lower) + len(upper)
+        before = len(calls)
         report = solve_policy(m, bound)
         assert report.trace[-1].policy_changes == 0  # ended by policy equality
         # the greedy start and iterations - 1 improvements; the model ran
         # its reachability sweep when it was built
-        assert len(lower) + len(upper) - before == report.iterations
+        assert len(calls) - before == report.iterations
+        assert all(args[2] == bound for args, _ in calls[before:])
 
 
 def test_reported_residual_is_the_fixed_point_residual(rng):
@@ -452,10 +461,10 @@ def test_interval_improvements_keep_the_incumbent():
     m = box_model(8, 5)
     f = np.array([0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 2.0, 3.0])
     tilt = 1e-3 * np.arange(8.0)
-    for apply_op, tilted in ((lower_apply, f - tilt), (upper_apply, f + tilt)):
-        start = apply_op(m, tilted)
-        cold = apply_op(m, f)
-        warm = apply_op(m, f, start=start)
+    for bound, tilted in (("lower", f - tilt), ("upper", f + tilt)):
+        start = apply(m, tilted, bound)
+        cold = apply(m, f, bound)
+        warm = apply(m, f, bound, start=start)
         assert warm.policy == start.policy != cold.policy
         assert np.array_equal(warm.interval_vertices, start.interval_vertices)
         assert np.max(np.abs(warm.value - cold.value)) <= 1e-12
@@ -464,7 +473,7 @@ def test_interval_improvements_keep_the_incumbent():
             assert np.max(np.abs(exact - p)) <= 1e-15
         # a start that is no longer optimal gives way to the closed form
         g = f[::-1].copy()
-        assert apply_op(m, g, start=start).policy == apply_op(m, g).policy
+        assert apply(m, g, bound, start=start).policy == apply(m, g, bound).policy
 
 
 def test_symmetric_interval_rows_end_below_the_cap():
@@ -484,10 +493,9 @@ def test_init_rules_feed_the_first_improvement(rng):
     on_target = m.target_mask.astype(float)
     for bound in ("lower", "upper"):
         start = solvers._initial(m, bound)
-        assert np.allclose(start.matrix() @ on_target, start.value, atol=1e-12)
-        warm = (lower_apply if bound == "lower" else upper_apply)(
-            m, on_target, start=start)
-        cold = (lower_apply if bound == "lower" else upper_apply)(m, on_target)
+        assert np.allclose(start.matrix() @ -on_target, start.value, atol=1e-12)
+        warm = apply(m, on_target, bound, start=start)
+        cold = apply(m, on_target, bound)
         assert np.max(np.abs(warm.value - cold.value)) <= 1e-12
 
 
@@ -532,7 +540,7 @@ def check_exact_rationals(coupled: bool) -> None:
         checked += 1
         for bound in ("lower", "upper"):
             h = solve_policy(m, bound).solution.values
-            policy = solvers._operator(bound)(m, h).policy
+            policy = apply(m, h, bound).policy
             rows = [[Fraction(float(v)) for v in row.vertices[sel]]
                     if isinstance(row, RowPolytopeV)
                     else interval_vertex(row, sel) if row.bounds is not None

@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from imchit import (Constraint, InvalidModel, Model, RowPolytopeH,
-                    RowPolytopeV, StateSpace, TargetSet, lower_apply,
-                    random_model, upper_apply)
+                    RowPolytopeV, StateSpace, TargetSet, apply, random_model)
 from imchit import lp
 from modelzoo import (box_model, box_row, coupled_row, edge_rows,
                       interval_minimum, interval_vertex, policy_matrix,
@@ -25,26 +24,26 @@ def test_precise_chain_reduces_to_matrix_vector_product(rng):
     matrix = rng.dirichlet(np.ones(4), size=4)
     m = precise_model(matrix, {3})
     f = rng.normal(size=4)
-    assert np.allclose(lower_apply(m, f).value, matrix @ f, atol=1e-12)
-    assert np.allclose(upper_apply(m, f).value, matrix @ f, atol=1e-12)
+    assert np.allclose(apply(m, f, "lower").value, matrix @ f, atol=1e-12)
+    assert np.allclose(apply(m, f, "upper").value, matrix @ f, atol=1e-12)
 
 
 def test_constant_functions_are_fixed(rng):
     m = random_mixed_model(rng)
     for mu in (-3.0, 0.0, 2.5):
         f = np.full(m.size, mu)
-        assert np.allclose(lower_apply(m, f).value, mu, atol=1e-9)
-        assert np.allclose(upper_apply(m, f).value, mu, atol=1e-9)
+        assert np.allclose(apply(m, f, "lower").value, mu, atol=1e-9)
+        assert np.allclose(apply(m, f, "upper").value, mu, atol=1e-9)
         g = f
         for _ in range(3):
-            g = lower_apply(m, g).value
+            g = apply(m, g, "lower").value
         assert np.allclose(g, mu, atol=1e-9)
 
 
 def test_two_state_scan(two_state):
     f = np.array([2.0, 5.0])
-    low = lower_apply(two_state, f)
-    up = upper_apply(two_state, f)
+    low = apply(two_state, f, "lower")
+    up = apply(two_state, f, "upper")
     assert low.value[0] == pytest.approx(2.0) and low.policy.selectors[0] == 0
     assert up.value[0] == pytest.approx(5.0) and up.policy.selectors[0] == 1
 
@@ -53,8 +52,8 @@ def test_policy_attains_the_value(rng):
     for _ in range(30):
         m = random_mixed_model(rng, coupled=True)
         f = rng.uniform(-8.0, 8.0, size=m.size)
-        for apply_op in (lower_apply, upper_apply):
-            res = apply_op(m, f)
+        for bound in ("lower", "upper"):
+            res = apply(m, f, bound)
             matrix = policy_matrix(m, res.policy)
             assert np.allclose(matrix @ f, res.value, atol=1e-9)
 
@@ -63,8 +62,8 @@ def test_interval_policy_attains_the_value(rng):
     for _ in range(30):
         m = random_mixed_model(rng)
         f = rng.uniform(-8.0, 8.0, size=m.size)
-        for apply_op in (lower_apply, upper_apply):
-            res = apply_op(m, f)
+        for bound in ("lower", "upper"):
+            res = apply(m, f, bound)
             matrix = policy_matrix(m, res.policy)
             assert np.max(np.abs(matrix @ f - res.value)) <= 1e-12
 
@@ -73,30 +72,33 @@ def test_conjugacy(rng):
     for _ in range(30):
         m = random_mixed_model(rng)
         f = rng.uniform(-8.0, 8.0, size=m.size)
-        assert np.allclose(upper_apply(m, f).value,
-                           -lower_apply(m, -f).value, atol=1e-9)
+        assert np.allclose(apply(m, f, "upper").value,
+                           -apply(m, -f, "lower").value, atol=1e-9)
 
 
 def test_repeated_application_is_deterministic(rng):
     m = random_mixed_model(rng)
     f = rng.normal(size=m.size)
-    first = lower_apply(m, f)
-    again = lower_apply(m, f)
+    first = apply(m, f, "lower")
+    again = apply(m, f, "lower")
     assert first.policy == again.policy
     assert np.array_equal(first.value, again.value)
 
 
 def test_shape_mismatch_is_rejected(two_state):
-    with pytest.raises(ValueError):
-        lower_apply(two_state, np.zeros(3))
+    # a non-finite entry is refused like a wrong shape
+    for f in (np.zeros(3), [np.nan, 0.0], [np.inf, 0.0], [0.0, -np.inf]):
+        for bound in ("lower", "upper"):
+            with pytest.raises(ValueError):
+                apply(two_state, f, bound)
 
 
 def test_result_matrix_is_the_policy_matrix(rng):
     for _ in range(30):
         m = random_mixed_model(rng, coupled=True)
         f = rng.uniform(-8.0, 8.0, size=m.size)
-        for apply_op in (lower_apply, upper_apply):
-            res = apply_op(m, f)
+        for bound in ("lower", "upper"):
+            res = apply(m, f, bound)
             rebuilt = policy_matrix(m, res.policy)
             assert np.max(np.abs(res.matrix() - rebuilt)) <= 1e-9
             # V-rep rows are the stored vertices themselves
@@ -109,8 +111,8 @@ def test_interval_result_matrix_is_the_policy_matrix(rng):
     for _ in range(30):
         m = random_mixed_model(rng)
         f = rng.uniform(-8.0, 8.0, size=m.size)
-        for apply_op in (lower_apply, upper_apply):
-            res = apply_op(m, f)
+        for bound in ("lower", "upper"):
+            res = apply(m, f, bound)
             matrix = res.matrix()
             assert np.array_equal(matrix[m.interval_rows], res.interval_vertices)
             for x, row in enumerate(m.rows):
@@ -124,11 +126,11 @@ def test_interval_result_matrix_is_the_policy_matrix(rng):
 def test_warm_operator_matches_the_cold_one(rng):
     for _ in range(30):
         m = random_mixed_model(rng)
-        previous = lower_apply(m, rng.normal(size=m.size))
-        for apply_op in (lower_apply, upper_apply, lower_apply):
+        previous = apply(m, rng.normal(size=m.size), "lower")
+        for bound in ("lower", "upper", "lower"):
             f = rng.uniform(-8.0, 8.0, size=m.size)
-            warm = apply_op(m, f, start=previous)
-            assert np.max(np.abs(warm.value - apply_op(m, f).value)) <= 1e-12
+            warm = apply(m, f, bound, start=previous)
+            assert np.max(np.abs(warm.value - apply(m, f, bound).value)) <= 1e-12
             previous = warm
 
 
@@ -136,7 +138,8 @@ def test_start_from_another_model_is_refused(rng):
     m = random_mixed_model(rng)
     other = random_mixed_model(rng)
     with pytest.raises(ValueError):
-        lower_apply(m, np.zeros(m.size), start=lower_apply(other, np.zeros(other.size)))
+        apply(m, np.zeros(m.size), "lower",
+              start=apply(other, np.zeros(other.size), "lower"))
 
 
 def ragged_model(rng, n: int = 7, constraint_row=coupled_row) -> Model:
@@ -184,8 +187,8 @@ def test_selection_matches_the_per_row_scan(rng):
         m = ragged_model(rng, n=int(rng.integers(3, 9)))
         for f in (rng.normal(size=m.size), np.zeros(m.size),
                   rng.integers(0, 3, size=m.size).astype(float)):
-            for apply_op, sign in ((lower_apply, 1.0), (upper_apply, -1.0)):
-                res = apply_op(m, f)
+            for bound, sign in (("lower", 1.0), ("upper", -1.0)):
+                res = apply(m, f, bound)
                 value, selectors, picks = reference_apply(m, f, sign)
                 assert res.value.tobytes() == value.tobytes()
                 assert res.policy.selectors == selectors
@@ -210,8 +213,8 @@ def test_sparse_objectives_match_the_full_product(rng):
             rows = np.flatnonzero(m.vertex_counts)
             for f in objectives:
                 scores = m.vertex_stack @ f
-                for apply_op, pick in ((lower_apply, np.argmin), (upper_apply, np.argmax)):
-                    res = apply_op(m, f)
+                for bound, pick in (("lower", np.argmin), ("upper", np.argmax)):
+                    res = apply(m, f, bound)
                     for x in rows.tolist():
                         lo = m.vertex_offsets[x]
                         k = int(pick(scores[lo:lo + m.vertex_counts[x]]))
@@ -225,8 +228,8 @@ def test_interval_selection_matches_the_closed_form(rng):
         lower, upper = np.full(m.size, 0.02), np.full(m.size, 0.5)
         for f in (rng.normal(size=m.size), np.zeros(m.size),
                   rng.integers(0, 3, size=m.size).astype(float)):
-            for apply_op, sign in ((lower_apply, 1.0), (upper_apply, -1.0)):
-                res = apply_op(m, f)
+            for bound, sign in (("lower", 1.0), ("upper", -1.0)):
+                res = apply(m, f, bound)
                 # the reference runs the simplex on the interval rows
                 value, selectors, picks = reference_apply(m, f, sign)
                 rows = m.interval_rows
@@ -263,7 +266,7 @@ def test_first_application_copies_no_vertices():
     f = np.ones(m.size)
     tracemalloc.start()
     try:
-        lower_apply(m, f)
+        apply(m, f, "lower")
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -273,7 +276,7 @@ def test_first_application_copies_no_vertices():
 def test_matrix_of_a_model_without_vertex_rows():
     m = box_model(6, 2, coupled=range(6))
     assert m.vertex_stack.shape == (0, 6)
-    res = lower_apply(m, np.arange(6.0))
+    res = apply(m, np.arange(6.0), "lower")
     assert np.array_equal(res.matrix(), np.stack([res.solutions[x].vertex
                                                   for x in range(6)]))
 
@@ -281,7 +284,7 @@ def test_matrix_of_a_model_without_vertex_rows():
 def test_matrix_of_a_model_of_interval_rows():
     m = box_model(6, 2)
     assert m.vertex_stack.shape == (0, 6)
-    res = lower_apply(m, np.arange(6.0))
+    res = apply(m, np.arange(6.0), "lower")
     assert res.solutions == {}
     assert np.array_equal(res.matrix(), res.interval_vertices)
     exact = np.array([interval_vertex(row, sel) for row, sel
@@ -321,9 +324,9 @@ def check_interval_vertices(res, lower, upper) -> None:
 
 def test_closed_form_matches_minimize_row(rng, count_calls):
     for m, lower, upper, f in closed_form_cases(rng, 40):
-        for apply_op, sign in ((lower_apply, 1.0), (upper_apply, -1.0)):
+        for bound, sign in (("lower", 1.0), ("upper", -1.0)):
             calls = count_calls(lp, "minimize_row")
-            res = apply_op(m, f)
+            res = apply(m, f, bound)
             assert calls == []
             check_interval_vertices(res, lower, upper)
             for x, row in enumerate(m.rows):
@@ -334,8 +337,8 @@ def test_closed_form_matches_minimize_row(rng, count_calls):
 def test_closed_form_matches_highs(rng):
     optimize = pytest.importorskip("scipy.optimize")
     for m, lower, upper, f in closed_form_cases(rng, 15):
-        for apply_op, sign in ((lower_apply, 1.0), (upper_apply, -1.0)):
-            res = apply_op(m, f)
+        for bound, sign in (("lower", 1.0), ("upper", -1.0)):
+            res = apply(m, f, bound)
             check_interval_vertices(res, lower, upper)
             for x in range(m.size):
                 ref = optimize.linprog(sign * f, A_eq=np.ones((1, m.size)), b_eq=[1.0],
@@ -349,9 +352,9 @@ def test_edge_rows_match_minimize_row(rng, count_calls):
     rows = edge_rows()
     m = Model(StateSpace(tuple("abcdef")), TargetSet({5}), tuple(rows))
     for f in (rng.normal(size=6), np.zeros(6), np.array([1.0, 0, 1, 0, 1, 0])):
-        for apply_op, sign in ((lower_apply, 1.0), (upper_apply, -1.0)):
+        for bound, sign in (("lower", 1.0), ("upper", -1.0)):
             calls = count_calls(lp, "minimize_row")
-            res = apply_op(m, f)
+            res = apply(m, f, bound)
             # only the general row runs the simplex
             assert [args[0] for args, _ in calls] == [rows[5]]
             for x, row in enumerate(rows):
