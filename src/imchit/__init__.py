@@ -13,7 +13,7 @@ from .errors import (ImcError, Infeasible, InvalidModel,
                      SingularSystem, TooManyCombinations)
 from .linsolve import HittingTimeVector, solve_precise
 from .lp import LpSolution, minimize_row
-from .model import (Constraint, Model, Policy, RowPolytopeH, RowPolytopeV,
+from .model import (Constraint, Model, RowPolytopeH, RowPolytopeV,
                     StateSpace, TargetSet, ValidationIssue, ValidationReport,
                     load_model, model_from_dict, model_to_dict, save_model,
                     validate)
@@ -28,7 +28,7 @@ __all__ = [
     "BenchConfig", "Constraint", "HittingTimeVector", "ImcError",
     "Infeasible", "InvalidModel", "IterationStat", "LpSolution",
     "MaxIterationsExceeded",
-    "Model", "OperatorResult", "Policy", "ReachabilityReport",
+    "Model", "OperatorResult", "ReachabilityReport",
     "ReachabilityViolation", "RowPolytopeH", "RowPolytopeV",
     "SingularSystem", "SolveReport", "StateSpace", "TargetSet",
     "TooManyCombinations", "TrialRecord",

@@ -203,11 +203,6 @@ def _phase1(a: np.ndarray, b: np.ndarray,
     return tab, basis, infeas
 
 
-def row_feasible(row: RowPolytopeH) -> bool:
-    """Phase-one check that the constraint row admits at least one pmf."""
-    return row.lp_start.error is None
-
-
 def minimize_row(row: RowPolytopeH, objective: np.ndarray,
                  start: LpSolution | None = None) -> LpSolution:
     """Minimize ``objective . p`` over a constraint row polytope.

@@ -268,18 +268,6 @@ class Model:
         return np.flatnonzero(self.target_mask)
 
 
-# A selector is a vertex index for V-rep rows and a sorted tuple of basic
-# column indices of the row's standard-form LP for H-rep rows.
-Selector = Union[int, tuple[int, ...]]
-
-
-@dataclass(frozen=True)
-class Policy:
-    """One extreme-row choice per state; equality is selector-wise."""
-
-    selectors: tuple[Selector, ...]
-
-
 @dataclass(frozen=True)
 class ValidationIssue:
     code: str
@@ -289,8 +277,13 @@ class ValidationIssue:
 
 @dataclass(frozen=True)
 class ValidationReport:
-    ok: bool
+    """Every issue ``validate`` found; the model is valid iff there is none."""
+
     issues: tuple[ValidationIssue, ...]
+
+    @property
+    def ok(self) -> bool:
+        return not self.issues
 
 
 def validate(model: Model) -> ValidationReport:
@@ -299,12 +292,10 @@ def validate(model: Model) -> ValidationReport:
     The model is accepted iff the target is a non-empty strict subset of
     the state space, every row's data are finite, every V-rep vertex is a
     pmf within ``PMF_TOL``, and every H-rep row is feasible.  Building a
-    ``Model`` runs this check, so every built model passes it.
+    ``Model`` runs this check, so every built model passes it, and a
+    failed build's ``InvalidModel`` carries the report.
     """
-    if _passes(model):
-        return ValidationReport(ok=True, issues=())
-    issues = _issues(model)
-    return ValidationReport(ok=not issues, issues=tuple(issues))
+    return ValidationReport(() if _passes(model) else tuple(_issues(model)))
 
 
 # Vertices per block of the row-sum screen.  One stack-long temporary
@@ -335,8 +326,6 @@ def _sums_near_one(block: np.ndarray) -> bool:
 
 def _issues(model: Model) -> list[ValidationIssue]:
     """Every issue ``validate`` reports, row by row."""
-    from . import lp  # deferred: lp only needs the row data structures
-
     issues: list[ValidationIssue] = []
     n = model.size
     if not model.target.members:
@@ -371,7 +360,7 @@ def _issues(model: Model) -> list[ValidationIssue]:
                 # a code of its own: the data are bad, not the polytope
                 issues.append(ValidationIssue(
                     "NonFinite", label, f"constraints {bad} are not finite"))
-            elif not lp.row_feasible(row):
+            elif row.lp_start.error is not None:
                 issues.append(ValidationIssue(
                     "InfeasibleRow", label, "constraints admit no pmf"))
     return issues

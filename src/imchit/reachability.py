@@ -31,13 +31,19 @@ class ReachabilityReport:
     """Outcome of the reachability check.
 
     ``reach_step[x]`` is the round at which state ``x`` was absorbed
-    (0 for target states) and ``None`` for states never absorbed;
-    ``holds`` iff ``violating`` is empty.
+    (0 for target states) and ``None`` for a violating state, one never
+    absorbed; the check ``holds`` iff there is none.
     """
 
-    holds: bool
     reach_step: tuple[int | None, ...]
-    violating: frozenset[int]
+
+    @property
+    def violating(self) -> frozenset[int]:
+        return frozenset(x for x, step in enumerate(self.reach_step) if step is None)
+
+    @property
+    def holds(self) -> bool:
+        return None not in self.reach_step
 
 
 def check_reachability(model: Model) -> ReachabilityReport:
@@ -53,7 +59,4 @@ def check_reachability(model: Model) -> ReachabilityReport:
         absorbed |= fresh
         if absorbed.all():
             break
-    violating = frozenset(int(x) for x in np.nonzero(~absorbed)[0])
-    return ReachabilityReport(holds=not violating,
-                              reach_step=tuple(steps),
-                              violating=violating)
+    return ReachabilityReport(tuple(steps))

@@ -19,6 +19,12 @@ lower probability from every state, raising ``ReachabilityViolation``.
 It reads the model's ``reachability`` report, which the model computed
 once when it was built, so solving both bounds runs no check of its own.
 
+Each run returns a ``SolveReport``: the hitting times, the iteration
+count, the fixed-point residual and, for the two iterative methods, one
+trace entry per iteration.  It stores no fact twice: ``tolerance_limited``
+is derived from ``method``, since only value iteration stops at a
+tolerance.
+
 Iteration counting follows the convention that a run converged after
 ``n > 1`` iterations when the ``n``-th iterate first repeats the previous
 one.  Policy iteration detects the repeat by policy equality on the
@@ -38,8 +44,8 @@ import numpy as np
 from .errors import (MaxIterationsExceeded, ReachabilityViolation,
                      TooManyCombinations)
 from .linsolve import HittingTimeVector, solve_precise
-from .model import Model, Policy
-from .transition import OperatorResult, apply, check_bound
+from .model import Model
+from .transition import OperatorResult, Selector, apply, check_bound
 
 # Bytes of arrays that brute force may hold for one chunk of combinations.
 # Each combination takes at most four n x n float arrays: its gathered
@@ -64,11 +70,13 @@ class SolveReport:
     solution: HittingTimeVector
     iterations: int
     residual: float
-    tolerance_limited: bool
     trace: tuple[IterationStat, ...] | None
     wall_time: float
-    # full iterate vectors, kept only on request (diagnostics/tests)
-    iterates: tuple[np.ndarray, ...] | None = None
+
+    @property
+    def tolerance_limited(self) -> bool:
+        """Whether the run stopped at a tolerance: only value iteration does."""
+        return self.method == "value"
 
 
 def fixed_point_residual(model: Model, h: np.ndarray, bound: str = "lower") -> float:
@@ -87,10 +95,10 @@ def _require_cap(max_iter: int) -> None:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
 
 
-def _policy_changes(model: Model, new: Policy, old: Policy) -> int:
+def _policy_changes(model: Model, new: tuple[Selector, ...],
+                    old: tuple[Selector, ...]) -> int:
     """Number of non-target rows whose selector differs between policies."""
-    return sum(new.selectors[x] != old.selectors[x]
-               for x in model.nontarget_indices.tolist())
+    return sum(new[x] != old[x] for x in model.nontarget_indices.tolist())
 
 
 def _require_reachable(model: Model) -> None:
@@ -107,8 +115,7 @@ def _initial(model: Model, bound: str) -> OperatorResult:
 
 
 def solve_policy(model: Model, bound: str = "lower",
-                 max_iter: int | None = None,
-                 collect_iterates: bool = False) -> SolveReport:
+                 max_iter: int | None = None) -> SolveReport:
     """Policy iteration; finitely convergent and independent of the
     magnitude of the solution.
 
@@ -124,38 +131,30 @@ def solve_policy(model: Model, bound: str = "lower",
     # each improvement starts from the previous choice: simplex bases, and
     # interval vertices that are still optimal
     selected = _initial(model, bound)
-    policy = selected.policy
+    selectors = selected.selectors
     h = solve_precise(selected.matrix(), model.nontarget_indices)
     trace = [IterationStat(float(np.max(h)), 0)]
-    iterates = [h] if collect_iterates else None
     iterations = 1
     while iterations < cap:
         selected = apply(model, h, bound, start=selected)
-        changes = _policy_changes(model, selected.policy, policy)
+        changes = _policy_changes(model, selected.selectors, selectors)
         iterations += 1
         if changes == 0:
             # h repeats; the operator was just applied at it: a free residual
             trace.append(IterationStat(float(np.max(h)), 0))
-            if iterates is not None:
-                iterates.append(h)
             return SolveReport(
                 bound=bound, method="policy", solution=HittingTimeVector(h),
                 iterations=iterations, residual=_defect(model, h, selected.value),
-                tolerance_limited=False, trace=tuple(trace),
-                wall_time=time.perf_counter() - start,
-                iterates=None if iterates is None else tuple(iterates))
-        policy = selected.policy
+                trace=tuple(trace), wall_time=time.perf_counter() - start)
+        selectors = selected.selectors
         h = solve_precise(selected.matrix(), model.nontarget_indices)
         trace.append(IterationStat(float(np.max(h)), changes))
-        if iterates is not None:
-            iterates.append(h)
     raise MaxIterationsExceeded(
         f"policy iteration exceeded {cap} iterations", tuple(trace))
 
 
 def solve_value(model: Model, bound: str = "lower", tol: float = 1e-9,
-                max_iter: int = 10 ** 6,
-                collect_iterates: bool = False) -> SolveReport:
+                max_iter: int = 10 ** 6) -> SolveReport:
     """Fixed-point sweeps from the non-target indicator.
 
     The iterates increase monotonically towards the solution; the run is
@@ -171,22 +170,19 @@ def solve_value(model: Model, bound: str = "lower", tol: float = 1e-9,
     _require_reachable(model)
     off_target = (~model.target_mask).astype(float)
     h = off_target.copy()
-    previous_policy: Policy | None = None
+    previous: tuple[Selector, ...] | None = None
     trace: list[IterationStat] = []
-    iterates = [h] if collect_iterates else None
     iterations = 0
     converged = False
     while iterations < max_iter:
         result = apply(model, h, bound)
         h_next = off_target * (1.0 + result.value)
         iterations += 1
-        changes = 0 if previous_policy is None \
-            else _policy_changes(model, result.policy, previous_policy)
+        changes = 0 if previous is None \
+            else _policy_changes(model, result.selectors, previous)
         trace.append(IterationStat(float(np.max(h_next)), changes))
-        if iterates is not None:
-            iterates.append(h_next)
         gap = float(np.max(np.abs(h_next - h)))
-        previous_policy = result.policy
+        previous = result.selectors
         h = h_next
         if gap <= tol:
             converged = True
@@ -198,9 +194,7 @@ def solve_value(model: Model, bound: str = "lower", tol: float = 1e-9,
     return SolveReport(
         bound=bound, method="value", solution=HittingTimeVector(h),
         iterations=iterations, residual=fixed_point_residual(model, h, bound),
-        tolerance_limited=True, trace=tuple(trace),
-        wall_time=time.perf_counter() - start,
-        iterates=None if iterates is None else tuple(iterates))
+        trace=tuple(trace), wall_time=time.perf_counter() - start)
 
 
 def _vertex_counts(model: Model) -> list[int]:
@@ -258,5 +252,4 @@ def solve_brute(model: Model, bound: str = "lower",
     return SolveReport(
         bound=bound, method="brute", solution=HittingTimeVector(best),
         iterations=total, residual=fixed_point_residual(model, best, bound),
-        tolerance_limited=False, trace=None,
-        wall_time=time.perf_counter() - start)
+        trace=None, wall_time=time.perf_counter() - start)

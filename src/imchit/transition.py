@@ -3,10 +3,11 @@
 Both bounds run one operator, ``apply(model, f, bound)``: the lower bound
 minimizes ``p . f`` over each state's row polytope independently, and the
 upper bound is its conjugate, the same minimization of ``p . (-f)``.
-Besides the value vector, each application returns the policy of extreme
-points attaining it row by row, which is what the policy-iteration solver
-consumes.  One product with the model's vertex stack scores every vertex,
-and one padded ``argmin`` picks each vertex row's first minimizer.  When
+Besides the value vector, each application returns the selectors of the
+extreme points attaining it row by row, one per state: the policy that
+the policy-iteration solver consumes.  One product with the model's
+vertex stack scores every vertex, and one padded ``argmin`` picks each
+vertex row's first minimizer.  When
 fewer than an eighth of the objective's entries are nonzero, as for the
 target indicator of the policy-iteration start and of the early
 reachability rounds, the product reads only those columns of the stack.
@@ -27,13 +28,19 @@ its vertex there while that vertex is still optimal within
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Union
 
 import numpy as np
 
 from . import lp
-from .model import Model, Policy
+from .model import Model
 
 BOUNDS = ("lower", "upper")
+
+# A selector is a vertex index for V-rep rows and a tuple for H-rep rows:
+# an interval row's vertex (see OperatorResult), or the sorted basic
+# column indices of another row's standard-form LP.
+Selector = Union[int, tuple[int, ...]]
 
 
 def check_bound(bound: str) -> None:
@@ -45,12 +52,13 @@ def check_bound(bound: str) -> None:
 class OperatorResult:
     """Operator value plus one attaining extreme point per row.
 
-    Each row's choice is recorded without copying its vertex: ``picks``
-    holds an index into the model's vertex stack (-1 on H-rep rows),
-    ``interval_vertices`` the vertex of each of the model's
-    ``interval_rows``, and ``solutions`` the ``LpSolution`` of each other
-    H-rep row.  ``matrix`` assembles the policy matrix from them on
-    request.
+    ``selectors`` names each row's extreme point, so two results choose
+    the same points iff their selectors are equal.  The points themselves
+    are recorded without copying a vertex: ``picks`` holds an index into
+    the model's vertex stack (-1 on H-rep rows), ``interval_vertices``
+    the vertex of each of the model's ``interval_rows``, and
+    ``solutions`` the ``LpSolution`` of each other H-rep row.  ``matrix``
+    assembles the policy matrix from them on request.
 
     An interval row's selector names its vertex: the sorted coordinates
     of positive width at their upper bound, then the one coordinate
@@ -58,7 +66,7 @@ class OperatorResult:
     """
 
     value: np.ndarray
-    policy: Policy
+    selectors: tuple[Selector, ...]
     model: Model | None = field(default=None, repr=False, compare=False)
     picks: np.ndarray | None = field(default=None, repr=False, compare=False)
     solutions: dict[int, lp.LpSolution] = field(
@@ -67,7 +75,7 @@ class OperatorResult:
         default=None, repr=False, compare=False)
 
     def matrix(self) -> np.ndarray:
-        """The transition matrix ``policy`` selects, as a plain array."""
+        """The transition matrix ``selectors`` selects, as a plain array."""
         n = self.model.size
         stack = self.model.vertex_stack
         # an H-rep row's pick, -1, gathers a placeholder its vertex replaces
@@ -116,7 +124,7 @@ def _interval_choice(model: Model, objective: np.ndarray,
     gives = np.where(vertices > lo, objective, -np.inf).max(axis=1)
     takes = np.where(vertices < hi, objective, np.inf).min(axis=1)
     stale = np.flatnonzero(gives > takes + lp.PIVOT_TOL)
-    selectors = [start.policy.selectors[x] for x in model.interval_rows.tolist()]
+    selectors = [start.selectors[x] for x in model.interval_rows.tolist()]
     if stale.size:
         fresh, chosen = _interval_vertices(lo[stale], hi[stale], objective)
         vertices = vertices.copy()
@@ -177,5 +185,5 @@ def apply(model: Model, f: np.ndarray, bound: str,
         selectors[x] = sol.basis
         solutions[x] = sol
     picks = np.where(counts > 0, offsets + vertex, -1)
-    return OperatorResult(value, Policy(tuple(selectors)), model, picks,
+    return OperatorResult(value, tuple(selectors), model, picks,
                           solutions, intervals)

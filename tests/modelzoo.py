@@ -1,14 +1,16 @@
-"""Model builders shared across the test modules."""
+"""Model builders, oracles and a solver spy shared across the test modules."""
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
+import pytest
 
-from imchit import (Constraint, Model, Policy, RowPolytopeH, RowPolytopeV,
-                    StateSpace, TargetSet)
+from imchit import (Constraint, Model, RowPolytopeH, RowPolytopeV,
+                    StateSpace, TargetSet, solvers)
 
 
 def point_mass(n: int, i: int) -> np.ndarray:
@@ -233,14 +235,42 @@ def vertex_from_basis(row: RowPolytopeH, basis: tuple[int, ...]) -> np.ndarray:
     return x[:row.num_states]
 
 
-def policy_matrix(model: Model, policy: Policy) -> np.ndarray:
-    """The transition matrix ``policy`` selects, rebuilt from its selectors
-    alone: a vertex row's stored vertex, an interval row's ``interval_vertex``,
+def policy_matrix(model: Model, selectors: tuple) -> np.ndarray:
+    """The transition matrix ``selectors`` select, rebuilt from them alone:
+    a vertex row's stored vertex, an interval row's ``interval_vertex``,
     another constraint row's basis vertex."""
     return np.stack([row.vertices[sel] if isinstance(row, RowPolytopeV)
                      else np.array(interval_vertex(row, sel), dtype=float)
                      if row.bounds is not None else vertex_from_basis(row, sel)
-                     for row, sel in zip(model.rows, policy.selectors)])
+                     for row, sel in zip(model.rows, selectors)])
+
+
+@contextmanager
+def solver_iterates(method: str) -> Iterator[list[np.ndarray]]:
+    """The list of iterates that the ``"policy"`` or ``"value"`` solves run
+    in the block compute, in order, read off the solver's own calls.
+
+    Policy iteration's iterates are the hitting times each
+    ``solvers.solve_precise`` call returns.  Value iteration's are the
+    ``h`` each sweep passes to ``solvers.apply``, from the non-target
+    indicator on; the last comes from the call that computes the residual.
+    """
+    seen: list[np.ndarray] = []
+    if method == "policy":
+        name, original = "solve_precise", solvers.solve_precise
+
+        def spy(*args, **kwargs):
+            seen.append(original(*args, **kwargs))
+            return seen[-1]
+    else:
+        name, original = "apply", solvers.apply
+
+        def spy(model, f, *args, **kwargs):
+            seen.append(f)
+            return original(model, f, *args, **kwargs)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solvers, name, spy)
+        yield seen
 
 
 def random_vrep_model(rng: np.random.Generator, size_choices=(3, 4, 5),

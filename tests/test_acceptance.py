@@ -18,7 +18,8 @@ from imchit import (BenchConfig, apply, check_reachability, random_model,
 from imchit import solvers
 from imchit.cli import main as cli_main
 from modelzoo import (gambler_model, isolated_cycle_model, line_model,
-                      policy_matrix, random_mixed_model, random_vrep_model)
+                      policy_matrix, random_mixed_model, random_vrep_model,
+                      solver_iterates)
 
 ORACLE_MODELS = 200
 PROPERTY_CASES = 1000
@@ -38,17 +39,18 @@ def oracle_models():
 
 @pytest.fixture(scope="module")
 def oracle_pool():
-    """Criterion-1 model pool with all three solvers run on each model."""
+    """Criterion-1 model pool with all three solvers run on each model, and
+    the iterates of the policy and value solves."""
     entries = []
     start = time.perf_counter()
     for model in oracle_models():
         entry = {"model": model}
         for bound in ("lower", "upper"):
-            entry[f"policy_{bound}"] = solve_policy(
-                model, bound, collect_iterates=True)
+            with solver_iterates("policy") as entry[f"policy_{bound}_iterates"]:
+                entry[f"policy_{bound}"] = solve_policy(model, bound)
             entry[f"brute_{bound}"] = solve_brute(model, bound)
-            entry[f"value_{bound}"] = solve_value(
-                model, bound, tol=1e-9, collect_iterates=True)
+            with solver_iterates("value") as entry[f"value_{bound}_iterates"]:
+                entry[f"value_{bound}"] = solve_value(model, bound, tol=1e-9)
         entries.append(entry)
     elapsed = time.perf_counter() - start
     return entries, elapsed
@@ -174,7 +176,7 @@ def operator_property_failures(coupled: bool) -> dict[str, int]:
         check("conjugacy", np.max(np.abs(apply(m, f, "upper").value
                                          + apply(m, -f, "lower").value)) <= tol)
         check("attainment", all(
-            np.max(np.abs(policy_matrix(m, res.policy) @ f - res.value)) <= tol
+            np.max(np.abs(policy_matrix(m, res.selectors) @ f - res.value)) <= tol
             for res in (apply(m, f, bound) for bound in ("lower", "upper"))))
     return failures
 
@@ -199,13 +201,13 @@ def test_criterion_6_monotone_sequences(oracle_pool):
     entries, _ = oracle_pool
     violations = 0
     for entry in entries:
-        low = entry["policy_lower"].iterates
+        low = entry["policy_lower_iterates"]
         violations += sum(not (cur <= prev + 1e-8).all()
                           for prev, cur in zip(low, low[1:]))
-        up = entry["policy_upper"].iterates
+        up = entry["policy_upper_iterates"]
         violations += sum(not (cur >= prev - 1e-8).all()
                           for prev, cur in zip(up, up[1:]))
-        val = entry["value_lower"].iterates
+        val = entry["value_lower_iterates"]
         violations += sum(not (cur >= prev - 1e-12).all()
                           for prev, cur in zip(val, val[1:]))
         violations += sum(h.max() > k + 1 + 1e-9 for k, h in enumerate(val))

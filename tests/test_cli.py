@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from imchit import cli, save_model, solve_value
+from imchit import cli, model, save_model, solve_value, transition
 from imchit.cli import main
 from modelzoo import gambler_model, isolated_cycle_model, line_model, precise_model
 
@@ -41,6 +41,21 @@ def test_validate_reports_issues(tmp_path, capsys):
     assert not doc["ok"]
     assert doc["issues"][0]["code"] == "NonStochasticVertex"
     assert doc["issues"][0]["state"] == "a"
+
+
+def test_validate_reports_the_builds_check(gambler_path, tmp_path, capsys,
+                                           count_calls):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({
+        "states": ["a", "b"], "target": ["b"],
+        "rows": {"a": {"vertices": [[0.5, 0.6]]},
+                 "b": {"vertices": [[0.0, 1.0]]}}}))
+    for path, status in ((gambler_path, 0), (str(bad), 1)):
+        checks = count_calls(model, "validate")
+        screens = count_calls(model, "_passes")
+        assert main(["validate", "--model", path]) == status
+        assert len(checks) == len(screens) == 1
+    capsys.readouterr()
 
 
 def test_validate_rejects_non_finite_data(tmp_path, capsys):
@@ -148,6 +163,22 @@ def test_solve_on_invalid_model_exits_one(tmp_path, capsys):
                  "b": {"vertices": [[0.0, 1.0]]}}}))
     assert main(["solve", "--model", str(path)]) == 1
     assert "NonStochasticVertex" in capsys.readouterr().err
+
+
+def test_brute_force_ignores_max_iter(gambler_path, capsys):
+    outputs = []
+    for cap in ([], ["--max-iter", "1"]):
+        assert main(["solve", "--model", gambler_path, "--method", "brute"]
+                    + cap) == 0
+        outputs.append(_without_wall_time(capsys.readouterr().out))
+    assert outputs[0] == outputs[1]
+
+
+def test_bound_choices_are_the_operators_bounds():
+    solve = next(action for action in cli._build_parser()._actions
+                 if isinstance(action, argparse._SubParsersAction)).choices["solve"]
+    bound = next(a for a in solve._actions if "--bound" in a.option_strings)
+    assert bound.choices is transition.BOUNDS
 
 
 def test_non_convergence_exits_one(gambler_path, capsys):

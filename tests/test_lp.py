@@ -8,7 +8,6 @@ import pytest
 from imchit import (Constraint, Infeasible, Model, RowPolytopeH, RowPolytopeV,
                     StateSpace, TargetSet, apply, minimize_row)
 from imchit import lp
-from imchit.lp import row_feasible
 from modelzoo import box_row as interval_row
 from modelzoo import interval_minimum, vertex_from_basis
 
@@ -63,11 +62,11 @@ def vertex_model(*vertex_sets) -> Model:
 def test_vrep_single_vertex_and_tie_break():
     m = vertex_model([[0.2, 0.8]], [[0.0, 1.0]])
     res = apply(m, np.array([1.0, 2.0]), "lower")
-    assert res.value[0] == pytest.approx(1.8) and res.policy.selectors[0] == 0
+    assert res.value[0] == pytest.approx(1.8) and res.selectors[0] == 0
 
     ties = vertex_model([[0.5, 0.5], [0.5, 0.5]], [[0.0, 1.0]])
     for bound in ("lower", "upper"):
-        assert apply(ties, np.array([1.0, 3.0]), bound).policy.selectors[0] == 0
+        assert apply(ties, np.array([1.0, 3.0]), bound).selectors[0] == 0
 
 
 def test_vrep_matches_exhaustive_scan(rng):
@@ -80,7 +79,7 @@ def test_vrep_matches_exhaustive_scan(rng):
             # a plain scan, keeping the first minimizer
             dots = [float(v @ f) for v in vertices]
             assert res.value[x] == pytest.approx(min(dots), abs=1e-12)
-            assert res.policy.selectors[x] == dots.index(min(dots))
+            assert res.selectors[x] == dots.index(min(dots))
 
 
 def test_hrep_agrees_with_vertex_scan_on_box(rng):
@@ -110,14 +109,14 @@ def test_infeasible_row_raises():
                            Constraint(np.array([1.0, 0.0]), "<=", 0.2)))
     # the cached phase-one outcome keeps the row infeasible on every call
     for _ in range(3):
-        assert not row_feasible(row)
+        assert row.lp_start.error is not None
         with pytest.raises(Infeasible):
             minimize_row(row, np.array([1.0, 0.0]))
     assert row.lp_start.tableau is None
     # mass demands exceeding the simplex are infeasible too
     row = RowPolytopeH(2, (Constraint(np.array([1.0, 0.0]), ">=", 0.7),
                            Constraint(np.array([0.0, 1.0]), ">=", 0.7)))
-    assert not row_feasible(row)
+    assert row.lp_start.error is not None
 
 
 def test_equality_constraints_are_supported():
@@ -159,7 +158,7 @@ def random_interval_rows(rng, count=40):
 def test_cached_start_gives_the_fresh_answer(rng):
     objectives = [rng.normal(size=3) for _ in range(20)]
     warm = box_row()
-    assert row_feasible(warm)
+    assert warm.lp_start.error is None
     for _ in range(50):
         minimize_row(warm, rng.normal(size=3))
     for f in objectives:
@@ -187,7 +186,7 @@ def test_cached_start_is_read_only():
 def test_non_finite_row_is_never_solved():
     for b in (np.nan, np.inf):
         row = RowPolytopeH(2, (Constraint(np.array([1.0, 0.0]), "<=", b),))
-        assert not row_feasible(row)
+        assert row.lp_start.error is not None
         with pytest.raises(Infeasible, match="non-finite"):
             minimize_row(row, np.array([1.0, 0.0]))
 

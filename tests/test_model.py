@@ -9,7 +9,6 @@ from imchit import (Constraint, ImcError, InvalidModel, Model, RowPolytopeH,
                     RowPolytopeV, StateSpace, TargetSet, ValidationIssue,
                     ValidationReport, apply, load_model, model_from_dict,
                     model_to_dict, random_model, save_model, validate)
-from imchit.lp import row_feasible
 from modelzoo import (box_model, box_row, coupled_row, edge_rows,
                       interval_vertex, precise_model, vertex_from_basis)
 
@@ -31,6 +30,14 @@ def test_degenerate_precise_chain_is_accepted():
                                 [0.0, 0.0, 1.0]]), {2})
     report = validate(m)
     assert report.ok and report.issues == ()
+
+
+def test_validation_report_is_ok_iff_it_lists_no_issue():
+    issue = ValidationIssue("EmptyTarget", None, "target set is empty")
+    assert ValidationReport(()).ok
+    assert not ValidationReport((issue,)).ok
+    with pytest.raises(TypeError):
+        ValidationReport(ok=True, issues=(issue,))
 
 
 def refused(*args) -> ValidationReport:
@@ -105,12 +112,12 @@ def test_rows_feasible_only_within_tolerance_keep_the_simplex():
     # phase one accepts 1e-10 of excess mass; the closed form does not
     near = RowPolytopeH(2, (Constraint(e[0], ">=", 0.5),
                             Constraint(e[1], ">=", 0.5 + 1e-10)))
-    assert row_feasible(near) and near.bounds is None
+    assert near.lp_start.error is None and near.bounds is None
     # crossed bounds and non-finite data are phase one's to report
     crossed = RowPolytopeH(2, (Constraint(e[0], ">=", 0.7), Constraint(e[0], "<=", 0.2)))
-    assert not row_feasible(crossed) and crossed.bounds is None
+    assert crossed.lp_start.error is not None and crossed.bounds is None
     nan = RowPolytopeH(2, (Constraint(e[0], "<=", np.nan),))
-    assert not row_feasible(nan) and nan.bounds is None
+    assert nan.lp_start.error is not None and nan.bounds is None
 
 
 def test_empty_and_full_targets_are_reported():
@@ -143,7 +150,7 @@ def test_policy_to_matrix_on_vertex_rows():
     f = np.array([0.0, 1.0, 0.0])
     for bound, selected in (("lower", (1, 0, 0)), ("upper", (0, 0, 0))):
         res = apply(m, f, bound)
-        assert res.policy.selectors == selected
+        assert res.selectors == selected
         assert np.array_equal(res.matrix(), np.stack(
             [(u, v)[selected[0]], np.eye(3)[2], np.eye(3)[2]]))
 
@@ -174,7 +181,7 @@ def test_policy_to_matrix_reconstructs_hrep_vertices(rng):
         res = apply(m, f, "lower")
         p = res.matrix()[0]
         # the basis names the vertex the simplex returned
-        assert np.allclose(vertex_from_basis(row, res.policy.selectors[0]), p,
+        assert np.allclose(vertex_from_basis(row, res.selectors[0]), p,
                            atol=1e-9)
         # check the vertex against the constraint list
         check_row_vertex(row, p, f, res.value[0])
@@ -191,7 +198,7 @@ def test_policy_to_matrix_reconstructs_interval_vertices(rng):
             res = apply(m, f, bound)
             p = res.matrix()[0]
             # the selector names the vertex the closed form returned
-            exact = np.array(interval_vertex(row, res.policy.selectors[0]), dtype=float)
+            exact = np.array(interval_vertex(row, res.selectors[0]), dtype=float)
             assert np.max(np.abs(exact - p)) <= 1e-15
             check_row_vertex(row, p, f, res.value[0])
 
@@ -276,7 +283,7 @@ def reference_issues(labels: tuple[str, ...], rows) -> list[ValidationIssue]:
                     issues.append(ValidationIssue(
                         "NonStochasticVertex", label,
                         f"vertex {k} has min {v.min():.3g}, sum {total!r}"))
-        elif not row_feasible(row):
+        elif row.lp_start.error is not None:
             issues.append(ValidationIssue(
                 "InfeasibleRow", label, "constraints admit no pmf"))
     return issues

@@ -2,9 +2,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from imchit import (Model, RowPolytopeV, StateSpace, TargetSet,
-                    apply, check_reachability, random_model, solve_brute,
-                    solve_policy, solve_value)
+import pytest
+
+from imchit import (Model, ReachabilityReport, RowPolytopeV, StateSpace,
+                    TargetSet, apply, check_reachability, random_model,
+                    solve_brute, solve_policy, solve_value)
 from imchit import reachability
 from modelzoo import (isolated_cycle_model, line_model, precise_model,
                       two_choice_model)
@@ -51,6 +53,15 @@ def test_self_loop_outside_target_violates():
     assert not report.holds
     assert report.violating == frozenset({1})
     assert report.reach_step == (0, None)
+
+
+def test_report_reads_everything_off_reach_step():
+    report = ReachabilityReport((2, None, 0, None))
+    assert not report.holds and report.violating == frozenset({1, 3})
+    assert ReachabilityReport((1, 0)).holds
+    assert ReachabilityReport((1, 0)).violating == frozenset()
+    with pytest.raises(TypeError):
+        ReachabilityReport(holds=True, reach_step=(1, 0), violating=frozenset())
 
 
 def test_deterministic_line_reach_steps():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import tracemalloc
 from fractions import Fraction
@@ -8,17 +9,17 @@ import numpy as np
 import pytest
 
 from imchit import (MaxIterationsExceeded, Model, ReachabilityViolation,
-                    RowPolytopeV, SingularSystem, StateSpace, TargetSet,
-                    TooManyCombinations, apply, fixed_point_residual,
-                    solve_brute, solve_policy, solve_precise, solve_value,
-                    validate)
+                    RowPolytopeV, SingularSystem, SolveReport, StateSpace,
+                    TargetSet, TooManyCombinations, apply,
+                    fixed_point_residual, solve_brute, solve_policy,
+                    solve_precise, solve_value, validate)
 from imchit import lp, solvers, transition
 from imchit.linsolve import RESID_RTOL
 from modelzoo import (box_bounds, box_model, box_row, drift_chain_model,
                       drift_chain_upper, gambler_model, interval_extreme,
                       interval_vertex, isolated_cycle_model, line_model,
                       precise_model, random_mixed_model, random_vrep_model,
-                      two_choice_model)
+                      solver_iterates, two_choice_model)
 
 
 def test_precise_chain_needs_one_linear_solve(rng):
@@ -51,18 +52,21 @@ def test_policy_matches_brute_on_random_models(rng):
 
 def test_value_iteration_first_sweep(rng):
     m = random_vrep_model(rng)
-    report = solve_value(m, max_iter=10 ** 6, collect_iterates=True)
+    with solver_iterates("value") as iterates:
+        solve_value(m, max_iter=10 ** 6)
     off_target = (~m.target_mask).astype(float)
     expected_h1 = off_target * (1.0 + apply(m, off_target, "lower").value)
-    assert np.allclose(report.iterates[1], expected_h1, atol=1e-12)
+    assert np.allclose(iterates[1], expected_h1, atol=1e-12)
 
 
 def test_value_iterates_bounded_and_monotone(rng):
     m = random_vrep_model(rng)
-    report = solve_value(m, collect_iterates=True)
-    for k, h in enumerate(report.iterates):
+    with solver_iterates("value") as iterates:
+        report = solve_value(m)
+    assert len(iterates) == report.iterations + 1
+    for k, h in enumerate(iterates):
         assert h.max() <= k + 1 + 1e-9
-    for prev, cur in zip(report.iterates, report.iterates[1:]):
+    for prev, cur in zip(iterates, iterates[1:]):
         assert (cur >= prev - 1e-12).all()
     assert report.tolerance_limited
 
@@ -97,7 +101,7 @@ def target_pick_model() -> Model:
 def test_target_row_changes_end_the_solve(bound, count_calls):
     m = target_pick_model()
     target = m.size - 1
-    start = solvers._initial(m, bound).policy
+    start = solvers._initial(m, bound).selectors
     residual_sweeps = count_calls(solvers, "fixed_point_residual")
     report = solve_policy(m, bound)
     assert report.solution.values.tolist() == [1.0, 2.0, 0.0]
@@ -105,8 +109,8 @@ def test_target_row_changes_end_the_solve(bound, count_calls):
     assert [t.policy_changes for t in report.trace] == [0, 0]
     assert residual_sweeps == []
     # the operator did move the target row, which nothing counts
-    assert apply(m, report.solution.values, bound).policy.selectors[target] \
-        != start.selectors[target]
+    assert apply(m, report.solution.values, bound).selectors[target] \
+        != start[target]
 
 
 def test_policy_iteration_has_no_tolerance(rng):
@@ -120,14 +124,34 @@ def test_policy_iteration_has_one_start(rng, setting):
         solve_policy(random_vrep_model(rng), **setting)
 
 
+def test_reports_derive_tolerance_limited_from_the_method(rng):
+    m = random_vrep_model(rng)
+    assert [field.name for field in dataclasses.fields(SolveReport)] == [
+        "bound", "method", "solution", "iterations", "residual", "trace",
+        "wall_time"]
+    for solve, limited in ((solve_policy, False), (solve_value, True),
+                           (solve_brute, False)):
+        assert solve(m).tolerance_limited is limited
+
+
+@pytest.mark.parametrize("solve", [solve_policy, solve_value])
+def test_solvers_keep_no_iterates(rng, solve):
+    with pytest.raises(TypeError):
+        solve(random_vrep_model(rng), collect_iterates=True)
+
+
 def test_policy_traces_are_monotone(rng):
     for _ in range(10):
         m = random_vrep_model(rng)
-        low = solve_policy(m, "lower", collect_iterates=True)
-        for prev, cur in zip(low.iterates, low.iterates[1:]):
+        with solver_iterates("policy") as low:
+            report = solve_policy(m, "lower")
+        # the last iteration repeats h without a solve
+        assert len(low) == report.iterations - 1
+        for prev, cur in zip(low, low[1:]):
             assert (cur <= prev + 1e-8).all()
-        up = solve_policy(m, "upper", collect_iterates=True)
-        for prev, cur in zip(up.iterates, up.iterates[1:]):
+        with solver_iterates("policy") as up:
+            solve_policy(m, "upper")
+        for prev, cur in zip(up, up[1:]):
             assert (cur >= prev - 1e-8).all()
 
 
@@ -168,8 +192,8 @@ def test_greedy_init_prefers_mass_on_target():
             RowPolytopeV(np.array([[0.0, 0.5, 0.5]])),
             RowPolytopeV(np.array([[0.0, 0.0, 1.0]])))
     m = Model(StateSpace(("a", "b", "c")), TargetSet({0}), rows)
-    policy = solvers._initial(m, "lower").policy
-    assert policy.selectors[0] == 0  # the vertex putting 0.9 on the target
+    selectors = solvers._initial(m, "lower").selectors
+    assert selectors[0] == 0  # the vertex putting 0.9 on the target
 
 
 def test_greedy_upper_init_prefers_least_mass_on_target():
@@ -179,8 +203,8 @@ def test_greedy_upper_init_prefers_least_mass_on_target():
                                    [0.3, 0.0, 0.7]])),
             RowPolytopeV(np.array([[1.0, 0.0, 0.0]])))
     m = Model(StateSpace(("a", "b", "c")), TargetSet({0}), rows)
-    policy = solvers._initial(m, "upper").policy
-    assert policy.selectors[1] == 1  # the vertex putting 0.1 on the target
+    selectors = solvers._initial(m, "upper").selectors
+    assert selectors[1] == 1  # the vertex putting 0.1 on the target
 
 
 def test_reachability_violation_is_raised():
@@ -215,7 +239,7 @@ def test_policy_iteration_cap(rng):
     assert exc.value.trace
 
 
-def test_value_iteration_keeps_no_iterates_unless_asked():
+def test_value_iteration_keeps_no_iterates():
     # every non-target state keeps 0.05 on the target and steps round a cycle
     n = 500
     matrix = np.zeros((n, n))
@@ -229,10 +253,8 @@ def test_value_iteration_keeps_no_iterates_unless_asked():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert report.iterates is None
     # the iterates alone would take 4 KB a sweep, over 400 sweeps
     assert peak < report.iterations * report.solution.values.nbytes / 4
-    assert solve_policy(m).iterates is None
 
 
 def test_value_iteration_cap(rng):
@@ -292,23 +314,39 @@ def test_brute_enumerates_non_target_rows_only():
                                rtol=1e-12, atol=0.0)
 
 
-def test_brute_chunks_fit_the_byte_budget(rng):
-    # 12 two-vertex rows of 30 states: 4096 combinations, whose 30 x 30
-    # matrices alone take 28 MiB
+def budget_model(rng) -> Model:
+    """12 two-vertex rows of 30 states: 4096 combinations, whose 30 x 30
+    matrices alone take 28 MiB."""
     n = 30
     rows = tuple(RowPolytopeV(rng.dirichlet(np.ones(n), size=2 if x < 12 else 1))
                  for x in range(n))
-    m = Model(StateSpace(tuple(f"s{i}" for i in range(n))), TargetSet({n - 1}), rows)
+    return Model(StateSpace(tuple(f"s{i}" for i in range(n))), TargetSet({n - 1}), rows)
+
+
+def brute_peak(m: Model) -> int:
+    """The peak of traced memory while ``solve_brute`` enumerates ``m``."""
     tracemalloc.start()
     try:
-        report = solve_brute(m)
-        _, peak = tracemalloc.get_traced_memory()
+        assert solve_brute(m).iterations == 4096
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert report.iterations == 4096
-    assert peak <= solvers._BRUTE_BYTES
+
+
+def test_brute_chunks_fit_the_byte_budget(rng):
+    m = budget_model(rng)
+    assert brute_peak(m) <= solvers._BRUTE_BYTES
     chunks = [len(selectors) for selectors, _ in solvers._iter_chunks(m)]
     assert len(chunks) > 1 and sum(chunks) == 4096
+
+
+def test_counted_brute_force_fits_the_byte_budget(rng, count_calls):
+    # count_calls keeps each chunk's stack as its shape, not the stack
+    m = budget_model(rng)
+    solves = count_calls(solvers, "solve_precise")
+    assert brute_peak(m) <= solvers._BRUTE_BYTES
+    assert len(solves) > 1
+    assert all(args[0][1:] == (m.size, m.size) for args, _ in solves)
 
 
 def test_componentwise_extremum_is_attained_by_one_combination(rng):
@@ -465,15 +503,15 @@ def test_interval_improvements_keep_the_incumbent():
         start = apply(m, tilted, bound)
         cold = apply(m, f, bound)
         warm = apply(m, f, bound, start=start)
-        assert warm.policy == start.policy != cold.policy
+        assert warm.selectors == start.selectors != cold.selectors
         assert np.array_equal(warm.interval_vertices, start.interval_vertices)
         assert np.max(np.abs(warm.value - cold.value)) <= 1e-12
-        for row, sel, p in zip(m.rows, warm.policy.selectors, warm.matrix()):
+        for row, sel, p in zip(m.rows, warm.selectors, warm.matrix()):
             exact = np.array(interval_vertex(row, sel), dtype=float)
             assert np.max(np.abs(exact - p)) <= 1e-15
         # a start that is no longer optimal gives way to the closed form
         g = f[::-1].copy()
-        assert apply(m, g, bound, start=start).policy == apply(m, g, bound).policy
+        assert apply(m, g, bound, start=start).selectors == apply(m, g, bound).selectors
 
 
 def test_symmetric_interval_rows_end_below_the_cap():
@@ -540,12 +578,12 @@ def check_exact_rationals(coupled: bool) -> None:
         checked += 1
         for bound in ("lower", "upper"):
             h = solve_policy(m, bound).solution.values
-            policy = apply(m, h, bound).policy
+            selectors = apply(m, h, bound).selectors
             rows = [[Fraction(float(v)) for v in row.vertices[sel]]
                     if isinstance(row, RowPolytopeV)
                     else interval_vertex(row, sel) if row.bounds is not None
                     else exact_vertex(row, sel)
-                    for row, sel in zip(m.rows, policy.selectors)]
+                    for row, sel in zip(m.rows, selectors)]
             free = [x for x in range(m.size) if x not in m.target.members]
             u = solve_fractions([[int(x == y) - rows[x][y] for y in free] for x in free],
                                 [Fraction(1)] * len(free))

@@ -44,8 +44,8 @@ def test_two_state_scan(two_state):
     f = np.array([2.0, 5.0])
     low = apply(two_state, f, "lower")
     up = apply(two_state, f, "upper")
-    assert low.value[0] == pytest.approx(2.0) and low.policy.selectors[0] == 0
-    assert up.value[0] == pytest.approx(5.0) and up.policy.selectors[0] == 1
+    assert low.value[0] == pytest.approx(2.0) and low.selectors[0] == 0
+    assert up.value[0] == pytest.approx(5.0) and up.selectors[0] == 1
 
 
 def test_policy_attains_the_value(rng):
@@ -54,7 +54,7 @@ def test_policy_attains_the_value(rng):
         f = rng.uniform(-8.0, 8.0, size=m.size)
         for bound in ("lower", "upper"):
             res = apply(m, f, bound)
-            matrix = policy_matrix(m, res.policy)
+            matrix = policy_matrix(m, res.selectors)
             assert np.allclose(matrix @ f, res.value, atol=1e-9)
 
 
@@ -64,7 +64,7 @@ def test_interval_policy_attains_the_value(rng):
         f = rng.uniform(-8.0, 8.0, size=m.size)
         for bound in ("lower", "upper"):
             res = apply(m, f, bound)
-            matrix = policy_matrix(m, res.policy)
+            matrix = policy_matrix(m, res.selectors)
             assert np.max(np.abs(matrix @ f - res.value)) <= 1e-12
 
 
@@ -81,7 +81,7 @@ def test_repeated_application_is_deterministic(rng):
     f = rng.normal(size=m.size)
     first = apply(m, f, "lower")
     again = apply(m, f, "lower")
-    assert first.policy == again.policy
+    assert first.selectors == again.selectors
     assert np.array_equal(first.value, again.value)
 
 
@@ -99,7 +99,7 @@ def test_result_matrix_is_the_policy_matrix(rng):
         f = rng.uniform(-8.0, 8.0, size=m.size)
         for bound in ("lower", "upper"):
             res = apply(m, f, bound)
-            rebuilt = policy_matrix(m, res.policy)
+            rebuilt = policy_matrix(m, res.selectors)
             assert np.max(np.abs(res.matrix() - rebuilt)) <= 1e-9
             # V-rep rows are the stored vertices themselves
             for x, row in enumerate(m.rows):
@@ -117,9 +117,9 @@ def test_interval_result_matrix_is_the_policy_matrix(rng):
             assert np.array_equal(matrix[m.interval_rows], res.interval_vertices)
             for x, row in enumerate(m.rows):
                 if isinstance(row, RowPolytopeV):
-                    assert np.array_equal(matrix[x], row.vertices[res.policy.selectors[x]])
+                    assert np.array_equal(matrix[x], row.vertices[res.selectors[x]])
                 else:
-                    exact = np.array(interval_vertex(row, res.policy.selectors[x]))
+                    exact = np.array(interval_vertex(row, res.selectors[x]))
                     assert np.max(np.abs(matrix[x] - exact.astype(float))) <= 1e-15
 
 
@@ -191,7 +191,7 @@ def test_selection_matches_the_per_row_scan(rng):
                 res = apply(m, f, bound)
                 value, selectors, picks = reference_apply(m, f, sign)
                 assert res.value.tobytes() == value.tobytes()
-                assert res.policy.selectors == selectors
+                assert res.selectors == selectors
                 assert np.array_equal(res.picks, picks)
 
 
@@ -235,14 +235,14 @@ def test_interval_selection_matches_the_closed_form(rng):
                 rows = m.interval_rows
                 vertex = np.flatnonzero(m.vertex_counts)
                 assert res.value[vertex].tobytes() == value[vertex].tobytes()
-                assert [res.policy.selectors[x] for x in vertex] \
+                assert [res.selectors[x] for x in vertex] \
                     == [selectors[x] for x in vertex]
                 assert np.array_equal(res.picks, picks)
                 assert np.max(np.abs(res.value[rows] - value[rows])) <= 1e-12
                 best = float(interval_minimum(lower, upper, sign * f) @ f)
                 assert np.max(np.abs(res.value[rows] - best)) <= 1e-12
                 for x in rows.tolist():
-                    exact = np.array(interval_vertex(m.rows[x], res.policy.selectors[x]),
+                    exact = np.array(interval_vertex(m.rows[x], res.selectors[x]),
                                      dtype=float)
                     assert np.max(np.abs(res.matrix()[x] - exact)) <= 1e-15
 
@@ -288,7 +288,7 @@ def test_matrix_of_a_model_of_interval_rows():
     assert res.solutions == {}
     assert np.array_equal(res.matrix(), res.interval_vertices)
     exact = np.array([interval_vertex(row, sel) for row, sel
-                      in zip(m.rows, res.policy.selectors)], dtype=float)
+                      in zip(m.rows, res.selectors)], dtype=float)
     assert np.max(np.abs(res.matrix() - exact)) <= 1e-15
 
 
