@@ -19,13 +19,13 @@ A basis identifier is the sorted tuple of basic column indices of this
 standard form; it pins down exactly one vertex.
 
 Phase one depends only on the row, so it runs once per row, when the row
-is built: ``RowPolytopeH`` keeps what ``row_start`` returns, the standard
-form and the feasible tableau phase one ends with (or the ``Infeasible``
-outcome it raised), read-only, as ``lp_start``.  That start tableau is
-narrow: it keeps the structural columns and the rhs only, because phase
-two never lets an artificial column enter and pivoting updates each
-column on its own.  A ``minimize_row`` call copies it and runs phase two
-only.
+is built: ``RowPolytopeH`` keeps what ``row_start`` returns, the feasible
+tableau phase one ends with (or the ``Infeasible`` outcome it raised),
+read-only, as ``lp_start``; the standard form itself is not kept.  That
+start tableau is narrow: it keeps the structural columns and the rhs
+only, because phase two never lets an artificial column enter and
+pivoting updates each column on its own.  A ``minimize_row`` call copies
+it and runs phase two only.
 
 Every basis of a row is primal feasible whatever the objective, so phase
 two may also start from the final tableau of an earlier ``LpSolution`` of
@@ -67,27 +67,24 @@ class LpSolution:
 
 @dataclass(frozen=True)
 class _RowStart:
-    """Standard form and phase-one outcome of one row; arrays are read-only.
+    """Phase-one outcome of one row; the tableau is read-only.
 
     ``tableau`` and ``basis`` are the feasible start phase two copies.  The
-    tableau keeps the ``ncols`` structural columns and the rhs; its last
-    row, which phase two overwrites, is what is left of the phase-one
-    objective.  A basis entry ``>= ncols`` is an artificial that stayed
-    basic at zero in a redundant row.  When the row
+    tableau keeps the ``ncols`` structural columns of the standard form
+    and the rhs; its last row, which phase two overwrites, is what is left
+    of the phase-one objective.  A basis entry ``>= ncols`` is an
+    artificial that stayed basic at zero in a redundant row.  When the row
     admits no pmf, or its data are not finite, ``tableau`` is None and
     ``error`` holds the message ``Infeasible`` is raised with.
     """
 
-    a: np.ndarray
-    b: np.ndarray
-    ncols: int
     tableau: np.ndarray | None
     basis: tuple[int, ...]
     error: str | None
 
 
 def row_start(row: RowPolytopeH) -> _RowStart:
-    """Standard form and phase-one outcome of a constraint row.
+    """Phase-one outcome of a constraint row, from its standard form.
 
     ``RowPolytopeH`` calls it once, when the row is built, and keeps the
     result as ``lp_start``.
@@ -105,9 +102,7 @@ def row_start(row: RowPolytopeH) -> _RowStart:
         if c.rel != "=":
             a[i, slack_col] = 1.0 if c.rel == "<=" else -1.0
             slack_col += 1
-    a.flags.writeable = False
-    b.flags.writeable = False
-    return _RowStart(a, b, ncols, *_feasible_start(a, b, ncols))
+    return _RowStart(*_feasible_start(a, b, ncols))
 
 
 def _feasible_start(a: np.ndarray, b: np.ndarray, ncols: int

@@ -11,12 +11,16 @@ transition matrix (rows are separately specified).
 Row storage is packed once, when it is built: a model stacks the vertices
 of its vertex rows into one read-only array, of which each of the model's
 own vertex rows is a view (the rows it was given keep their arrays), and
-a constraint row keeps its standard form and phase-one outcome
-(``RowPolytopeH.lp_start``).  A constraint row whose constraints each
-bound one coordinate is an interval row ``lo <= p <= hi``; it keeps its
-bounds (``RowPolytopeH.bounds``), and a model stacks them next to the
-vertices.  The other constraint rows, which need the simplex, are listed
-in ``Model.simplex_rows``.
+a constraint row keeps its phase-one outcome (``RowPolytopeH.lp_start``).
+A constraint row whose constraints each bound one coordinate is an
+interval row ``lo <= p <= hi``; it keeps its bounds
+(``RowPolytopeH.bounds``), and a model stacks them next to the vertices.
+The other constraint rows, which need the simplex, are listed in
+``Model.simplex_rows``.
+
+A model is checked once, when it is built: ``validate`` scans the vertex
+stack block by block and then looks only at the vertex rows with a bad
+vertex and the constraint rows that phase one rejected.
 """
 
 from __future__ import annotations
@@ -125,8 +129,8 @@ class RowPolytopeH:
     """Row credal set cut out of the probability simplex by linear constraints.
 
     The simplex constraints are implicit and always enforced; ``constraints``
-    only lists the additional ones.  ``lp_start`` holds the row's standard
-    form and phase-one outcome, computed once when the row is built.
+    only lists the additional ones.  ``lp_start`` holds the row's
+    phase-one outcome, computed once when the row is built.
     ``bounds`` holds the read-only ``(lo, hi)`` of an interval row, whose
     extreme points have a closed form, and None for a row that needs the
     simplex.
@@ -293,76 +297,76 @@ def validate(model: Model) -> ValidationReport:
     the state space, every row's data are finite, every V-rep vertex is a
     pmf within ``PMF_TOL``, and every H-rep row is feasible.  Building a
     ``Model`` runs this check, so every built model passes it, and a
-    failed build's ``InvalidModel`` carries the report.
+    failed build's ``InvalidModel`` carries the report.  The check is one
+    scan of the vertex stack, which then looks only at the rows that fail.
     """
-    return ValidationReport(() if _passes(model) else tuple(_issues(model)))
+    return ValidationReport(tuple(_issues(model)))
 
 
-# Vertices per block of the row-sum screen.  One stack-long temporary
-# (80 KB at n=200) changed how glibc trims ``run_experiment``'s thread
-# arenas: three times the page faults of 8 KB blocks, a 6 % longer batch.
+# Vertices per block of the stack scan.  One stack-long temporary (80 KB
+# at n=200) changed how glibc trims ``run_experiment``'s thread arenas:
+# three times the page faults of 8 KB blocks, a 6 % longer batch.
 _SUM_BLOCK = 1024
 
 
-def _passes(model: Model) -> bool:
-    """Whether ``validate`` accepts ``model``, from two reductions over the
-    vertex stack; NaN fails the first comparison, -inf the minimum and
-    +inf the sums.  An interval row passed phase one: it has bounds."""
-    stack = model.vertex_stack
-    return (0 < len(model.target.members) < model.size
-            and stack.min(initial=0.0) >= -PMF_TOL
-            and all(_sums_near_one(stack[lo:lo + _SUM_BLOCK])
-                    for lo in range(0, len(stack), _SUM_BLOCK))
-            and all(model.rows[x].lp_start.error is None
-                    for x in model.simplex_rows.tolist()))
-
-
-def _sums_near_one(block: np.ndarray) -> bool:
-    """Whether every row of ``block`` sums to 1 within ``PMF_TOL``."""
-    sums = block.sum(axis=1)
-    sums -= 1.0
-    return bool(np.abs(sums, out=sums).max() <= PMF_TOL)
-
-
 def _issues(model: Model) -> list[ValidationIssue]:
-    """Every issue ``validate`` reports, row by row."""
+    """Every issue ``validate`` reports, in row order.
+
+    A block of the vertex stack passes on two reductions, its minimum and
+    its rows' distances from sum 1; NaN fails both comparisons, -inf the
+    minimum and +inf the sums.  Only a failing block is searched for its
+    bad vertices.  Non-finite constraint data always set a row's
+    ``lp_start.error``.
+    """
     issues: list[ValidationIssue] = []
-    n = model.size
     if not model.target.members:
         issues.append(ValidationIssue("EmptyTarget", None, "target set is empty"))
-    elif len(model.target.members) >= n:
+    elif len(model.target.members) >= model.size:
         issues.append(ValidationIssue(
             "TargetIsWholeSpace", None, "no non-target states remain"))
     stack = model.vertex_stack
-    finite = np.isfinite(stack).all(axis=1)
-    mins = stack.min(axis=1)
+    flagged: list[int] = []
     with np.errstate(invalid="ignore"):  # inf - inf in a non-finite vertex
-        sums = stack.sum(axis=1)
-    off_simplex = (mins < -PMF_TOL) | (np.abs(sums - 1.0) > PMF_TOL)
-    for x, row in enumerate(model.rows):
-        label = model.states.labels[x]
-        if isinstance(row, RowPolytopeV):
-            lo = model.vertex_offsets[x]
-            block = slice(lo, lo + model.vertex_counts[x])
-            if not finite[block].all():
-                issues.append(ValidationIssue(
-                    "NonFinite", label,
-                    f"vertices {np.nonzero(~finite[block])[0].tolist()} are not finite"))
-                continue
-            for k in np.flatnonzero(off_simplex[block]).tolist():
-                issues.append(ValidationIssue(
-                    "NonStochasticVertex", label,
-                    f"vertex {k} has min {mins[lo + k]:.3g}, sum {sums[lo + k]!r}"))
-        else:
+        for lo in range(0, len(stack), _SUM_BLOCK):
+            block = stack[lo:lo + _SUM_BLOCK]
+            dev = block.sum(axis=1)
+            dev -= 1.0
+            np.abs(dev, out=dev)
+            if not (block.min() >= -PMF_TOL and dev.max() <= PMF_TOL):
+                fits = (block.min(axis=1) >= -PMF_TOL) & (dev <= PMF_TOL)
+                flagged.extend((lo + np.flatnonzero(~fits)).tolist())
+    bad_rows: dict[int, list[int]] = {
+        x: [] for x in model.simplex_rows.tolist()
+        if model.rows[x].lp_start.error is not None}
+    # a constraint row shares its offset with the next vertex row
+    owners = np.searchsorted(model.vertex_offsets, flagged, side="right") - 1
+    for x, k in zip(owners.tolist(), flagged):
+        bad_rows.setdefault(x, []).append(k)
+    for x in sorted(bad_rows):
+        row, label = model.rows[x], model.states.labels[x]
+        if isinstance(row, RowPolytopeH):
             bad = [i for i, c in enumerate(row.constraints)
                    if not (np.isfinite(c.a).all() and np.isfinite(c.b))]
             if bad:
                 # a code of its own: the data are bad, not the polytope
                 issues.append(ValidationIssue(
                     "NonFinite", label, f"constraints {bad} are not finite"))
-            elif row.lp_start.error is not None:
+            else:
                 issues.append(ValidationIssue(
                     "InfeasibleRow", label, "constraints admit no pmf"))
+            continue
+        vertices = stack[bad_rows[x]]
+        ks = np.array(bad_rows[x]) - model.vertex_offsets[x]
+        finite = np.isfinite(vertices).all(axis=1)
+        if not finite.all():
+            issues.append(ValidationIssue(
+                "NonFinite", label, f"vertices {ks[~finite].tolist()} are not finite"))
+            continue
+        for k, low, total in zip(ks.tolist(), vertices.min(axis=1).tolist(),
+                                 vertices.sum(axis=1).tolist()):
+            issues.append(ValidationIssue(
+                "NonStochasticVertex", label,
+                f"vertex {k} has min {low:.3g}, sum {total!r}"))
     return issues
 
 

@@ -225,11 +225,28 @@ def interval_vertex(row: RowPolytopeH, selector: tuple[int, ...]) -> list[Fracti
     return p
 
 
+def standard_form(row: RowPolytopeH) -> tuple[np.ndarray, np.ndarray]:
+    """``(a, b)`` of ``a x == b, x >= 0``, built from ``row.constraints`` in
+    the layout the ``lp`` module documents: row 0 is ``sum(p) == 1``, the
+    ``n`` probability columns come first, then one slack (``<=``) or
+    surplus (``>=``) column per inequality, in constraint order."""
+    n = row.num_states
+    inequalities = [i for i, c in enumerate(row.constraints) if c.rel != "="]
+    a = np.zeros((1 + len(row.constraints), n + len(inequalities)))
+    a[0, :n] = 1.0
+    b = np.array([1.0] + [c.b for c in row.constraints])
+    for i, c in enumerate(row.constraints, 1):
+        a[i, :n] = c.a
+    for col, i in enumerate(inequalities, n):
+        a[1 + i, col] = 1.0 if row.constraints[i].rel == "<=" else -1.0
+    return a, b
+
+
 def vertex_from_basis(row: RowPolytopeH, basis: tuple[int, ...]) -> np.ndarray:
     """The vertex a basis identifier names, rebuilt by least squares from
-    the row's standard form (``row.lp_start.a`` and ``.b``); the simplex
-    reads it off its final tableau instead."""
-    a, b = row.lp_start.a, row.lp_start.b
+    the row's ``standard_form``; the simplex reads it off its final
+    tableau instead."""
+    a, b = standard_form(row)
     x = np.zeros(a.shape[1])
     x[list(basis)] = np.linalg.lstsq(a[:, list(basis)], b, rcond=None)[0]
     return x[:row.num_states]

@@ -39,8 +39,8 @@ def test_validate_reports_issues(tmp_path, capsys):
     assert main(["validate", "--model", str(path)]) == 1
     doc = json.loads(capsys.readouterr().out)
     assert not doc["ok"]
-    assert doc["issues"][0]["code"] == "NonStochasticVertex"
-    assert doc["issues"][0]["state"] == "a"
+    assert doc["issues"] == [{"code": "NonStochasticVertex", "state": "a",
+                              "detail": "vertex 0 has min 0.5, sum 1.1"}]
 
 
 def test_validate_reports_the_builds_check(gambler_path, tmp_path, capsys,
@@ -52,9 +52,9 @@ def test_validate_reports_the_builds_check(gambler_path, tmp_path, capsys,
                  "b": {"vertices": [[0.0, 1.0]]}}}))
     for path, status in ((gambler_path, 0), (str(bad), 1)):
         checks = count_calls(model, "validate")
-        screens = count_calls(model, "_passes")
+        scans = count_calls(model, "_issues")
         assert main(["validate", "--model", path]) == status
-        assert len(checks) == len(screens) == 1
+        assert len(checks) == len(scans) == 1
     capsys.readouterr()
 
 

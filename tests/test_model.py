@@ -9,6 +9,7 @@ from imchit import (Constraint, ImcError, InvalidModel, Model, RowPolytopeH,
                     RowPolytopeV, StateSpace, TargetSet, ValidationIssue,
                     ValidationReport, apply, load_model, model_from_dict,
                     model_to_dict, random_model, save_model, validate)
+from imchit.model import _SUM_BLOCK
 from modelzoo import (box_model, box_row, coupled_row, edge_rows,
                       interval_vertex, precise_model, vertex_from_basis)
 
@@ -282,7 +283,7 @@ def reference_issues(labels: tuple[str, ...], rows) -> list[ValidationIssue]:
                 if v.min() < -1e-12 or abs(total - 1.0) > 1e-12:
                     issues.append(ValidationIssue(
                         "NonStochasticVertex", label,
-                        f"vertex {k} has min {v.min():.3g}, sum {total!r}"))
+                        f"vertex {k} has min {v.min():.3g}, sum {float(total)!r}"))
         elif row.lp_start.error is not None:
             issues.append(ValidationIssue(
                 "InfeasibleRow", label, "constraints admit no pmf"))
@@ -315,10 +316,36 @@ def broken_model_args(rng) -> tuple[StateSpace, TargetSet, tuple]:
             TargetSet({0}), tuple(rows))
 
 
+def block_edge_model_args(rng) -> tuple[StateSpace, TargetSet, tuple]:
+    """``Model`` arguments whose vertex stack spans more than two blocks of
+    the validity scan, with constraint rows, some of them empty, between
+    the vertex rows.  Stack vertices 0, B - 1, B and 2B - 1 (B the block
+    size) are off the simplex, row s5 has a NaN and the last vertex is
+    off the simplex too."""
+    n, block = 9, _SUM_BLOCK
+    feasible = box_row(n, np.full(n, 0.01), np.ones(n))
+    empty = box_row(n, np.full(n, 0.01), np.full(n, 0.1))
+    counts = {0: block - 24, 2: 24, 4: block + 76, 5: 100, 8: 89}
+    stack = rng.dirichlet(np.ones(n), size=sum(counts.values()))
+    stack[0] *= 1.1
+    stack[block - 1, 0] -= 0.3
+    stack[block - 1, -1] += 0.3
+    stack[block] *= 0.9
+    stack[2 * block - 1, 3] = -0.25
+    stack[2 * block + 76 + 40, 2] = np.nan
+    stack[-1] *= 1.0 + 1e-9
+    offsets = np.cumsum([0] + list(counts.values()))
+    vertex_rows = {x: RowPolytopeV(stack[lo:hi]) for x, lo, hi
+                   in zip(counts, offsets[:-1], offsets[1:])}
+    rows = [vertex_rows.get(x, empty if x in (3, 6) else feasible) for x in range(n)]
+    return (StateSpace(tuple(f"s{i}" for i in range(n))),
+            TargetSet({0}), tuple(rows))
+
+
 def test_validate_matches_the_per_vertex_scan(rng):
     flagged = 0
-    for _ in range(60):
-        states, target, rows = broken_model_args(rng)
+    draws = [broken_model_args(rng) for _ in range(60)]
+    for states, target, rows in draws + [block_edge_model_args(rng)]:
         expected = reference_issues(states.labels, rows)
         try:
             issues = validate(Model(states, target, rows)).issues

@@ -19,7 +19,7 @@ from modelzoo import (box_bounds, box_model, box_row, drift_chain_model,
                       drift_chain_upper, gambler_model, interval_extreme,
                       interval_vertex, isolated_cycle_model, line_model,
                       precise_model, random_mixed_model, random_vrep_model,
-                      solver_iterates, two_choice_model)
+                      solver_iterates, standard_form, two_choice_model)
 
 
 def test_precise_chain_needs_one_linear_solve(rng):
@@ -553,7 +553,7 @@ def solve_fractions(a: list[list[Fraction]], b: list[Fraction]) -> list[Fraction
 
 def exact_vertex(row, basis: tuple[int, ...]) -> list[Fraction]:
     """The vertex a full basis names, solved in rationals from the row data."""
-    a, b = row.lp_start.a, row.lp_start.b
+    a, b = standard_form(row)
     assert len(basis) == a.shape[0]  # inequality rows have no redundant row
     x = solve_fractions([[Fraction(float(a[i, j])) for j in basis]
                          for i in range(a.shape[0])],
