@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ImcError, ReachabilityViolation
-from .model import Model, RowPolytopeV, StateSpace, TargetSet
+from .model import Model, StateSpace, TargetSet
 from .solvers import solve_policy
 
 log = logging.getLogger(__name__)
@@ -66,25 +66,11 @@ def random_model(size: int, vertices_per_row: int, seed: int) -> Model:
     if size < 2 or vertices_per_row < 1:
         raise ValueError("need size >= 2 and vertices_per_row >= 1")
     rng = np.random.default_rng(int(seed))
-
-    def rows():
-        for _ in range(size):
-            # An array per row, drawn in the order of one array for all rows,
-            # so the numbers are the same.  One array left its row views'
-            # small buffers between it and the model's stack in glibc's
-            # thread arenas, and run_experiment(n=200, jobs=2) peaked about
-            # 30 MB higher (2-vCPU host).
-            draws = rng.exponential(1.0, size=(vertices_per_row, size))
-            draws /= draws.sum(axis=1, keepdims=True)
-            yield RowPolytopeV(draws)
-
+    draws = rng.exponential(1.0, size=(size * vertices_per_row, size))
+    draws /= draws.sum(axis=1, keepdims=True)
     states = StateSpace(tuple(f"s{i}" for i in range(size)))
-    # Rows handed over one by one leave the model the only holder of the
-    # draws, which it frees once it has stacked them, before it checks
-    # reachability.  Kept alive through that check, they made the check's
-    # temporaries split the thread arena, and run_experiment(n=200,
-    # jobs=2) peaked about 15 MB higher (2-vCPU host).
-    return Model(states, TargetSet({size - 1}), rows())
+    return Model.from_vertex_stack(states, TargetSet({size - 1}), draws,
+                                   np.full(size, vertices_per_row))
 
 
 def _trial_seed(master: int, size: int, trial: int, regeneration: int) -> int:

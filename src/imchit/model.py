@@ -8,10 +8,13 @@ constraints on top of the implicit simplex constraints ``p >= 0`` and
 ``sum(p) == 1``.  Any combination of admissible rows forms an admissible
 transition matrix (rows are separately specified).
 
-Row storage is packed once, when it is built: a model stacks the vertices
-of its vertex rows into one read-only array, of which each of the model's
-own vertex rows is a view (the rows it was given keep their arrays), and
-a constraint row keeps its phase-one outcome (``RowPolytopeH.lp_start``).
+Row storage is packed once, when it is built: a model keeps the vertices
+of its vertex rows in one read-only array, of which each of the model's
+own vertex rows is a view.  ``Model(states, target, rows)`` concatenates
+the rows it is given into a new array (those rows keep their arrays);
+``Model.from_vertex_stack`` adopts an array the caller has already
+stacked, without a copy, and both then run the same build.  A constraint
+row keeps its phase-one outcome (``RowPolytopeH.lp_start``).
 A constraint row whose constraints each bound one coordinate is an
 interval row ``lo <= p <= hi``; it keeps its bounds
 (``RowPolytopeH.bounds``), and a model stacks them next to the vertices.
@@ -194,7 +197,8 @@ class Model:
     the arrays are packed, fails.  A valid model then runs
     ``check_reachability`` once and keeps its report as ``reachability``;
     a model that fails that check still builds, and the solvers refuse it.
-    The read-only arrays after ``rows`` are computed when it is built.
+    The read-only arrays after ``rows`` are computed when it is built;
+    ``from_vertex_stack`` builds a model of vertex rows from their stack.
     Row ``x``'s vertices are ``vertex_stack[o:o + k]`` with ``o =
     vertex_offsets[x]`` and ``k = vertex_counts[x]`` (0 on H-rep rows).
     Row ``interval_rows[i]`` is the interval row ``interval_lo[i] <= p <=
@@ -224,24 +228,67 @@ class Model:
         for i, row in enumerate(self.rows):
             if row.num_states != n:
                 raise ValueError(f"row {i} is over {row.num_states} states, expected {n}")
-        for i in self.target.members:
-            if not 0 <= i < n:
-                raise ValueError(f"target index {i} out of range")
-        counts = np.array([row.num_vertices if isinstance(row, RowPolytopeV) else 0
-                           for row in self.rows])
-        offsets = np.cumsum(counts) - counts
         # The model's own vertex rows view its stack; the caller's stay as
         # given.  Made after the stack, their small buffers sat above it in
         # glibc's thread arenas, and run_experiment(n=200, jobs=2) peaked
         # about 15 MB higher (2-vCPU host).
         rows = [RowPolytopeV(row.vertices) if isinstance(row, RowPolytopeV) else row
                 for row in self.rows]
-        self.vertex_stack = _readonly(np.concatenate(
+        self._pack(rows, np.concatenate(
             [np.empty((0, n))] + [row.vertices for row in self.rows
                                   if isinstance(row, RowPolytopeV)]))
+
+    @classmethod
+    def from_vertex_stack(cls, states: StateSpace, target: TargetSet,
+                          vertices: np.ndarray, counts) -> Model:
+        """A model of vertex rows only, which adopts ``vertices`` as its stack.
+
+        ``vertices`` is a float64 ``(sum(counts), n)`` array that owns its
+        data and is C-contiguous; row ``x``'s vertices are the next
+        ``counts[x]`` (at least 1) of its rows.  The array is not copied:
+        the model makes the array itself read-only, so that no caller keeps
+        a writeable alias of the checked data, and views it from each row.
+        An argument it cannot adopt raises ``ValueError`` and is left as
+        given; after that the build, checks included, is ``Model``'s, and
+        an ``InvalidModel`` leaves the array read-only.
+        """
+        n = states.size
+        counts = np.asarray(counts)
+        if not (isinstance(vertices, np.ndarray) and vertices.dtype == np.float64
+                and vertices.ndim == 2 and vertices.shape[1] == n):
+            raise ValueError(f"vertices must be a 2-d float64 array of width {n}")
+        if not (vertices.flags.owndata and vertices.flags.c_contiguous):
+            raise ValueError("vertices must own their data and be C-contiguous")
+        if counts.shape != (n,) or counts.dtype.kind not in "iu":
+            raise ValueError(f"counts must be {n} integers, one per state")
+        if counts.min() < 1:
+            raise ValueError("every row needs at least one vertex")
+        if counts.sum() != len(vertices):
+            raise ValueError(f"counts sum to {counts.sum()}, "
+                             f"but there are {len(vertices)} vertices")
+        model = cls.__new__(cls)
+        model.states, model.target = states, target
+        offsets = (np.cumsum(counts) - counts).tolist()
+        model._pack([RowPolytopeV(vertices[lo:lo + k])
+                     for lo, k in zip(offsets, counts.tolist())], vertices)
+        return model
+
+    def _pack(self, rows: list[Row], stack: np.ndarray) -> None:
+        """Adopt ``stack``, which holds the vertices of the vertex ``rows``
+        in row order and owns its data, as the model's read-only vertex
+        stack; view it from those rows, pack the other rows, and check."""
+        n = self.states.size
+        for i in self.target.members:
+            if not 0 <= i < n:
+                raise ValueError(f"target index {i} out of range")
+        counts = np.array([row.num_vertices if isinstance(row, RowPolytopeV) else 0
+                           for row in rows])
+        offsets = np.cumsum(counts) - counts
+        stack.flags.writeable = False
+        self.vertex_stack = stack
         for row, lo, k in zip(rows, offsets.tolist(), counts.tolist()):
             if k:
-                row.vertices = self.vertex_stack[lo:lo + k]
+                row.vertices = stack[lo:lo + k]
         self.rows = tuple(rows)
         self.vertex_offsets = _readonly(offsets, np.intp)
         self.vertex_counts = _readonly(counts, np.intp)

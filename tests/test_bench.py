@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import csv
-import weakref
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,22 +22,48 @@ def test_same_seed_gives_identical_models():
                    for ra, rc in zip(a.rows, c.rows))
 
 
-def test_draws_are_freed_before_the_reachability_check(monkeypatch):
-    drawn, alive = [], []
+def test_model_adopts_the_single_drawn_array(monkeypatch):
+    adopted = []
 
-    def row(vertices):
-        drawn.append(weakref.ref(vertices))
-        return RowPolytopeV(vertices)
+    def spy(cls, states, target, vertices, counts, original=Model.from_vertex_stack):
+        adopted.append(vertices)
+        return original.__func__(cls, states, target, vertices, counts)
 
-    def check(model, original=reachability.check_reachability):
-        alive.append(sum(ref() is not None for ref in drawn))
-        return original(model)
+    monkeypatch.setattr(Model, "from_vertex_stack", classmethod(spy))
+    m = random_model(6, 3, 0)
+    [drawn] = adopted
+    stack = m.vertex_stack
+    assert not stack.flags.writeable
+    assert np.shares_memory(stack, drawn)
+    assert stack.flags.owndata or stack.base is drawn
+    for row in m.rows:
+        assert np.shares_memory(row.vertices, stack)
 
-    monkeypatch.setattr(bench, "RowPolytopeV", row)
-    monkeypatch.setattr(reachability, "check_reachability", check)
-    random_model(6, 3, 0)
-    assert len(drawn) == 6
-    assert alive == [0]
+
+def test_building_a_random_model_copies_no_vertices():
+    random_model(60, 20, 1)  # the first build imports modules, which allocate
+    tracemalloc.start()
+    try:
+        m = random_model(60, 20, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one stack-sized array; a copy of it would double the peak
+    assert peak < 1.5 * m.vertex_stack.nbytes
+
+
+@pytest.mark.parametrize("n, k, seed", [(2, 1, 0), (2, 5, 3), (7, 1, 11),
+                                        (30, 4, 5), (200, 50, 2)])
+def test_draw_sequence_is_pinned(n, k, seed):
+    # one (k, n) draw per row, each normalised on its own: the recipe
+    # random_model's numbers must keep
+    rng = np.random.default_rng(seed)
+    rows = []
+    for _ in range(n):
+        draws = rng.exponential(1.0, size=(k, n))
+        draws /= draws.sum(axis=1, keepdims=True)
+        rows.append(draws)
+    assert np.array_equal(random_model(n, k, seed).vertex_stack, np.concatenate(rows))
 
 
 def test_sampled_vertices_live_on_the_simplex():
@@ -54,7 +80,7 @@ def test_uniform_simplex_moments():
     # (1/n)(1 - 1/n)/(n + 1); check the first coordinate within 3 SE
     n, draws = 5, 10_000
     m = random_model(n, draws // n, 99)
-    samples = np.concatenate([row.vertices for row in m.rows])[:draws, 0]
+    samples = m.vertex_stack[:draws, 0]
     mean = samples.mean()
     var = (1 / n) * (1 - 1 / n) / (n + 1)
     se = np.sqrt(var / draws)

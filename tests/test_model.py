@@ -10,8 +10,9 @@ from imchit import (Constraint, ImcError, InvalidModel, Model, RowPolytopeH,
                     ValidationReport, apply, load_model, model_from_dict,
                     model_to_dict, random_model, save_model, validate)
 from imchit.model import _SUM_BLOCK
-from modelzoo import (box_model, box_row, coupled_row, edge_rows,
-                      interval_vertex, precise_model, vertex_from_basis)
+from modelzoo import (box_model, box_row, coupled_row, edge_rows, gambler_model,
+                      interval_vertex, isolated_cycle_model, line_model,
+                      precise_model, two_choice_model, vertex_from_basis)
 
 
 def test_statespace_rejects_duplicates_and_singletons():
@@ -457,3 +458,96 @@ def test_building_a_model_leaves_the_callers_rows_as_given():
     given = [row.vertices for row in args[2]]
     refused(*args)
     assert all(row.vertices is v for row, v in zip(args[2], given))
+
+
+def stacked(model: Model, vertices: np.ndarray | None = None) -> Model:
+    """``model``'s vertex rows, rebuilt by the stacked constructor from
+    ``vertices`` (a copy of ``model``'s stack by default)."""
+    if vertices is None:
+        vertices = model.vertex_stack.copy()
+    return Model.from_vertex_stack(model.states, model.target, vertices,
+                                   model.vertex_counts)
+
+
+def stack_of(k: int, n: int) -> np.ndarray:
+    return np.full((k, n), 1.0 / n)
+
+
+STACK_ARGUMENTS = {
+    "counts_short_of_the_rows": (stack_of(4, 2), [2, 1]),
+    "counts_beyond_the_rows": (stack_of(4, 2), [3, 2]),
+    "empty_row": (stack_of(3, 2), [0, 3]),
+    "negative_count": (stack_of(3, 2), [-1, 4]),
+    "count_per_state": (stack_of(3, 2), [1, 1, 1]),
+    "fractional_counts": (stack_of(3, 2), [1.5, 1.5]),
+    "width": (stack_of(3, 3), [1, 2]),
+    "view": (stack_of(4, 2)[1:], [1, 2]),
+    "fortran_order": (np.asfortranarray(stack_of(3, 2)), [1, 2]),
+    "float32": (stack_of(3, 2).astype(np.float32), [1, 2]),
+    "list": (stack_of(3, 2).tolist(), [1, 2]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STACK_ARGUMENTS))
+def test_stacked_constructor_rejects_what_it_cannot_adopt(case):
+    vertices, counts = STACK_ARGUMENTS[case]
+    with pytest.raises(ValueError):
+        Model.from_vertex_stack(StateSpace(("a", "b")), TargetSet({1}),
+                                vertices, counts)
+    # a refused argument is left as given
+    assert not isinstance(vertices, np.ndarray) or vertices.flags.writeable
+
+
+def test_stacked_constructor_adopts_its_array_read_only():
+    vertices = random_model(5, 3, 1).vertex_stack.copy()
+    m = stacked(random_model(5, 3, 1), vertices)
+    assert m.vertex_stack is vertices
+    assert not vertices.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        vertices[0, 0] = 0.5
+    for x, row in enumerate(m.rows):
+        assert isinstance(row, RowPolytopeV)
+        assert np.shares_memory(row.vertices, vertices)
+        lo = m.vertex_offsets[x]
+        assert np.array_equal(row.vertices, vertices[lo:lo + m.vertex_counts[x]])
+    # the rows path adopts its concatenated stack the same way
+    rows_built = Model(m.states, m.target, m.rows)
+    assert rows_built.vertex_stack.flags.owndata
+    assert not rows_built.vertex_stack.flags.writeable
+
+
+@pytest.mark.parametrize("value, code", [(-0.25, "NonStochasticVertex"),
+                                         (np.nan, "NonFinite")])
+def test_stacked_model_reports_a_bad_vertex_as_the_rows_path(value, code):
+    m = random_model(5, 3, 1)
+    vertices = m.vertex_stack.copy()
+    vertices[4, 2] = value  # row s1's second vertex
+    rows = tuple(RowPolytopeV(vertices[lo:lo + k]) for lo, k
+                 in zip(m.vertex_offsets.tolist(), m.vertex_counts.tolist()))
+    expected = refused(m.states, m.target, rows)
+    with pytest.raises(InvalidModel) as exc:
+        stacked(m, vertices)
+    assert exc.value.report == expected
+    assert [(i.code, i.state) for i in expected.issues] == [(code, "s1")]
+
+
+@pytest.mark.parametrize("build", [line_model, isolated_cycle_model,
+                                   two_choice_model, lambda: gambler_model(5),
+                                   lambda: random_model(8, 2, 3)])
+def test_stacked_model_reaches_as_the_rows_path(build):
+    m = build()
+    rows_built = Model(m.states, m.target, m.rows)
+    again = stacked(m)
+    assert again.reachability.reach_step == rows_built.reachability.reach_step
+    for name in ("vertex_stack", "vertex_offsets", "vertex_counts",
+                 "target_mask", "nontarget_indices"):
+        assert np.array_equal(getattr(again, name), getattr(rows_built, name))
+
+
+def test_stacked_model_round_trips_through_json():
+    m = stacked(random_model(6, 3, 2))
+    doc = model_to_dict(m)
+    again = model_from_dict(json.loads(json.dumps(doc)))
+    assert model_to_dict(again) == doc
+    assert np.array_equal(again.vertex_stack, m.vertex_stack)
+    assert again.reachability.reach_step == m.reachability.reach_step
