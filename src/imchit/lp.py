@@ -18,14 +18,15 @@ Standard form used for a row over ``n`` states with constraints
 A basis identifier is the sorted tuple of basic column indices of this
 standard form; it pins down exactly one vertex.
 
-Phase one depends only on the row, so it runs once per row, when the row
-is built: ``RowPolytopeH`` keeps what ``row_start`` returns, the feasible
-tableau phase one ends with (or the ``Infeasible`` outcome it raised),
-read-only, as ``lp_start``; the standard form itself is not kept.  That
+Phase one depends only on the row: ``row_start`` runs it and returns
+its outcome as the ``LpSolution`` of the zero objective, and a model
+keeps that start for each of its rows that need the simplex
+(``Model.simplex_starts``); the standard form itself is not kept.  The
 start tableau is narrow: it keeps the structural columns and the rhs
 only, because phase two never lets an artificial column enter and
 pivoting updates each column on its own.  A ``minimize_row`` call copies
-it and runs phase two only.
+the tableau of its start and runs phase two only; without a start, it
+runs ``row_start`` first.
 
 Every basis of a row is primal feasible whatever the objective, so phase
 two may also start from the final tableau of an earlier ``LpSolution`` of
@@ -65,29 +66,14 @@ class LpSolution:
     row: RowPolytopeH = field(repr=False, compare=False)
 
 
-@dataclass(frozen=True)
-class _RowStart:
-    """Phase-one outcome of one row; the tableau is read-only.
+def row_start(row: RowPolytopeH) -> LpSolution:
+    """Phase one's outcome on a constraint row: the ``LpSolution`` of the
+    zero objective at the basis phase one ends with.
 
-    ``tableau`` and ``basis`` are the feasible start phase two copies.  The
-    tableau keeps the ``ncols`` structural columns of the standard form
-    and the rhs; its last row, which phase two overwrites, is what is left
-    of the phase-one objective.  A basis entry ``>= ncols`` is an
-    artificial that stayed basic at zero in a redundant row.  When the row
-    admits no pmf, or its data are not finite, ``tableau`` is None and
-    ``error`` holds the message ``Infeasible`` is raised with.
-    """
-
-    tableau: np.ndarray | None
-    basis: tuple[int, ...]
-    error: str | None
-
-
-def row_start(row: RowPolytopeH) -> _RowStart:
-    """Phase-one outcome of a constraint row, from its standard form.
-
-    ``RowPolytopeH`` calls it once, when the row is built, and keeps the
-    result as ``lp_start``.
+    Its tableau keeps the ``ncols`` structural columns of the row's
+    standard form and the rhs; a basic column ``>= ncols`` is an
+    artificial that stayed basic at zero in a redundant row.  Raises
+    ``Infeasible`` when the row admits no pmf or its data are not finite.
     """
     n = row.num_states
     ncols = n + sum(c.rel != "=" for c in row.constraints)
@@ -102,24 +88,32 @@ def row_start(row: RowPolytopeH) -> _RowStart:
         if c.rel != "=":
             a[i, slack_col] = 1.0 if c.rel == "<=" else -1.0
             slack_col += 1
-    return _RowStart(*_feasible_start(a, b, ncols))
-
-
-def _feasible_start(a: np.ndarray, b: np.ndarray, ncols: int
-                    ) -> tuple[np.ndarray | None, tuple[int, ...], str | None]:
-    """Phase one's feasible tableau and basis, or why there is none."""
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
         # NaN fails every tolerance test, so phase one would not notice
-        return None, (), "row has non-finite constraint data"
-    try:
-        tab, basis, infeas = _phase1(a, b, ncols)
-    except Infeasible as exc:
-        return None, (), str(exc)
+        raise Infeasible("row has non-finite constraint data")
+    tab, basis, infeas = _phase1(a, b, ncols)
     if infeas > PHASE1_TOL:
-        return None, (), f"row polytope is empty (phase-one residual {infeas:.3g})"
+        raise Infeasible(f"row polytope is empty (phase-one residual {infeas:.3g})")
     tab = np.hstack((tab[:, :ncols], tab[:, -1:]))
+    tab[-1] = 0.0  # the zero objective's reduced costs and value
+    return _solution(row, tab, basis, np.zeros(n))
+
+
+def _solution(row: RowPolytopeH, tab: np.ndarray, basis: list[int],
+              objective: np.ndarray) -> LpSolution:
+    """The solution a final tableau ``tab`` and its ``basis`` stand for;
+    ``tab`` is made read-only."""
+    n = row.num_states
+    basic = np.array(basis)
+    priced = (basic < n).nonzero()[0]
+    vertex = np.zeros(n)
+    vertex[basic[priced]] = tab[priced, -1]
+    vertex[(vertex < 0.0) & (vertex > -FEAS_TOL)] = 0.0
+    vertex.flags.writeable = False
     tab.flags.writeable = False
-    return tab, tuple(basis), None
+    basis_id = tuple(sorted(basic[basic < tab.shape[1] - 1].tolist()))
+    return LpSolution(float(objective @ vertex), vertex, basis_id,
+                      tab, tuple(basis), row)
 
 
 def _pivot(tab: np.ndarray, basis: list[int], row: int, col: int) -> None:
@@ -205,18 +199,14 @@ def minimize_row(row: RowPolytopeH, objective: np.ndarray,
     Returns a minimizing basic feasible solution, i.e. an extreme point
     of the row polytope, with its basis identifier.  Phase two starts
     from the basis of ``start``, an earlier solution of this same row,
-    when it is given, and from the row's phase-one basis otherwise.
+    and from ``row_start(row)`` when none is given.
     """
     objective = np.asarray(objective, dtype=float)
     if start is None:
-        phase_one = row.lp_start
-        if phase_one.error is not None:
-            raise Infeasible(phase_one.error)
-        tab, basis = phase_one.tableau.copy(), list(phase_one.basis)
+        start = row_start(row)
     elif start.row is not row:
         raise ValueError("start is not a solution of this row")
-    else:
-        tab, basis = start.tableau.copy(), list(start.basic)
+    tab, basis = start.tableau.copy(), list(start.basic)
     ncols = tab.shape[1] - 1
     n = row.num_states
     # reduced costs: subtract cost * row for every basic probability with a
@@ -231,13 +221,4 @@ def minimize_row(row: RowPolytopeH, objective: np.ndarray,
     tab[-1] = np.subtract.reduce(
         np.vstack((obj, cost[:, None] * tab[priced])), axis=0)
     _bland(tab, basis, ncols)
-    basic = np.array(basis)
-    priced = (basic < n).nonzero()[0]
-    vertex = np.zeros(n)
-    vertex[basic[priced]] = tab[priced, -1]
-    vertex[(vertex < 0.0) & (vertex > -FEAS_TOL)] = 0.0
-    vertex.flags.writeable = False
-    tab.flags.writeable = False
-    basis_id = tuple(sorted(basic[basic < ncols].tolist()))
-    return LpSolution(float(objective @ vertex), vertex, basis_id,
-                      tab, tuple(basis), row)
+    return _solution(row, tab, basis, objective)

@@ -13,17 +13,18 @@ of its vertex rows in one read-only array, of which each of the model's
 own vertex rows is a view.  ``Model(states, target, rows)`` concatenates
 the rows it is given into a new array (those rows keep their arrays);
 ``Model.from_vertex_stack`` adopts an array the caller has already
-stacked, without a copy, and both then run the same build.  A constraint
-row keeps its phase-one outcome (``RowPolytopeH.lp_start``).
-A constraint row whose constraints each bound one coordinate is an
-interval row ``lo <= p <= hi``; it keeps its bounds
-(``RowPolytopeH.bounds``), and a model stacks them next to the vertices.
-The other constraint rows, which need the simplex, are listed in
-``Model.simplex_rows``.
+stacked, without a copy, and both then run the same build.  Constraint
+rows are plain input data, and the build decides each one's kind once.
+A row whose finite constraints each bound one coordinate, and whose
+bounds admit a pmf exactly, is an interval row ``lo <= p <= hi``: the
+model stacks its bounds next to the vertices, in closed form and without
+the simplex.  The other constraint rows need the simplex; the model lists
+them in ``Model.simplex_rows`` and keeps the phase-one start of each in
+``Model.simplex_starts``.
 
 A model is checked once, when it is built: ``validate`` scans the vertex
 stack block by block and then looks only at the vertex rows with a bad
-vertex and the constraint rows that phase one rejected.
+vertex and the simplex rows that phase one rejected.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from typing import Iterable, Union
 
 import numpy as np
 
-from .errors import InvalidModel
+from .errors import Infeasible, InvalidModel
 
 # Row vertices must be pmfs up to this tolerance; stricter than the
 # geometric feasibility tolerance because vertices are literal input data.
@@ -122,7 +123,7 @@ class Constraint:
     def __post_init__(self):
         if self.rel not in _RELATIONS:
             raise ValueError(f"relation must be one of {_RELATIONS}, got {self.rel!r}")
-        # a copy, so that the caller's later writes cannot outdate lp_start
+        # a copy, so that the caller's later writes cannot outdate a model
         object.__setattr__(self, "a", _readonly(np.array(self.a, dtype=float)))
         object.__setattr__(self, "b", float(self.b))
 
@@ -132,46 +133,39 @@ class RowPolytopeH:
     """Row credal set cut out of the probability simplex by linear constraints.
 
     The simplex constraints are implicit and always enforced; ``constraints``
-    only lists the additional ones.  ``lp_start`` holds the row's
-    phase-one outcome, computed once when the row is built.
-    ``bounds`` holds the read-only ``(lo, hi)`` of an interval row, whose
-    extreme points have a closed form, and None for a row that needs the
-    simplex.
+    only lists the additional ones.
     """
 
     num_states: int
     constraints: tuple[Constraint, ...]
-    lp_start: "lp._RowStart" = field(init=False, repr=False)
-    bounds: tuple[np.ndarray, np.ndarray] | None = field(init=False, repr=False)
 
     def __post_init__(self):
-        from . import lp  # deferred: lp imports the row types from here
-
         self.constraints = tuple(self.constraints)
         for c in self.constraints:
             if c.a.shape != (self.num_states,):
                 raise ValueError("constraint coefficient vector has wrong length")
-        self.lp_start = lp.row_start(self)
-        self.bounds = _interval_bounds(self)
 
 
 def _interval_bounds(row: RowPolytopeH) -> tuple[np.ndarray, np.ndarray] | None:
     """``(lo, hi)`` when every constraint of ``row`` bounds one coordinate.
 
-    A row that phase one rejected has none: its data may not be finite.  A
-    row whose bounds admit a pmf only within phase one's tolerance keeps
-    the simplex: the closed form needs ``lo <= hi`` and ``sum(lo) <= 1 <=
-    sum(hi)`` exactly.
+    The closed form needs finite data, ``lo <= hi`` and ``sum(lo) <= 1 <=
+    sum(hi)`` exactly; any other row, even one whose bounds admit a pmf
+    only within phase one's tolerance, keeps the simplex.
     """
-    if row.lp_start.error is not None:
-        return None
     n = row.num_states
     a = np.reshape([c.a for c in row.constraints], (-1, n))
+    b = np.array([c.b for c in row.constraints])
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        return None
     if (np.count_nonzero(a, axis=1) != 1).any():
         return None
     which = a.nonzero()[1]  # each constraint's coordinate, in constraint order
     coef = a[np.arange(len(which)), which]
-    bound = np.array([c.b for c in row.constraints]) / coef
+    # b over a tiny coefficient may overflow to +-inf: a bound that the
+    # clip to [0, 1] absorbs or the check below rejects
+    with np.errstate(over="ignore"):
+        bound = b / coef
     rel = np.array([c.rel for c in row.constraints], dtype=object)
     # dividing by a negative coefficient flips the relation
     equal, flip = rel == "=", coef < 0.0
@@ -182,7 +176,7 @@ def _interval_bounds(row: RowPolytopeH) -> tuple[np.ndarray, np.ndarray] | None:
     np.minimum.at(hi, which[above], bound[above])
     if not ((lo <= hi).all() and lo.sum() <= 1.0 <= hi.sum()):
         return None
-    return _readonly(lo), _readonly(hi)
+    return lo, hi
 
 
 Row = Union[RowPolytopeV, RowPolytopeH]
@@ -203,7 +197,9 @@ class Model:
     vertex_offsets[x]`` and ``k = vertex_counts[x]`` (0 on H-rep rows).
     Row ``interval_rows[i]`` is the interval row ``interval_lo[i] <= p <=
     interval_hi[i]``.  The other H-rep rows, which need the simplex, are
-    ``simplex_rows``.
+    ``simplex_rows``, and ``simplex_starts[i]`` is row ``simplex_rows[i]``'s
+    phase-one start (``lp.row_start``), or None where phase one rejected
+    the row, which makes the model invalid.
     """
 
     states: StateSpace
@@ -216,6 +212,7 @@ class Model:
     interval_lo: np.ndarray = field(init=False, repr=False)
     interval_hi: np.ndarray = field(init=False, repr=False)
     simplex_rows: np.ndarray = field(init=False, repr=False)
+    simplex_starts: tuple["lp.LpSolution | None", ...] = field(init=False, repr=False)
     target_mask: np.ndarray = field(init=False, repr=False)
     nontarget_indices: np.ndarray = field(init=False, repr=False)
     reachability: "reachability.ReachabilityReport" = field(init=False, repr=False)
@@ -292,16 +289,26 @@ class Model:
         self.rows = tuple(rows)
         self.vertex_offsets = _readonly(offsets, np.intp)
         self.vertex_counts = _readonly(counts, np.intp)
-        constrained = [x for x, row in enumerate(self.rows)
-                       if isinstance(row, RowPolytopeH)]
-        intervals = [x for x in constrained if self.rows[x].bounds is not None]
+        from . import lp  # deferred: lp imports the row types from here
+        intervals, bounds, simplex, starts = [], [], [], []
+        for x, row in enumerate(self.rows):
+            if isinstance(row, RowPolytopeV):
+                continue
+            interval = _interval_bounds(row)
+            if interval is not None:
+                intervals.append(x)
+                bounds.append(interval)
+                continue
+            simplex.append(x)
+            try:
+                starts.append(lp.row_start(row))
+            except Infeasible:
+                starts.append(None)
         self.interval_rows = _readonly(intervals, np.intp)
-        self.simplex_rows = _readonly(
-            [x for x in constrained if self.rows[x].bounds is None], np.intp)
-        self.interval_lo = _readonly(np.reshape(
-            [self.rows[x].bounds[0] for x in intervals], (-1, n)))
-        self.interval_hi = _readonly(np.reshape(
-            [self.rows[x].bounds[1] for x in intervals], (-1, n)))
+        self.interval_lo = _readonly(np.reshape([lo for lo, _ in bounds], (-1, n)))
+        self.interval_hi = _readonly(np.reshape([hi for _, hi in bounds], (-1, n)))
+        self.simplex_rows = _readonly(simplex, np.intp)
+        self.simplex_starts = tuple(starts)
         self.target_mask = _readonly(np.isin(range(n), list(self.target.members)), bool)
         self.nontarget_indices = _readonly(np.flatnonzero(~self.target_mask), np.intp)
         report = validate(self)
@@ -362,8 +369,7 @@ def _issues(model: Model) -> list[ValidationIssue]:
     A block of the vertex stack passes on two reductions, its minimum and
     its rows' distances from sum 1; NaN fails both comparisons, -inf the
     minimum and +inf the sums.  Only a failing block is searched for its
-    bad vertices.  Non-finite constraint data always set a row's
-    ``lp_start.error``.
+    bad vertices.  Non-finite constraint data always fail phase one.
     """
     issues: list[ValidationIssue] = []
     if not model.target.members:
@@ -383,8 +389,8 @@ def _issues(model: Model) -> list[ValidationIssue]:
                 fits = (block.min(axis=1) >= -PMF_TOL) & (dev <= PMF_TOL)
                 flagged.extend((lo + np.flatnonzero(~fits)).tolist())
     bad_rows: dict[int, list[int]] = {
-        x: [] for x in model.simplex_rows.tolist()
-        if model.rows[x].lp_start.error is not None}
+        x: [] for x, start in zip(model.simplex_rows.tolist(), model.simplex_starts)
+        if start is None}
     # a constraint row shares its offset with the next vertex row
     owners = np.searchsorted(model.vertex_offsets, flagged, side="right") - 1
     for x, k in zip(owners.tolist(), flagged):

@@ -15,7 +15,8 @@ A model without vertex rows skips this kernel.
 Interval rows ``lo <= p <= hi`` are solved together in closed form: one
 sort of the objective, then every row starts at ``lo`` and hands its
 remaining mass to the cheapest coordinates first (de Campos, Huete &
-Moral 1994).  Only general constraint rows run the simplex.
+Moral 1994).  Only general constraint rows run the simplex, each from
+the phase-one start the model keeps for it (``Model.simplex_starts``).
 
 An application may start from an earlier result (``start=``); the
 policy-iteration solver passes the previous improvement step.  Each
@@ -178,9 +179,9 @@ def apply(model: Model, f: np.ndarray, bound: str,
     for x, selector in zip(model.interval_rows.tolist(), chosen):
         selectors[x] = selector
     solutions = {}
-    for x in model.simplex_rows.tolist():
+    for x, cold in zip(model.simplex_rows.tolist(), model.simplex_starts):
         sol = lp.minimize_row(model.rows[x], objective,
-                              None if start is None else start.solutions[x])
+                              cold if start is None else start.solutions[x])
         value[x] = float(f @ sol.vertex)
         selectors[x] = sol.basis
         solutions[x] = sol

@@ -258,8 +258,8 @@ def policy_matrix(model: Model, selectors: tuple) -> np.ndarray:
     another constraint row's basis vertex."""
     return np.stack([row.vertices[sel] if isinstance(row, RowPolytopeV)
                      else np.array(interval_vertex(row, sel), dtype=float)
-                     if row.bounds is not None else vertex_from_basis(row, sel)
-                     for row, sel in zip(model.rows, selectors)])
+                     if x in model.interval_rows else vertex_from_basis(row, sel)
+                     for x, (row, sel) in enumerate(zip(model.rows, selectors))])
 
 
 @contextmanager

@@ -8,8 +8,10 @@ import pytest
 from imchit import (Constraint, Infeasible, Model, RowPolytopeH, RowPolytopeV,
                     StateSpace, TargetSet, apply, minimize_row)
 from imchit import lp
+from imchit.model import FEAS_TOL
 from modelzoo import box_row as interval_row
-from modelzoo import interval_minimum, standard_form, vertex_from_basis
+from modelzoo import (coupled_row, edge_rows, interval_minimum, standard_form,
+                      vertex_from_basis)
 
 # hand-enumerated vertices of {p in simplex(3) : p0 <= 0.5, p1 <= 0.3}
 BOX_VERTICES = np.array([
@@ -107,16 +109,15 @@ def test_determinism_of_basis_identifiers(rng):
 def test_infeasible_row_raises():
     row = RowPolytopeH(2, (Constraint(np.array([1.0, 0.0]), ">=", 0.7),
                            Constraint(np.array([1.0, 0.0]), "<=", 0.2)))
-    # the cached phase-one outcome keeps the row infeasible on every call
-    for _ in range(3):
-        assert row.lp_start.error is not None
-        with pytest.raises(Infeasible):
-            minimize_row(row, np.array([1.0, 0.0]))
-    assert row.lp_start.tableau is None
+    with pytest.raises(Infeasible, match="empty"):
+        lp.row_start(row)
+    with pytest.raises(Infeasible, match="empty"):
+        minimize_row(row, np.array([1.0, 0.0]))
     # mass demands exceeding the simplex are infeasible too
     row = RowPolytopeH(2, (Constraint(np.array([1.0, 0.0]), ">=", 0.7),
                            Constraint(np.array([0.0, 1.0]), ">=", 0.7)))
-    assert row.lp_start.error is not None
+    with pytest.raises(Infeasible, match="empty"):
+        lp.row_start(row)
 
 
 def test_equality_constraints_are_supported():
@@ -155,37 +156,48 @@ def random_interval_rows(rng, count=40):
         yield n, lower, upper
 
 
-def test_cached_start_gives_the_fresh_answer(rng):
-    objectives = [rng.normal(size=3) for _ in range(20)]
-    warm = box_row()
-    assert warm.lp_start.error is None
-    for _ in range(50):
-        minimize_row(warm, rng.normal(size=3))
-    for f in objectives:
-        fresh = minimize_row(box_row(), f)
-        again = minimize_row(warm, f)
-        assert np.array_equal(again.vertex, fresh.vertex)
-        assert again.basis == fresh.basis
-        assert again.optimum == fresh.optimum
+def satisfies(row: RowPolytopeH, p: np.ndarray, tol: float) -> bool:
+    """``p`` is a pmf meeting each of ``row``'s constraints within ``tol``."""
+    sides = {"<=": lambda lhs, b: lhs <= b + tol, ">=": lambda lhs, b: lhs >= b - tol,
+             "=": lambda lhs, b: abs(lhs - b) <= tol}
+    return (p.min() >= -tol and abs(p.sum() - 1.0) <= tol
+            and all(sides[c.rel](float(c.a @ p), c.b) for c in row.constraints))
 
 
-def test_cached_start_is_read_only():
-    row = box_row()
-    minimize_row(row, np.array([1.0, 2.0, 3.0]))
-    start = row.lp_start
-    with pytest.raises(ValueError):
-        lp._pivot(start.tableau, list(start.basis), 0, 0)
-    with pytest.raises(ValueError):
-        start.tableau[...] = 0.0
-    # phase two pivots on a copy, so the cache is the same object after it
-    minimize_row(row, np.array([3.0, 2.0, 1.0]))
-    assert row.lp_start is start
+def test_row_start_is_the_zero_objective_solution(rng):
+    rows = [box_row(), *edge_rows()]
+    for n, lower, upper in random_interval_rows(rng, count=10):
+        rows += [interval_row(n, lower, upper), coupled_row(n, lower, upper)]
+    for row in rows:
+        n = row.num_states
+        start = lp.row_start(row)
+        assert start.row is row and start.optimum == 0.0
+        assert satisfies(row, start.vertex, FEAS_TOL)
+        assert not start.vertex.flags.writeable
+        with pytest.raises(ValueError):
+            lp._pivot(start.tableau, list(start.basic), 0, 0)
+        with pytest.raises(ValueError):
+            start.tableau[...] = 0.0
+        # a cold solve runs phase one itself and gives the same bytes
+        for _ in range(3):
+            f = rng.normal(size=n)
+            cold = minimize_row(row, f)
+            given = minimize_row(row, f, start=lp.row_start(row))
+            assert cold.optimum == given.optimum and cold.basis == given.basis
+            assert cold.basic == given.basic
+            assert cold.vertex.tobytes() == given.vertex.tobytes()
+            assert cold.tableau.tobytes() == given.tableau.tobytes()
+        # phase two pivots on a copy, so the start is unchanged after it
+        before = start.tableau.tobytes()
+        minimize_row(row, rng.normal(size=n), start=start)
+        assert start.tableau.tobytes() == before
 
 
 def test_non_finite_row_is_never_solved():
     for b in (np.nan, np.inf):
         row = RowPolytopeH(2, (Constraint(np.array([1.0, 0.0]), "<=", b),))
-        assert row.lp_start.error is not None
+        with pytest.raises(Infeasible, match="non-finite"):
+            lp.row_start(row)
         with pytest.raises(Infeasible, match="non-finite"):
             minimize_row(row, np.array([1.0, 0.0]))
 
@@ -258,8 +270,8 @@ def test_start_from_another_row_is_refused():
 
 def test_start_tableaux_are_narrow_and_read_only():
     row = box_row()
-    sol = minimize_row(row, np.array([1.0, 2.0, 3.0]))
-    start = row.lp_start
+    start = lp.row_start(row)
+    sol = minimize_row(row, np.array([1.0, 2.0, 3.0]), start=start)
     # structural columns and the rhs; one row per constraint, the simplex
     # row and the objective row
     ncols = standard_form(row)[0].shape[1]
@@ -346,7 +358,7 @@ def test_simplex_matches_the_loop_reference(rng):
         a, b = standard_form(row)
         ncols = a.shape[1]
         start, start_basis = reference_phase1(a, b, ncols)
-        narrow = row.lp_start.tableau
+        narrow = lp.row_start(row).tableau
         assert np.array_equal(narrow[:-1, :ncols], start[:-1, :ncols])
         assert np.array_equal(narrow[:-1, -1], start[:-1, -1])
         sol = ref = ref_basis = None

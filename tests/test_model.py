@@ -5,11 +5,13 @@ import json
 import numpy as np
 import pytest
 
-from imchit import (Constraint, ImcError, InvalidModel, Model, RowPolytopeH,
-                    RowPolytopeV, StateSpace, TargetSet, ValidationIssue,
-                    ValidationReport, apply, load_model, model_from_dict,
-                    model_to_dict, random_model, save_model, validate)
-from imchit.model import _SUM_BLOCK
+from imchit import (Constraint, ImcError, Infeasible, InvalidModel, Model,
+                    RowPolytopeH, RowPolytopeV, StateSpace, TargetSet,
+                    ValidationIssue, ValidationReport, apply, load_model,
+                    model_from_dict, model_to_dict, random_model, save_model,
+                    validate)
+from imchit import lp
+from imchit.model import _SUM_BLOCK, _interval_bounds
 from modelzoo import (box_model, box_row, coupled_row, edge_rows, gambler_model,
                       interval_vertex, isolated_cycle_model, line_model,
                       precise_model, two_choice_model, vertex_from_basis)
@@ -89,22 +91,23 @@ def test_interval_bounds_are_read_off_the_constraints():
         ([0.2, 0.0, 0.0, 0.1, 0.0, 0.0], [0.4, 1.0, 1.0, 1.0, 1.0, 1.0]),
         ([0.0] * 6, [1.0] * 6),
     ]
-    *intervals, general = edge_rows()
-    for row, (lo, hi) in zip(intervals, expected):
-        assert row.bounds[0].tolist() == lo and row.bounds[1].tolist() == hi
-        assert not (row.bounds[0].flags.writeable or row.bounds[1].flags.writeable)
-    assert general.bounds is None
     m = Model(StateSpace(tuple("abcdef")), TargetSet({5}), tuple(edge_rows()))
     assert m.interval_rows.tolist() == [0, 1, 2, 3, 4]
     assert m.interval_lo.tolist() == [lo for lo, _ in expected]
     assert m.interval_hi.tolist() == [hi for _, hi in expected]
+    assert not (m.interval_lo.flags.writeable or m.interval_hi.flags.writeable)
+    with pytest.raises(ValueError):
+        m.interval_lo[0, 0] = 0.5
     assert m.simplex_rows.tolist() == [5]
+    assert len(m.simplex_starts) == 1 and m.simplex_starts[0].row is m.rows[5]
 
 
 def test_simplex_rows_are_the_general_constraint_rows():
     assert box_model(8, 1).simplex_rows.tolist() == []
+    assert box_model(8, 1).simplex_starts == ()
     m = box_model(8, 1, coupled=(5, 2))
     assert m.simplex_rows.tolist() == [2, 5]
+    assert [start.row for start in m.simplex_starts] == [m.rows[2], m.rows[5]]
     assert m.interval_rows.tolist() == [0, 1, 3, 4, 6, 7]
     assert not m.simplex_rows.flags.writeable
 
@@ -114,12 +117,28 @@ def test_rows_feasible_only_within_tolerance_keep_the_simplex():
     # phase one accepts 1e-10 of excess mass; the closed form does not
     near = RowPolytopeH(2, (Constraint(e[0], ">=", 0.5),
                             Constraint(e[1], ">=", 0.5 + 1e-10)))
-    assert near.lp_start.error is None and near.bounds is None
+    m = Model(StateSpace(("a", "b")), TargetSet({1}), (near, RowPolytopeV(e[1:])))
+    assert m.interval_rows.size == 0 and m.simplex_rows.tolist() == [0]
+    assert m.simplex_starts[0] is not None
     # crossed bounds and non-finite data are phase one's to report
     crossed = RowPolytopeH(2, (Constraint(e[0], ">=", 0.7), Constraint(e[0], "<=", 0.2)))
-    assert crossed.lp_start.error is not None and crossed.bounds is None
     nan = RowPolytopeH(2, (Constraint(e[0], "<=", np.nan),))
-    assert nan.lp_start.error is not None and nan.bounds is None
+    for row in (crossed, nan):
+        assert _interval_bounds(row) is None
+        with pytest.raises(Infeasible):
+            lp.row_start(row)
+
+
+def test_a_subnormal_coefficient_builds_without_overflow():
+    # b / 1e-320 overflows to inf; the division must not warn, and the
+    # upper bound it gives is clipped to 1
+    e = np.eye(2)
+    row = RowPolytopeH(2, (Constraint(1e-320 * e[0], "<=", 1.0),))
+    m = Model(StateSpace(("a", "b")), TargetSet({1}), (row, RowPolytopeV(e[1:])))
+    assert m.interval_rows.tolist() == [0] and m.interval_hi[0, 0] == 1.0
+    twin = RowPolytopeH(2, (Constraint(1e-320 * e[0], ">=", 1e-5),))
+    report = refused(StateSpace(("a", "b")), TargetSet({1}), (twin, RowPolytopeV(e[1:])))
+    assert [(i.code, i.state) for i in report.issues] == [("InfeasibleRow", "a")]
 
 
 def test_empty_and_full_targets_are_reported():
@@ -174,9 +193,9 @@ def check_row_vertex(row, p, f, value) -> None:
 
 def test_policy_to_matrix_reconstructs_hrep_vertices(rng):
     row = coupled_row(3, np.array([0.1, 0.0, 0.2]), np.array([0.6, 0.5, 1.0]))
-    assert row.bounds is None
     m = Model(StateSpace(("a", "b", "c")), TargetSet({2}),
               (row, RowPolytopeV(np.eye(3)[2:]), RowPolytopeV(np.eye(3)[2:])))
+    assert m.simplex_rows.tolist() == [0]
     assert validate(m).ok
     for _ in range(25):
         f = rng.normal(size=3)
@@ -285,9 +304,12 @@ def reference_issues(labels: tuple[str, ...], rows) -> list[ValidationIssue]:
                     issues.append(ValidationIssue(
                         "NonStochasticVertex", label,
                         f"vertex {k} has min {v.min():.3g}, sum {float(total)!r}"))
-        elif row.lp_start.error is not None:
-            issues.append(ValidationIssue(
-                "InfeasibleRow", label, "constraints admit no pmf"))
+        else:
+            try:
+                lp.row_start(row)
+            except Infeasible:
+                issues.append(ValidationIssue(
+                    "InfeasibleRow", label, "constraints admit no pmf"))
     return issues
 
 

@@ -408,14 +408,18 @@ def small_box_model(n: int = 4) -> Model:
                  TargetSet({n - 1}), tuple(rows))
 
 
-def test_phase_one_runs_once_per_hrep_row(count_calls):
-    phase_ones = count_calls(lp, "_phase1")
-    m = small_box_model()
-    assert validate(m).ok
-    for bound in ("lower", "upper"):
-        for _ in range(3):
-            solve_policy(m, bound)
-    assert len(phase_ones) == m.size
+def test_phase_one_runs_once_per_simplex_row(count_calls):
+    # interval rows never run phase one, and no solve reruns it on a
+    # simplex row: each row's one start comes from the build
+    for coupled, simplex_rows in (((), 0), (range(0, 8, 3), 3), (range(8), 8)):
+        phase_ones = count_calls(lp, "_phase1")
+        m = box_model(8, 5, coupled=coupled)
+        assert m.simplex_rows.size == simplex_rows
+        for bound in ("lower", "upper"):
+            for _ in range(2):
+                solve_policy(m, bound)
+            solve_value(m, bound)
+        assert len(phase_ones) == simplex_rows
 
 
 def test_policy_iteration_operator_calls(count_calls):
@@ -474,10 +478,13 @@ def check_warm_simplex_calls(m, simplex_rows: int, count_calls) -> None:
     for bound in ("lower", "upper"):
         calls = count_calls(lp, "minimize_row")
         report = solve_policy(m, bound)
-        cold = [args for args, kwargs in calls
-                if kwargs.get("start", args[2] if len(args) > 2 else None) is None]
-        # the greedy start solves every row cold; each of the iterations - 1
-        # improvements solves every row warm
+        starts = [kwargs.get("start", args[2] if len(args) > 2 else None)
+                  for args, kwargs in calls]
+        cold = [s for s in starts if any(s is c for c in m.simplex_starts)]
+        # the greedy start solves every row from the model's phase-one
+        # start; each of the iterations - 1 improvements solves every row
+        # warm, and no call runs phase one again
+        assert None not in starts
         assert len(cold) == simplex_rows
         assert len(calls) == report.iterations * simplex_rows
 
@@ -581,9 +588,9 @@ def check_exact_rationals(coupled: bool) -> None:
             selectors = apply(m, h, bound).selectors
             rows = [[Fraction(float(v)) for v in row.vertices[sel]]
                     if isinstance(row, RowPolytopeV)
-                    else interval_vertex(row, sel) if row.bounds is not None
+                    else interval_vertex(row, sel) if x in m.interval_rows
                     else exact_vertex(row, sel)
-                    for row, sel in zip(m.rows, selectors)]
+                    for x, (row, sel) in enumerate(zip(m.rows, selectors))]
             free = [x for x in range(m.size) if x not in m.target.members]
             u = solve_fractions([[int(x == y) - rows[x][y] for y in free] for x in free],
                                 [Fraction(1)] * len(free))
