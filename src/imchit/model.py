@@ -48,9 +48,12 @@ _RELATIONS = ("<=", ">=", "=")
 
 
 def _readonly(a: np.ndarray, dtype=float) -> np.ndarray:
-    """A read-only view; the array it views, maybe the caller's, stays writeable."""
-    a = np.ascontiguousarray(a, dtype=dtype).view()
-    a.flags.writeable = False
+    """``a`` itself if it is a read-only C-contiguous array of ``dtype``, else
+    a read-only view; the array it views, maybe the caller's, stays writeable."""
+    a = np.ascontiguousarray(a, dtype=dtype)
+    if a.flags.writeable:
+        a = a.view()
+        a.flags.writeable = False
     return a
 
 
@@ -225,15 +228,12 @@ class Model:
         for i, row in enumerate(self.rows):
             if row.num_states != n:
                 raise ValueError(f"row {i} is over {row.num_states} states, expected {n}")
-        # The model's own vertex rows view its stack; the caller's stay as
-        # given.  Made after the stack, their small buffers sat above it in
-        # glibc's thread arenas, and run_experiment(n=200, jobs=2) peaked
-        # about 15 MB higher (2-vCPU host).
-        rows = [RowPolytopeV(row.vertices) if isinstance(row, RowPolytopeV) else row
-                for row in self.rows]
-        self._pack(rows, np.concatenate(
+        counts = np.array([row.num_vertices if isinstance(row, RowPolytopeV) else 0
+                           for row in self.rows])
+        # the model's own vertex rows view its stack; the caller's stay as given
+        self._pack(self.rows, np.concatenate(
             [np.empty((0, n))] + [row.vertices for row in self.rows
-                                  if isinstance(row, RowPolytopeV)]))
+                                  if isinstance(row, RowPolytopeV)]), counts)
 
     @classmethod
     def from_vertex_stack(cls, states: StateSpace, target: TargetSet,
@@ -250,7 +250,7 @@ class Model:
         an ``InvalidModel`` leaves the array read-only.
         """
         n = states.size
-        counts = np.asarray(counts)
+        counts = np.array(counts)  # a copy: the model keeps it
         if not (isinstance(vertices, np.ndarray) and vertices.dtype == np.float64
                 and vertices.ndim == 2 and vertices.shape[1] == n):
             raise ValueError(f"vertices must be a 2-d float64 array of width {n}")
@@ -265,28 +265,25 @@ class Model:
                              f"but there are {len(vertices)} vertices")
         model = cls.__new__(cls)
         model.states, model.target = states, target
-        offsets = (np.cumsum(counts) - counts).tolist()
-        model._pack([RowPolytopeV(vertices[lo:lo + k])
-                     for lo, k in zip(offsets, counts.tolist())], vertices)
+        model._pack([None] * n, vertices, counts)
         return model
 
-    def _pack(self, rows: list[Row], stack: np.ndarray) -> None:
-        """Adopt ``stack``, which holds the vertices of the vertex ``rows``
-        in row order and owns its data, as the model's read-only vertex
-        stack; view it from those rows, pack the other rows, and check."""
+    def _pack(self, rows: Iterable[Row | None], stack: np.ndarray,
+              counts: np.ndarray) -> None:
+        """Adopt ``stack``, which owns its data and holds ``counts[x]``
+        vertices for each row ``x`` in row order, as the model's read-only
+        vertex stack; view it from a new vertex row for each ``x`` with
+        vertices, keep ``rows[x]`` for the others, pack those, and check."""
         n = self.states.size
         for i in self.target.members:
             if not 0 <= i < n:
                 raise ValueError(f"target index {i} out of range")
-        counts = np.array([row.num_vertices if isinstance(row, RowPolytopeV) else 0
-                           for row in rows])
         offsets = np.cumsum(counts) - counts
+        # read-only first, so that each row's slice is its view as it is
         stack.flags.writeable = False
         self.vertex_stack = stack
-        for row, lo, k in zip(rows, offsets.tolist(), counts.tolist()):
-            if k:
-                row.vertices = stack[lo:lo + k]
-        self.rows = tuple(rows)
+        self.rows = tuple(RowPolytopeV(stack[lo:lo + k]) if k else row
+                          for row, lo, k in zip(rows, offsets.tolist(), counts.tolist()))
         self.vertex_offsets = _readonly(offsets, np.intp)
         self.vertex_counts = _readonly(counts, np.intp)
         from . import lp  # deferred: lp imports the row types from here

@@ -8,15 +8,19 @@ draws, and invalid files.  For each file the script runs ``imchit
 validate``, ``imchit reach`` and ``imchit solve --trace`` with policy
 iteration, value iteration and brute force for both bounds, in this one
 process, and prints each run's arguments, exit code, stdout and stderr.
-Lines holding ``wall_time_s`` are dropped, so two outputs are equal byte
-for byte iff every report is.  With ``PYTHONPATH`` pointed at another
-checkout's ``src``, the script reports that checkout's package on the
-same corpus.  pytest does not collect this file.
+It then runs ``imchit bench`` on two study configurations, each with
+``--jobs 1`` and ``--jobs 2``, and prints its CSV without the
+``wall_time_s`` column and its histogram.  Lines holding ``wall_time_s``
+are dropped, so two outputs are equal byte for byte iff every report is.
+With ``PYTHONPATH`` pointed at another checkout's ``src``, the script
+reports that checkout's package on the same corpus.  pytest does not
+collect this file.
 """
 
 from __future__ import annotations
 
 import contextlib
+import csv
 import io
 import json
 import math
@@ -88,6 +92,11 @@ def corpus() -> dict[str, dict]:
     return docs
 
 
+# the iteration study, at a small size and at the study_200 benchmark's
+BENCH_RUNS = (["--sizes", "30,40", "--vertices", "10", "--trials", "6", "--seed", "7"],
+              ["--sizes", "200", "--vertices", "50", "--trials", "2", "--seed", "1"])
+
+
 def commands(path: str) -> list[list[str]]:
     runs = [["validate", "--model", path], ["reach", "--model", path]]
     for method in ("policy", "value", "brute"):
@@ -104,19 +113,38 @@ def run(argv: list[str]) -> tuple[int, str, str]:
     return status, out.getvalue(), err.getvalue()
 
 
+def report(argv: list[str], shown: str, tmp: str) -> None:
+    """Run ``argv`` and print it as ``shown``, its exit code and its output."""
+    status, out, err = run(argv)
+    print(f"=== {shown}\nexit {status}")
+    for stream, text in (("stdout", out), ("stderr", err)):
+        lines = [line.replace(tmp, "<dir>") for line in text.splitlines()
+                 if "wall_time_s" not in line]
+        print(f"--- {stream}", *lines, sep="\n")
+
+
+def report_bench(args: list[str], tmp: str) -> None:
+    """Print the study's CSV, without ``wall_time_s``, and its histogram."""
+    out, hist = Path(tmp, "bench.csv"), Path(tmp, "hist.json")
+    argv = ["bench", *args, "--out", str(out), "--hist", str(hist)]
+    report(argv, " ".join(argv).replace(tmp, "<dir>"), tmp)
+    with open(out, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    drop = rows[0].index("wall_time_s")
+    print("--- csv", *(",".join(r[:drop] + r[drop + 1:]) for r in rows), sep="\n")
+    print("--- hist", hist.read_text(encoding="utf-8"), sep="\n")
+
+
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         for name, doc in corpus().items():
             path = Path(tmp, f"{name}.json")
             path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
             for argv in commands(str(path)):
-                status, out, err = run(argv)
-                shown = " ".join(argv).replace(str(path), f"{name}.json")
-                print(f"=== {shown}\nexit {status}")
-                for stream, text in (("stdout", out), ("stderr", err)):
-                    lines = [line.replace(tmp, "<dir>") for line in text.splitlines()
-                             if "wall_time_s" not in line]
-                    print(f"--- {stream}", *lines, sep="\n")
+                report(argv, " ".join(argv).replace(str(path), f"{name}.json"), tmp)
+        for args in BENCH_RUNS:
+            for jobs in ("1", "2"):
+                report_bench([*args, "--jobs", jobs], tmp)
     return 0
 
 

@@ -36,8 +36,12 @@ def test_model_adopts_the_single_drawn_array(monkeypatch):
     assert not stack.flags.writeable
     assert np.shares_memory(stack, drawn)
     assert stack.flags.owndata or stack.base is drawn
-    for row in m.rows:
-        assert np.shares_memory(row.vertices, stack)
+    rows_built = Model(m.states, m.target, m.rows)
+    for x, row in enumerate(m.rows):
+        assert not row.vertices.flags.writeable
+        assert row.vertices.base is stack
+        assert row.num_vertices == m.vertex_counts[x] == 3
+        assert np.array_equal(row.vertices, rows_built.rows[x].vertices)
 
 
 def test_building_a_random_model_copies_no_vertices():
@@ -150,6 +154,41 @@ def test_config_validation():
         BenchConfig(sizes=(5,), init="greedy")
     with pytest.raises(TypeError):
         BenchConfig(sizes=(5,), tol=1e-9)
+
+
+@pytest.mark.parametrize("field, value", [("sizes", (10.7,)), ("seed", 1.5),
+                                          ("vertices_per_row", 2.0),
+                                          ("trials", 2.0)])
+def test_config_refuses_non_integers(field, value):
+    with pytest.raises(ValueError, match=field):
+        BenchConfig(**{"sizes": (5,), field: value})
+
+
+def test_numpy_integers_configure_the_same_study():
+    python = BenchConfig(sizes=(8, 9), vertices_per_row=3, trials=2, seed=4)
+    numpy_ints = BenchConfig(sizes=np.array([8, 9]), vertices_per_row=np.int64(3),
+                             trials=np.int32(2), seed=np.uint8(4))
+    assert numpy_ints == python
+    assert all(type(v) is int for v in (*numpy_ints.sizes, numpy_ints.vertices_per_row,
+                                        numpy_ints.trials, numpy_ints.seed))
+    key = lambda rs: [(r.size, r.trial_index, r.iterations, r.residual,
+                       r.seed_used, r.regenerations) for r in rs]
+    assert key(run_experiment(numpy_ints)) == key(run_experiment(python))
+
+
+def test_study_records_are_pinned():
+    # integers only: a residual's last bits depend on the BLAS build
+    records = run_experiment(BenchConfig(sizes=(30, 40), vertices_per_row=10,
+                                         trials=6, seed=7))
+    assert [(r.size, r.trial_index, r.iterations, r.regenerations, r.seed_used)
+            for r in records] == [
+        (30, 0, 4, 0, 5117919879038363292), (30, 1, 3, 0, 1718054975686877252),
+        (30, 2, 3, 0, 11272890038980256861), (30, 3, 3, 0, 2570793199775647008),
+        (30, 4, 3, 0, 14856441726460131839), (30, 5, 3, 0, 3624996384826167431),
+        (40, 0, 3, 0, 8260274986714777299), (40, 1, 3, 0, 449890649921364670),
+        (40, 2, 3, 0, 14847641653213717603), (40, 3, 3, 0, 9989192223006808828),
+        (40, 4, 3, 0, 10844430516755729679), (40, 5, 3, 0, 17929639119111741326)]
+    assert iteration_histogram(records) == {30: {3: 5, 4: 1}, 40: {3: 6}}
 
 
 @pytest.mark.parametrize("jobs", [0, -3])

@@ -391,6 +391,16 @@ def test_rows_leave_the_callers_array_writeable():
     assert not constraint.a.flags.writeable
 
 
+def test_a_read_only_vertex_array_is_kept_as_given():
+    vertices = np.eye(3)
+    vertices.flags.writeable = False
+    assert RowPolytopeV(vertices).vertices is vertices
+    # a writeable or non-contiguous array still gets a read-only view
+    for given in (np.eye(3), np.eye(4)[:3, :3]):
+        row = RowPolytopeV(given)
+        assert row.vertices is not given and not row.vertices.flags.writeable
+
+
 def test_model_ignores_later_writes_to_its_inputs():
     vertices = np.array([[0.5, 0.5], [0.2, 0.8]])
     a = np.array([1.0, 0.0])
@@ -527,15 +537,36 @@ def test_stacked_constructor_adopts_its_array_read_only():
     assert not vertices.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
         vertices[0, 0] = 0.5
+    rows_built = Model(m.states, m.target, m.rows)
     for x, row in enumerate(m.rows):
         assert isinstance(row, RowPolytopeV)
-        assert np.shares_memory(row.vertices, vertices)
+        assert not row.vertices.flags.writeable
+        assert row.vertices.base is vertices
+        assert row.num_vertices == m.vertex_counts[x] == 3
         lo = m.vertex_offsets[x]
         assert np.array_equal(row.vertices, vertices[lo:lo + m.vertex_counts[x]])
+        assert np.array_equal(row.vertices, rows_built.rows[x].vertices)
     # the rows path adopts its concatenated stack the same way
-    rows_built = Model(m.states, m.target, m.rows)
     assert rows_built.vertex_stack.flags.owndata
     assert not rows_built.vertex_stack.flags.writeable
+    for row in rows_built.rows:
+        assert row.vertices.base is rows_built.vertex_stack
+
+
+def test_stacked_constructor_keeps_a_copy_of_the_counts():
+    m = random_model(5, 3, 1)
+    counts = np.full(5, 3, dtype=np.intp)
+    again = Model.from_vertex_stack(m.states, m.target, m.vertex_stack.copy(), counts)
+    counts[0] = 1
+    assert again.vertex_counts.tolist() == [3] * 5
+
+
+def test_stacked_constructor_rejects_an_out_of_range_target():
+    vertices = stack_of(3, 2)
+    with pytest.raises(ValueError, match="target"):
+        Model.from_vertex_stack(StateSpace(("a", "b")), TargetSet({2}),
+                                vertices, [1, 2])
+    assert vertices.flags.writeable
 
 
 @pytest.mark.parametrize("value, code", [(-0.25, "NonStochasticVertex"),
@@ -564,6 +595,11 @@ def test_stacked_model_reaches_as_the_rows_path(build):
     for name in ("vertex_stack", "vertex_offsets", "vertex_counts",
                  "target_mask", "nontarget_indices"):
         assert np.array_equal(getattr(again, name), getattr(rows_built, name))
+    for x, (mine, theirs) in enumerate(zip(again.rows, rows_built.rows)):
+        assert not mine.vertices.flags.writeable
+        assert mine.vertices.base is again.vertex_stack
+        assert mine.num_vertices == again.vertex_counts[x]
+        assert np.array_equal(mine.vertices, theirs.vertices)
 
 
 def test_stacked_model_round_trips_through_json():
