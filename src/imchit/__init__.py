@@ -11,7 +11,7 @@ from .bench import (BenchConfig, TrialRecord, iteration_histogram,
 from .errors import (ImcError, Infeasible, InvalidModel,
                      MaxIterationsExceeded, ReachabilityViolation,
                      SingularSystem, TooManyCombinations)
-from .linsolve import HittingTimeVector, solve_precise
+from .linsolve import HittingTimeVector
 from .lp import LpSolution, minimize_row
 from .model import (Constraint, Model, RowPolytopeH, RowPolytopeV,
                     StateSpace, TargetSet, ValidationIssue, ValidationReport,
@@ -36,6 +36,6 @@ __all__ = [
     "fixed_point_residual", "iteration_histogram",
     "load_model", "minimize_row", "model_from_dict",
     "model_to_dict", "random_model", "run_experiment", "save_model",
-    "solve_brute", "solve_policy", "solve_precise", "solve_value",
+    "solve_brute", "solve_policy", "solve_value",
     "validate", "write_csv",
 ]

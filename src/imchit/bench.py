@@ -81,9 +81,11 @@ class TrialRecord:
 
 def random_model(size: int, vertices_per_row: int, seed: int) -> Model:
     """Model with uniformly sampled row vertices and the last state as target."""
+    size = _integer("size", size)
+    vertices_per_row = _integer("vertices_per_row", vertices_per_row)
     if size < 2 or vertices_per_row < 1:
         raise ValueError("need size >= 2 and vertices_per_row >= 1")
-    rng = np.random.default_rng(int(seed))
+    rng = np.random.default_rng(_integer("seed", seed))
     draws = rng.standard_exponential(size=(size * vertices_per_row, size))
     draws /= draws.sum(axis=1, keepdims=True)
     states = StateSpace(tuple(f"s{i}" for i in range(size)))

@@ -23,9 +23,9 @@ class Infeasible(ImcError):
 
 
 class SingularSystem(ImcError):
-    """The restricted linear hitting-time system could not be solved
-    reliably; usually a sign that the target is unreachable under the
-    selected transition matrix."""
+    """Hitting times could not be solved, or not to the accuracy a solver
+    vouches for: the target is unreachable under a selected transition
+    matrix, or the system is too ill-conditioned."""
 
 
 class ReachabilityViolation(ImcError):

@@ -21,9 +21,10 @@ once when it was built, so solving both bounds runs no check of its own.
 
 Each run returns a ``SolveReport``: the hitting times, the iteration
 count, the fixed-point residual and, for the two iterative methods, one
-trace entry per iteration.  It stores no fact twice: ``tolerance_limited``
-is derived from ``method``, since only value iteration stops at a
-tolerance.
+trace entry per iteration; ``tolerance_limited`` is derived from
+``method``, since only value iteration stops at a tolerance.  Policy
+iteration and brute force vouch once for the answer they return
+(``_vouched``); value iteration reports its residual.
 
 Iteration counting follows the convention that a run converged after
 ``n > 1`` iterations when the ``n``-th iterate first repeats the previous
@@ -42,7 +43,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import (MaxIterationsExceeded, ReachabilityViolation,
-                     TooManyCombinations)
+                     SingularSystem, TooManyCombinations)
 from .linsolve import HittingTimeVector, solve_precise
 from .model import Model
 from .transition import OperatorResult, Selector, apply, check_bound
@@ -51,6 +52,10 @@ from .transition import OperatorResult, Selector, apply, check_bound
 # Each combination takes at most four n x n float arrays: its gathered
 # matrix, and solve_precise's non-target block, I minus it and the LU copy.
 _BRUTE_BYTES = 32 * 2 ** 20
+
+# Accepted fixed-point residual of a returned answer; as every compatible
+# matrix reaches the target, it bounds each entry's relative error.
+RESID_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -63,7 +68,7 @@ class IterationStat:
 
 @dataclass(eq=False)
 class SolveReport:
-    """Outcome of one solver run."""
+    """One solver run; ``residual`` is its answer's fixed-point defect."""
 
     bound: str
     method: str
@@ -88,6 +93,17 @@ def _defect(model: Model, h: np.ndarray, value: np.ndarray) -> float:
     """Sup-norm defect of ``h``, given the operator's value at ``h``."""
     fixed_point = np.where(model.target_mask, 0.0, 1.0 + value)
     return float(np.max(np.abs(h - fixed_point)))
+
+
+def _vouched(report: SolveReport) -> SolveReport:
+    """``report``, unless its residual or ``eps * max(h)``, the finest error
+    a double-precision residual resolves, exceeds ``RESID_RTOL``."""
+    top = float(np.max(report.solution.values))
+    if max(report.residual, np.finfo(float).eps * top) > RESID_RTOL:
+        raise SingularSystem(
+            f"residual {report.residual:.3g} at hitting times up to {top:.3g}: "
+            f"a relative error of {RESID_RTOL:.1g} cannot be vouched for")
+    return report
 
 
 def _require_cap(max_iter: int) -> None:
@@ -142,10 +158,10 @@ def solve_policy(model: Model, bound: str = "lower",
         if changes == 0:
             # h repeats; the operator was just applied at it: a free residual
             trace.append(IterationStat(float(np.max(h)), 0))
-            return SolveReport(
+            return _vouched(SolveReport(
                 bound=bound, method="policy", solution=HittingTimeVector(h),
                 iterations=iterations, residual=_defect(model, h, selected.value),
-                trace=tuple(trace), wall_time=time.perf_counter() - start)
+                trace=tuple(trace), wall_time=time.perf_counter() - start))
         selectors = selected.selectors
         h = solve_precise(selected.matrix(), model.nontarget_indices)
         trace.append(IterationStat(float(np.max(h)), changes))
@@ -173,7 +189,6 @@ def solve_value(model: Model, bound: str = "lower", tol: float = 1e-9,
     previous: tuple[Selector, ...] | None = None
     trace: list[IterationStat] = []
     iterations = 0
-    converged = False
     while iterations < max_iter:
         result = apply(model, h, bound)
         h_next = off_target * (1.0 + result.value)
@@ -185,9 +200,8 @@ def solve_value(model: Model, bound: str = "lower", tol: float = 1e-9,
         previous = result.selectors
         h = h_next
         if gap <= tol:
-            converged = True
             break
-    if not converged:
+    else:
         raise MaxIterationsExceeded(
             f"value iteration exceeded {max_iter} sweeps", tuple(trace))
     h.flags.writeable = False
@@ -243,13 +257,10 @@ def solve_brute(model: Model, bound: str = "lower",
     if total > max_combinations:
         raise TooManyCombinations(total, max_combinations)
     _require_reachable(model)
-    best: np.ndarray | None = None
     reduce = np.minimum if bound == "lower" else np.maximum
-    for _, h in _iter_chunks(model):
-        extremum = reduce.reduce(h, axis=0)
-        best = extremum if best is None else reduce(best, extremum)
+    best = reduce.reduce([reduce.reduce(h, axis=0) for _, h in _iter_chunks(model)])
     best.flags.writeable = False
-    return SolveReport(
+    return _vouched(SolveReport(
         bound=bound, method="brute", solution=HittingTimeVector(best),
         iterations=total, residual=fixed_point_residual(model, best, bound),
-        trace=None, wall_time=time.perf_counter() - start)
+        trace=None, wall_time=time.perf_counter() - start))

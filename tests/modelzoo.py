@@ -66,36 +66,40 @@ def two_choice_model() -> Model:
     return Model(StateSpace(("a", "b")), TargetSet({1}), rows)
 
 
-# The two vertices of an interior state of ``drift_chain_model``: mass
-# (away from the target, toward it).  Each pair sums to 1 exactly.
-DRIFT_VERTICES = ((0.6, 1.0 - 0.6), (0.5, 0.5))
+def drift_vertices(away: float = 0.6) -> tuple[tuple[float, float], ...]:
+    """The two vertices of an interior state of ``drift_chain_model``: mass
+    (away from the target, toward it).  For ``away >= 0.5`` each pair sums
+    to 1 exactly."""
+    return ((away, 1.0 - away), (0.5, 0.5))
 
 
-def drift_chain_model(n: int) -> Model:
+def drift_chain_model(n: int, away: float = 0.6) -> Model:
     """Birth-death chain on 0..n-1 with target {n - 1}: state 0 stays or
     steps up with 0.5 each, and every interior state picks one of
-    ``DRIFT_VERTICES``.  The upper bound drifts away from the target in
-    every row, so its hitting times grow like 1.5 ** n."""
+    ``drift_vertices(away)``.  The upper bound drifts away from the target
+    in every row, so its hitting times grow like ``(away / (1 - away)) ** n``;
+    the lower bound is the symmetric walk, ``h_x = n(n-1) - x(x+1)``."""
     rows = [RowPolytopeV(0.5 * (point_mass(n, 0) + point_mass(n, 1))[None, :])]
     for x in range(1, n - 1):
         rows.append(RowPolytopeV(np.array(
-            [away * point_mass(n, x - 1) + toward * point_mass(n, x + 1)
-             for away, toward in DRIFT_VERTICES])))
+            [a * point_mass(n, x - 1) + b * point_mass(n, x + 1)
+             for a, b in drift_vertices(away)])))
     rows.append(RowPolytopeV(point_mass(n, n - 1)[None, :]))
     return Model(StateSpace(tuple(f"s{i}" for i in range(n))),
                  TargetSet({n - 1}), tuple(rows))
 
 
-def drift_chain_upper(n: int) -> list[Fraction]:
-    """Exact upper hitting times of ``drift_chain_model(n)``.
+def drift_chain_exact(n: int, away: Fraction) -> list[Fraction]:
+    """Exact hitting times of ``drift_chain_model``'s chain that puts mass
+    ``away`` away from the target in every interior state.
 
     With ``d_x = h_x - h_{x+1}``, state 0 gives ``d_0 = 2`` and an interior
     state with mass ``a`` away and ``b`` toward the target gives
     ``d_x = (1 + a d_{x-1}) / b``; ``h`` sums the ``d`` from ``x`` on.
-    Every ``d_x`` is positive, so ``h`` falls toward the target and the
-    upper bound takes the vertex with the most mass away from it.
+    Every ``d_x`` is positive, so ``h`` falls toward the target: the upper
+    bound takes the vertex with the most mass away from it in every row,
+    and the lower bound the one with the least.
     """
-    away = max(Fraction(a) for a, _ in DRIFT_VERTICES)
     toward = 1 - away
     d = [Fraction(2)]
     for _ in range(1, n - 1):
@@ -104,6 +108,16 @@ def drift_chain_upper(n: int) -> list[Fraction]:
     for step in reversed(d):
         h.append(h[-1] + step)
     return h[::-1]
+
+
+def drift_chain_upper(n: int, away: float = 0.6) -> list[Fraction]:
+    """Exact upper hitting times of ``drift_chain_model(n, away)``."""
+    return drift_chain_exact(n, max(Fraction(a) for a, _ in drift_vertices(away)))
+
+
+def drift_chain_lower(n: int, away: float = 0.6) -> list[Fraction]:
+    """Exact lower hitting times of ``drift_chain_model(n, away)``."""
+    return drift_chain_exact(n, min(Fraction(a) for a, _ in drift_vertices(away)))
 
 
 def box_row(n: int, lower: np.ndarray, upper: np.ndarray) -> RowPolytopeH:

@@ -6,8 +6,9 @@ The corpus is the modelzoo models, interval and coupled ``box_model``s,
 the ``edge_rows`` model, a few ``random_model`` and ``random_mixed_model``
 draws, and invalid files.  For each file the script runs ``imchit
 validate``, ``imchit reach`` and ``imchit solve --trace`` with policy
-iteration, value iteration and brute force for both bounds, in this one
-process, and prints each run's arguments, exit code, stdout and stderr.
+iteration, value iteration and brute force for both bounds (policy
+iteration only on the ``POLICY_ONLY`` chains), in this one process, and
+prints each run's arguments, exit code, stdout and stderr.
 It then runs ``imchit bench`` on two study configurations, each with
 ``--jobs 1`` and ``--jobs 2``, and prints its CSV without the
 ``wall_time_s`` column and its histogram.  Lines holding ``wall_time_s``
@@ -57,6 +58,8 @@ def corpus() -> dict[str, dict]:
         "isolated_cycle": isolated_cycle_model(),
         "two_choice": two_choice_model(),
         "drift_chain_6": drift_chain_model(6),
+        "drift_chain_60": drift_chain_model(60),
+        "steep_chain_12": drift_chain_model(12, away=0.99),
         "precise_3": precise_model(np.array([[0.2, 0.3, 0.5], [0.0, 0.5, 0.5],
                                              [0.0, 0.0, 1.0]]), {2}),
         "box_6_1": box_model(6, 1),
@@ -97,9 +100,16 @@ BENCH_RUNS = (["--sizes", "30,40", "--vertices", "10", "--trials", "6", "--seed"
               ["--sizes", "200", "--vertices", "50", "--trials", "2", "--seed", "1"])
 
 
-def commands(path: str) -> list[list[str]]:
+METHODS = ("policy", "value", "brute")
+# steep chains, whose upper hitting times (3.4e11 and 2.8e20) value
+# iteration would take 10^6 sweeps or more to approach, and whose brute
+# force refuses or repeats what policy iteration shows
+POLICY_ONLY = ("drift_chain_60", "steep_chain_12")
+
+
+def commands(path: str, methods: tuple[str, ...]) -> list[list[str]]:
     runs = [["validate", "--model", path], ["reach", "--model", path]]
-    for method in ("policy", "value", "brute"):
+    for method in methods:
         for bound in ("lower", "upper"):
             runs.append(["solve", "--model", path, "--method", method,
                          "--bound", bound, "--trace"])
@@ -140,7 +150,8 @@ def main() -> int:
         for name, doc in corpus().items():
             path = Path(tmp, f"{name}.json")
             path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
-            for argv in commands(str(path)):
+            methods = ("policy",) if name in POLICY_ONLY else METHODS
+            for argv in commands(str(path), methods):
                 report(argv, " ".join(argv).replace(str(path), f"{name}.json"), tmp)
         for args in BENCH_RUNS:
             for jobs in ("1", "2"):

@@ -14,8 +14,9 @@ import pytest
 
 from imchit import (BenchConfig, apply, check_reachability, random_model,
                     run_experiment, save_model, solve_brute, solve_policy,
-                    solve_precise, solve_value)
+                    solve_value)
 from imchit import solvers
+from imchit.linsolve import solve_precise
 from imchit.cli import main as cli_main
 from modelzoo import (gambler_model, isolated_cycle_model, line_model,
                       policy_matrix, random_mixed_model, random_vrep_model,

@@ -5,6 +5,13 @@ import types
 import imchit
 
 
+def test_the_unchecked_linear_solve_is_not_exported():
+    # every public function that returns hitting times vouches for them
+    assert "solve_precise" not in imchit.__all__
+    assert not hasattr(imchit, "solve_precise")
+    assert callable(imchit.linsolve.solve_precise)
+
+
 def test_all_lists_exactly_the_public_names():
     names = imchit.__all__
     assert all(isinstance(name, str) and name for name in names)

@@ -164,6 +164,20 @@ def test_config_refuses_non_integers(field, value):
         BenchConfig(**{"sizes": (5,), field: value})
 
 
+@pytest.mark.parametrize("field, value", [("size", 5.0), ("vertices_per_row", 3.0),
+                                          ("seed", 1.5)])
+def test_random_model_refuses_non_integers(field, value):
+    with pytest.raises(ValueError, match=field):
+        random_model(**{"size": 5, "vertices_per_row": 3, "seed": 1, field: value})
+
+
+def test_numpy_integers_draw_the_same_model():
+    python = random_model(5, 3, 1)
+    numpy_ints = random_model(np.int64(5), np.int32(3), np.uint8(1))
+    assert numpy_ints.vertex_stack.tobytes() == python.vertex_stack.tobytes()
+    assert numpy_ints.states == python.states and numpy_ints.target == python.target
+
+
 def test_numpy_integers_configure_the_same_study():
     python = BenchConfig(sizes=(8, 9), vertices_per_row=3, trials=2, seed=4)
     numpy_ints = BenchConfig(sizes=np.array([8, 9]), vertices_per_row=np.int64(3),

@@ -112,7 +112,7 @@ def test_solve_gambler_closed_form(gambler_path, capsys):
 
 
 def test_solve_precise_chain_matches_linear_solve(tmp_path, capsys, rng):
-    from imchit import solve_precise
+    from imchit.linsolve import solve_precise
 
     matrix = rng.dirichlet(np.ones(3), size=3)
     m = precise_model(matrix, {2})

@@ -3,7 +3,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from imchit import SingularSystem, solve_precise, solve_value
+from imchit import SingularSystem, solve_value
+from imchit.linsolve import solve_precise
 from modelzoo import gambler_model, precise_model
 
 

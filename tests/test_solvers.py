@@ -12,14 +12,16 @@ from imchit import (MaxIterationsExceeded, Model, ReachabilityViolation,
                     RowPolytopeV, SingularSystem, SolveReport, StateSpace,
                     TargetSet, TooManyCombinations, apply,
                     fixed_point_residual, solve_brute, solve_policy,
-                    solve_precise, solve_value, validate)
+                    solve_value, validate)
 from imchit import lp, solvers, transition
-from imchit.linsolve import RESID_RTOL
-from modelzoo import (box_bounds, box_model, box_row, drift_chain_model,
-                      drift_chain_upper, gambler_model, interval_extreme,
-                      interval_vertex, isolated_cycle_model, line_model,
-                      precise_model, random_mixed_model, random_vrep_model,
-                      solver_iterates, standard_form, two_choice_model)
+from imchit.linsolve import solve_precise
+from imchit.solvers import RESID_RTOL
+from modelzoo import (box_bounds, box_model, box_row, drift_chain_lower,
+                      drift_chain_model, drift_chain_upper, gambler_model,
+                      interval_extreme, interval_vertex, isolated_cycle_model,
+                      line_model, precise_model, random_mixed_model,
+                      random_vrep_model, solver_iterates, standard_form,
+                      two_choice_model)
 
 
 def test_precise_chain_needs_one_linear_solve(rng):
@@ -217,19 +219,43 @@ def test_reachability_violation_is_raised():
             assert exc.value.violating == ("c", "d")
 
 
-@pytest.mark.parametrize("n", [10, 20, 30, 40, 90, 120, 250])
-def test_ill_conditioned_chain_is_right_or_flagged(n):
-    m = drift_chain_model(n)
-    exact = drift_chain_upper(n)
-    try:
-        h = solve_policy(m, "upper").solution.values
-    except SingularSystem:
-        # the residual check cannot vouch for the digits; well-conditioned
-        # sizes must still solve
-        assert n >= 40
-        return
-    error = max(abs(Fraction(float(v)) - e) / e for v, e in zip(h[:-1], exact))
-    assert error <= RESID_RTOL
+def relative_error(h: np.ndarray, exact: list[Fraction]) -> Fraction:
+    """Largest relative error of ``h`` off the target, its last state."""
+    return max(abs(Fraction(float(v)) - e) / e for v, e in zip(h[:-1], exact))
+
+
+# the default drift keeps its size as the id
+@pytest.mark.parametrize("n, away", [
+    pytest.param(n, away, id=str(n) if away == 0.6 else f"{n}-{away}")
+    for away in (0.6, 0.75, 0.9, 0.99) for n in (10, 20, 30, 40, 90, 120, 250)])
+def test_ill_conditioned_chain_is_right_or_flagged(n, away):
+    m = drift_chain_model(n, away)
+    for bound, oracle in (("lower", drift_chain_lower),
+                          ("upper", drift_chain_upper)):
+        try:
+            h = solve_policy(m, bound).solution.values
+        except SingularSystem:
+            # the solver cannot vouch for the digits; the default drift's
+            # lower bound, and its upper bound at small sizes, must solve
+            assert away != 0.6 or (bound == "upper" and n >= 40)
+            continue
+        error = relative_error(h, oracle(n, away))
+        # the default drift's lower bound, an integer vector, is exact
+        assert error == 0 if (away, bound) == (0.6, "lower") else error <= RESID_RTOL
+
+
+def test_brute_force_is_judged_on_its_answer(count_calls):
+    # the steep chain's 1024 combinations include astronomically
+    # ill-conditioned ones; only the extremum brute force returns is judged
+    checks = count_calls(solvers, "_vouched")
+    m = drift_chain_model(12, 0.99)
+    h = solve_brute(m, "lower").solution.values
+    assert relative_error(h, drift_chain_lower(12, 0.99)) == 0
+    with pytest.raises(SingularSystem):
+        solve_brute(m, "upper")
+    # policy iteration's several linear solves get one check too
+    assert solve_policy(m, "lower").iterations > 2
+    assert len(checks) == 3
 
 
 def test_policy_iteration_cap(rng):
