@@ -38,10 +38,8 @@ import numpy as np
 from .errors import Infeasible, InvalidModel
 
 # Row vertices must be pmfs up to this tolerance; stricter than the
-# geometric feasibility tolerance because vertices are literal input data.
+# simplex's lp.FEAS_TOL because vertices are literal input data.
 PMF_TOL = 1e-12
-# Feasibility slack for vertices reconstructed by the LP machinery.
-FEAS_TOL = 1e-9
 
 Relation = str  # one of "<=", ">=", "="
 _RELATIONS = ("<=", ">=", "=")
@@ -115,9 +113,10 @@ class RowPolytopeV:
         return self.vertices.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Constraint:
-    """One linear constraint ``a . p (rel) b`` on a transition row."""
+    """One linear constraint ``a . p (rel) b`` on a transition row; it
+    compares and hashes by identity."""
 
     a: np.ndarray
     rel: Relation

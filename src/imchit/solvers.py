@@ -46,7 +46,7 @@ from .errors import (MaxIterationsExceeded, ReachabilityViolation,
                      SingularSystem, TooManyCombinations)
 from .linsolve import HittingTimeVector, solve_precise
 from .model import Model
-from .transition import OperatorResult, Selector, apply, check_bound
+from .transition import OperatorResult, apply, check_bound
 
 # Bytes of arrays that brute force may hold for one chunk of combinations.
 # Each combination takes at most four n x n float arrays: its gathered
@@ -111,10 +111,17 @@ def _require_cap(max_iter: int) -> None:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
 
 
-def _policy_changes(model: Model, new: tuple[Selector, ...],
-                    old: tuple[Selector, ...]) -> int:
-    """Number of non-target rows whose selector differs between policies."""
-    return sum(new[x] != old[x] for x in model.nontarget_indices.tolist())
+def _improve(model: Model, h: np.ndarray, bound: str,
+             previous: OperatorResult | None) -> tuple[OperatorResult, int]:
+    """The operator at ``h``, each row started from its choice in ``previous``,
+    and the number of non-target rows whose selector changed (0 without one).
+
+    Both iterative methods improve by this one step."""
+    result = apply(model, h, bound, start=previous)
+    if previous is None:
+        return result, 0
+    new, old = result.selectors, previous.selectors
+    return result, sum(new[x] != old[x] for x in model.nontarget_indices.tolist())
 
 
 def _require_reachable(model: Model) -> None:
@@ -144,16 +151,12 @@ def solve_policy(model: Model, bound: str = "lower",
     cap = max_iter if max_iter is not None else 10 * model.size
     _require_cap(cap)
     _require_reachable(model)
-    # each improvement starts from the previous choice: simplex bases, and
-    # interval vertices that are still optimal
     selected = _initial(model, bound)
-    selectors = selected.selectors
     h = solve_precise(selected.matrix(), model.nontarget_indices)
     trace = [IterationStat(float(np.max(h)), 0)]
     iterations = 1
     while iterations < cap:
-        selected = apply(model, h, bound, start=selected)
-        changes = _policy_changes(model, selected.selectors, selectors)
+        selected, changes = _improve(model, h, bound, selected)
         iterations += 1
         if changes == 0:
             # h repeats; the operator was just applied at it: a free residual
@@ -162,7 +165,6 @@ def solve_policy(model: Model, bound: str = "lower",
                 bound=bound, method="policy", solution=HittingTimeVector(h),
                 iterations=iterations, residual=_defect(model, h, selected.value),
                 trace=tuple(trace), wall_time=time.perf_counter() - start))
-        selectors = selected.selectors
         h = solve_precise(selected.matrix(), model.nontarget_indices)
         trace.append(IterationStat(float(np.max(h)), changes))
     raise MaxIterationsExceeded(
@@ -186,18 +188,15 @@ def solve_value(model: Model, bound: str = "lower", tol: float = 1e-9,
     _require_reachable(model)
     off_target = (~model.target_mask).astype(float)
     h = off_target.copy()
-    previous: tuple[Selector, ...] | None = None
+    result: OperatorResult | None = None
     trace: list[IterationStat] = []
     iterations = 0
     while iterations < max_iter:
-        result = apply(model, h, bound)
+        result, changes = _improve(model, h, bound, result)
         h_next = off_target * (1.0 + result.value)
         iterations += 1
-        changes = 0 if previous is None \
-            else _policy_changes(model, result.selectors, previous)
         trace.append(IterationStat(float(np.max(h_next)), changes))
         gap = float(np.max(np.abs(h_next - h)))
-        previous = result.selectors
         h = h_next
         if gap <= tol:
             break

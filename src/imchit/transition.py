@@ -18,8 +18,8 @@ remaining mass to the cheapest coordinates first (de Campos, Huete &
 Moral 1994).  Only general constraint rows run the simplex, each from
 the phase-one start the model keeps for it (``Model.simplex_starts``).
 
-An application may start from an earlier result (``start=``); the
-policy-iteration solver passes the previous improvement step.  Each
+An application may start from an earlier result (``start=``); both
+iterative solvers pass their previous improvement step.  Each
 constraint row's simplex then starts from that row's basis, which is
 usually optimal again or a few pivots away, and each interval row keeps
 its vertex there while that vertex is still optimal within
@@ -49,17 +49,18 @@ def check_bound(bound: str) -> None:
         raise ValueError(f"bound must be one of {BOUNDS}, got {bound!r}")
 
 
-@dataclass
+@dataclass(eq=False)
 class OperatorResult:
     """Operator value plus one attaining extreme point per row.
 
     ``selectors`` names each row's extreme point, so two results choose
-    the same points iff their selectors are equal.  The points themselves
-    are recorded without copying a vertex: ``picks`` holds an index into
-    the model's vertex stack (-1 on H-rep rows), ``interval_vertices``
-    the vertex of each of the model's ``interval_rows``, and
-    ``solutions`` the ``LpSolution`` of each other H-rep row.  ``matrix``
-    assembles the policy matrix from them on request.
+    the same points iff their selectors are equal; the results themselves
+    compare by identity.  The points are recorded without copying a
+    vertex: ``picks`` holds an index into the model's vertex stack (-1 on
+    H-rep rows), ``interval_vertices`` the vertex of each of the model's
+    ``interval_rows``, and ``solutions`` the ``LpSolution`` of each other
+    H-rep row.  ``matrix`` assembles the policy matrix from them on
+    request.
 
     An interval row's selector names its vertex: the sorted coordinates
     of positive width at their upper bound, then the one coordinate
@@ -68,12 +69,10 @@ class OperatorResult:
 
     value: np.ndarray
     selectors: tuple[Selector, ...]
-    model: Model | None = field(default=None, repr=False, compare=False)
-    picks: np.ndarray | None = field(default=None, repr=False, compare=False)
-    solutions: dict[int, lp.LpSolution] = field(
-        default_factory=dict, repr=False, compare=False)
-    interval_vertices: np.ndarray | None = field(
-        default=None, repr=False, compare=False)
+    model: Model | None = field(default=None, repr=False)
+    picks: np.ndarray | None = field(default=None, repr=False)
+    solutions: dict[int, lp.LpSolution] = field(default_factory=dict, repr=False)
+    interval_vertices: np.ndarray | None = field(default=None, repr=False)
 
     def matrix(self) -> np.ndarray:
         """The transition matrix ``selectors`` selects, as a plain array."""

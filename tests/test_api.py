@@ -2,7 +2,11 @@ from __future__ import annotations
 
 import types
 
+import numpy as np
+
 import imchit
+from imchit import Constraint, apply, minimize_row
+from modelzoo import box_model
 
 
 def test_the_unchecked_linear_solve_is_not_exported():
@@ -21,3 +25,18 @@ def test_all_lists_exactly_the_public_names():
     bound = {name for name, value in vars(imchit).items()
              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
     assert set(names) == bound
+
+
+def test_results_and_constraints_compare_without_raising():
+    # a type that holds arrays compares by identity, or by the fields that
+    # name its arrays; none asks an array for its truth value
+    m = box_model(8, 5, coupled=range(8))
+    f = np.arange(8.0)
+    first, again = apply(m, f, "lower"), apply(m, f, "lower")
+    assert first == first and first != again
+    assert first.selectors == again.selectors
+    row = m.rows[0]
+    assert minimize_row(row, f) == minimize_row(row, f)  # optimum and basis
+    c, twin = Constraint(np.ones(3), "<=", 0.5), Constraint(np.ones(3), "<=", 0.5)
+    assert c == c and c != twin
+    assert len({c, twin, c}) == 2

@@ -204,6 +204,17 @@ def test_tol_must_be_finite_and_positive(gambler_path, tol):
     assert exc.value.code == 2
 
 
+def test_tol_is_value_iterations_stopping_gap(gambler_path, capsys):
+    reports = []
+    for tol in (["--tol", "1e-6"], []):
+        assert main(["solve", "--model", gambler_path, "--method", "value"]
+                    + tol) == 0
+        reports.append(json.loads(capsys.readouterr().out))
+    loose, default = reports
+    assert loose["iterations"] < default["iterations"]
+    assert np.allclose(loose["values"], [0.0, 3.0, 4.0, 3.0, 0.0], atol=1e-5)
+
+
 def test_value_iteration_cap_defaults_only_when_absent(gambler_path, monkeypatch):
     caps = []
 

@@ -8,7 +8,7 @@ import pytest
 from imchit import (Constraint, Infeasible, Model, RowPolytopeH, RowPolytopeV,
                     StateSpace, TargetSet, apply, minimize_row)
 from imchit import lp
-from imchit.model import FEAS_TOL
+from imchit.lp import FEAS_TOL
 from modelzoo import box_row as interval_row
 from modelzoo import (coupled_row, edge_rows, interval_minimum, standard_form,
                       vertex_from_basis)

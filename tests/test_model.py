@@ -157,6 +157,16 @@ def test_model_shape_errors():
         Model(StateSpace(("a", "b")), TargetSet({1}), rows)
     with pytest.raises(ValueError):
         Model(StateSpace(("a", "b")), TargetSet({7}), rows * 2)
+    for vertices in (np.array([0.5, 0.5]), np.empty((0, 2))):
+        with pytest.raises(ValueError, match="non-empty 2-d array"):
+            RowPolytopeV(vertices)
+    with pytest.raises(ValueError, match="relation must be one of"):
+        Constraint(np.array([1.0, 0.0]), "<", 0.5)
+    with pytest.raises(ValueError, match="wrong length"):
+        RowPolytopeH(2, (Constraint(np.ones(3), "<=", 0.5),))
+    with pytest.raises(ValueError, match="row 1 is over 3 states, expected 2"):
+        Model(StateSpace(("a", "b")), TargetSet({1}),
+              rows + (RowPolytopeV(np.array([[0.2, 0.3, 0.5]])),))
 
 
 def test_policy_to_matrix_on_vertex_rows():
@@ -245,8 +255,15 @@ def test_json_round_trip(tmp_path):
 
 
 def test_parse_errors():
+    with pytest.raises(ValueError, match="must be a JSON object"):
+        model_from_dict([["a", "b"], ["b"]])
     with pytest.raises(ValueError):
         model_from_dict({"states": ["a", "b"], "target": ["b"]})
+    with pytest.raises(ValueError, match=r"unknown states: \['c'\]"):
+        model_from_dict({"states": ["a", "b"], "target": ["b"],
+                         "rows": {"a": {"vertices": [[1.0, 0.0]]},
+                                  "b": {"vertices": [[0.0, 1.0]]},
+                                  "c": {"vertices": [[0.0, 1.0]]}}})
     with pytest.raises(ValueError):
         model_from_dict({"states": ["a", "b"], "target": ["b"],
                          "rows": {"a": {"vertices": [[1.0, 0.0]]}}})

@@ -598,6 +598,23 @@ def exact_vertex(row, basis: tuple[int, ...]) -> list[Fraction]:
     return p
 
 
+def exact_policy_times(m: Model, h: np.ndarray, bound: str) -> np.ndarray:
+    """The hitting times of the policy the operator selects at ``h``, solved
+    in rationals from the row data and rounded once."""
+    selectors = apply(m, h, bound).selectors
+    rows = [[Fraction(float(v)) for v in row.vertices[sel]]
+            if isinstance(row, RowPolytopeV)
+            else interval_vertex(row, sel) if x in m.interval_rows
+            else exact_vertex(row, sel)
+            for x, (row, sel) in enumerate(zip(m.rows, selectors))]
+    free = m.nontarget_indices.tolist()
+    u = solve_fractions([[int(x == y) - rows[x][y] for y in free] for x in free],
+                        [Fraction(1)] * len(free))
+    exact = np.zeros(m.size)
+    exact[free] = [float(v) for v in u]
+    return exact
+
+
 def check_exact_rationals(coupled: bool) -> None:
     # the policy matrix holds the vertices the operator scored, so h is the
     # exact hitting time of the final policy up to the linear solve: about
@@ -611,17 +628,7 @@ def check_exact_rationals(coupled: bool) -> None:
         checked += 1
         for bound in ("lower", "upper"):
             h = solve_policy(m, bound).solution.values
-            selectors = apply(m, h, bound).selectors
-            rows = [[Fraction(float(v)) for v in row.vertices[sel]]
-                    if isinstance(row, RowPolytopeV)
-                    else interval_vertex(row, sel) if x in m.interval_rows
-                    else exact_vertex(row, sel)
-                    for x, (row, sel) in enumerate(zip(m.rows, selectors))]
-            free = [x for x in range(m.size) if x not in m.target.members]
-            u = solve_fractions([[int(x == y) - rows[x][y] for y in free] for x in free],
-                                [Fraction(1)] * len(free))
-            exact = np.zeros(m.size)
-            exact[free] = [float(v) for v in u]
+            exact = exact_policy_times(m, h, bound)
             assert np.max(np.abs(h - exact)) <= 1e-13 * (1.0 + np.max(exact))
 
 
@@ -631,3 +638,75 @@ def test_mixed_solutions_match_exact_rationals():
 
 def test_interval_solutions_match_exact_rationals():
     check_exact_rationals(coupled=False)
+
+
+def proved_error(h: np.ndarray, delta: float, scale: np.ndarray) -> np.ndarray:
+    """The entrywise error bound of an answer ``h`` whose fixed-point defect
+    evaluates to ``delta``.  A true defect ``d`` bounds the relative error
+    by ``d / (1 - d)`` of ``scale``, the larger of the answer and the
+    solution; evaluating it in double precision is off by up to ``n * eps
+    * max(h)``, which the bound adds to ``d``, not to the error, since the
+    error sums the defect over the chain's expected visits."""
+    d = delta + h.size * np.finfo(float).eps * np.max(h)
+    return d / (1.0 - d) * scale
+
+
+def value_error_models() -> list[Model]:
+    """Vertex, interval and coupled models, valid and reachable."""
+    rng = np.random.default_rng(11)
+    models = [box_model(8, 5), box_model(8, 5, coupled=range(8)),
+              box_model(12, 3, coupled=range(0, 12, 2))]
+    models += [random_vrep_model(rng) for _ in range(40)]
+    for coupled in (False, True):
+        drawn = 0
+        while drawn < 40:
+            m = random_mixed_model(rng, coupled=coupled)
+            if m.reachability.holds:
+                models.append(m)
+                drawn += 1
+    return models
+
+
+def test_value_iteration_stays_within_its_proved_error_bound():
+    # value iteration stops at a tolerance; its residual bounds its error
+    # against a reference that does not iterate: brute force on vertex
+    # models, the exact rationals of policy iteration's final policy on
+    # the others, each with its own residual's bound
+    for m in value_error_models():
+        for bound in ("lower", "upper"):
+            report = solve_value(m, bound)
+            h = report.solution.values
+            if (m.vertex_counts[m.nontarget_indices] > 0).all():
+                reference = solve_brute(m, bound).solution.values
+            else:
+                reference = exact_policy_times(
+                    m, solve_policy(m, bound).solution.values, bound)
+            scale = np.maximum(h, reference)
+            allowed = proved_error(h, report.residual, scale) + proved_error(
+                reference, fixed_point_residual(m, reference, bound), scale)
+            assert (np.abs(h - reference) <= allowed).all()
+
+
+@pytest.mark.parametrize("bound, sweeps", [("lower", 79), ("upper", 344)])
+def test_value_sweeps_start_from_the_previous_choice(bound, sweeps, monkeypatch):
+    # value iteration improves by policy iteration's step: after the first
+    # sweep, each simplex row starts from its solution in the sweep before;
+    # the residual stays cold, so it is the true defect
+    m = box_model(8, 5, coupled=range(8))
+    starts, last = [], {}
+    original = lp.minimize_row
+
+    def spy(row, objective, start=None):
+        starts.append("cold" if any(start is s for s in m.simplex_starts)
+                      else "previous" if start is last.get(row) else "other")
+        last[row] = original(row, objective, start)
+        return last[row]
+
+    monkeypatch.setattr(lp, "minimize_row", spy)
+    report = solve_value(m, bound)
+    # as many sweeps as when every sweep started cold
+    assert report.iterations == sweeps
+    rows = m.simplex_rows.size
+    assert rows == m.size
+    assert starts == (["cold"] * rows + ["previous"] * rows * (sweeps - 1)
+                      + ["cold"] * rows)
