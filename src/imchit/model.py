@@ -13,7 +13,9 @@ of its vertex rows in one read-only array, of which each of the model's
 own vertex rows is a view.  ``Model(states, target, rows)`` concatenates
 the rows it is given into a new array (those rows keep their arrays);
 ``Model.from_vertex_stack`` adopts an array the caller has already
-stacked, without a copy, and both then run the same build.  Constraint
+stacked, without a copy, and both then run the same build, which also
+packs the padded index grid of the vertex rows that the operators'
+``argmin`` reads.  Constraint
 rows are plain input data, and the build decides each one's kind once.
 A row whose finite constraints each bound one coordinate, and whose
 bounds admit a pmf exactly, is an interval row ``lo <= p <= hi``: the
@@ -197,6 +199,8 @@ class Model:
     ``from_vertex_stack`` builds a model of vertex rows from their stack.
     Row ``x``'s vertices are ``vertex_stack[o:o + k]`` with ``o =
     vertex_offsets[x]`` and ``k = vertex_counts[x]`` (0 on H-rep rows).
+    ``vertex_grid[i]`` holds the stack indices of row ``vertex_rows[i]``'s
+    vertices, padded to the longest row with ``len(vertex_stack)``.
     Row ``interval_rows[i]`` is the interval row ``interval_lo[i] <= p <=
     interval_hi[i]``.  The other H-rep rows, which need the simplex, are
     ``simplex_rows``, and ``simplex_starts[i]`` is row ``simplex_rows[i]``'s
@@ -210,6 +214,8 @@ class Model:
     vertex_stack: np.ndarray = field(init=False, repr=False)
     vertex_offsets: np.ndarray = field(init=False, repr=False)
     vertex_counts: np.ndarray = field(init=False, repr=False)
+    vertex_rows: np.ndarray = field(init=False, repr=False)
+    vertex_grid: np.ndarray = field(init=False, repr=False)
     interval_rows: np.ndarray = field(init=False, repr=False)
     interval_lo: np.ndarray = field(init=False, repr=False)
     interval_hi: np.ndarray = field(init=False, repr=False)
@@ -285,6 +291,12 @@ class Model:
                           for row, lo, k in zip(rows, offsets.tolist(), counts.tolist()))
         self.vertex_offsets = _readonly(offsets, np.intp)
         self.vertex_counts = _readonly(counts, np.intp)
+        self.vertex_rows = _readonly(np.flatnonzero(counts), np.intp)
+        listed, width = self.vertex_rows[:, None], np.arange(counts.max())
+        # a short row's padding points one past the stack, where the
+        # operator keeps +inf
+        self.vertex_grid = _readonly(np.where(
+            width < counts[listed], offsets[listed] + width, len(stack)), np.intp)
         from . import lp  # deferred: lp imports the row types from here
         intervals, bounds, simplex, starts = [], [], [], []
         for x, row in enumerate(self.rows):

@@ -46,11 +46,12 @@ from .errors import (MaxIterationsExceeded, ReachabilityViolation,
                      SingularSystem, TooManyCombinations)
 from .linsolve import HittingTimeVector, solve_precise
 from .model import Model
-from .transition import OperatorResult, apply, check_bound
+from .transition import OperatorResult, apply, check_bound, columns, gather
 
 # Bytes of arrays that brute force may hold for one chunk of combinations.
-# Each combination takes at most four n x n float arrays: its gathered
-# matrix, and solve_precise's non-target block, I minus it and the LU copy.
+# Each combination takes at most two k x k float arrays, k the number of
+# non-target states: its gathered non-target block, which solve_precise
+# turns into I minus it, and LAPACK's copy of that.
 _BRUTE_BYTES = 32 * 2 ** 20
 
 # Accepted fixed-point residual of a returned answer; as every compatible
@@ -151,8 +152,9 @@ def solve_policy(model: Model, bound: str = "lower",
     cap = max_iter if max_iter is not None else 10 * model.size
     _require_cap(cap)
     _require_reachable(model)
+    nontarget = model.nontarget_indices
     selected = _initial(model, bound)
-    h = solve_precise(selected.matrix(), model.nontarget_indices)
+    h = solve_precise(selected.matrix(nontarget), nontarget, model.size)
     trace = [IterationStat(float(np.max(h)), 0)]
     iterations = 1
     while iterations < cap:
@@ -165,7 +167,7 @@ def solve_policy(model: Model, bound: str = "lower",
                 bound=bound, method="policy", solution=HittingTimeVector(h),
                 iterations=iterations, residual=_defect(model, h, selected.value),
                 trace=tuple(trace), wall_time=time.perf_counter() - start))
-        h = solve_precise(selected.matrix(), model.nontarget_indices)
+        h = solve_precise(selected.matrix(nontarget), nontarget, model.size)
         trace.append(IterationStat(float(np.max(h)), changes))
     raise MaxIterationsExceeded(
         f"policy iteration exceeded {cap} iterations", tuple(trace))
@@ -228,17 +230,18 @@ def _iter_chunks(model: Model) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     nontarget = model.nontarget_indices
     counts = _vertex_counts(model)
     total = math.prod(counts)
-    n = model.size
-    chunk = max(1, _BRUTE_BYTES // (4 * n * n * 8))
+    k = len(nontarget)
+    chunk = max(1, _BRUTE_BYTES // (2 * k * k * 8))
+    offsets = model.vertex_offsets[nontarget]
+    cols = columns(nontarget)
     for lo in range(0, total, chunk):
         hi = min(lo + chunk, total)
         selectors = np.stack(
             np.unravel_index(np.arange(lo, hi), counts), axis=1)
-        # target rows gather the stack's first vertex, which the solve
-        # never reads
-        picks = np.zeros((hi - lo, n), dtype=np.intp)
-        picks[:, nontarget] = model.vertex_offsets[nontarget] + selectors
-        yield selectors, solve_precise(model.vertex_stack[picks], nontarget)
+        # no name holds the block, so it is freed before the next gather
+        yield selectors, solve_precise(
+            gather(model.vertex_stack, offsets + selectors, cols),
+            nontarget, model.size)
 
 
 def solve_brute(model: Model, bound: str = "lower",

@@ -6,8 +6,10 @@ upper bound is its conjugate, the same minimization of ``p . (-f)``.
 Besides the value vector, each application returns the selectors of the
 extreme points attaining it row by row, one per state: the policy that
 the policy-iteration solver consumes.  One product with the model's
-vertex stack scores every vertex, and one padded ``argmin`` picks each
-vertex row's first minimizer.  When
+vertex stack scores every vertex, into an array whose last slot holds
++inf, and one ``argmin`` over the padded grid the model packed when it
+was built (``Model.vertex_grid``, whose padding points at that slot)
+picks each vertex row's first minimizer.  When
 fewer than an eighth of the objective's entries are nonzero, as for the
 target indicator of the policy-iteration start and of the early
 reachability rounds, the product reads only those columns of the stack.
@@ -59,8 +61,8 @@ class OperatorResult:
     vertex: ``picks`` holds an index into the model's vertex stack (-1 on
     H-rep rows), ``interval_vertices`` the vertex of each of the model's
     ``interval_rows``, and ``solutions`` the ``LpSolution`` of each other
-    H-rep row.  ``matrix`` assembles the policy matrix from them on
-    request.
+    H-rep row.  ``matrix`` assembles the policy matrix, or its block on
+    some states, from them on request.
 
     An interval row's selector names its vertex: the sorted coordinates
     of positive width at their upper bound, then the one coordinate
@@ -74,16 +76,48 @@ class OperatorResult:
     solutions: dict[int, lp.LpSolution] = field(default_factory=dict, repr=False)
     interval_vertices: np.ndarray | None = field(default=None, repr=False)
 
-    def matrix(self) -> np.ndarray:
-        """The transition matrix ``selectors`` selects, as a plain array."""
-        n = self.model.size
-        stack = self.model.vertex_stack
-        # an H-rep row's pick, -1, gathers a placeholder its vertex replaces
-        m = stack[self.picks] if stack.size else np.empty((n, n))
-        m[self.model.interval_rows] = self.interval_vertices
+    def matrix(self, states: np.ndarray | None = None) -> np.ndarray:
+        """The transition matrix ``selectors`` selects, as a plain array; with
+        ``states``, a strictly increasing index array, only its rows and
+        columns ``states``, ``matrix()[np.ix_(states, states)]``.
+
+        Every row's columns ``states`` are gathered once: vertex rows
+        straight from the model's vertex stack in one indexing step
+        (``gather``), interval and simplex rows copied in.  Its rows
+        ``states`` are then a view when they are one run of indices, and a
+        copy otherwise; either way the result is C-contiguous and writeable
+        and shares memory with no model or result array.
+        """
+        model = self.model
+        if states is None:
+            states = np.arange(model.size)
+        cols = columns(states)
+        stack = model.vertex_stack
+        # every row over the columns; an H-rep row's pick, -1, gathers a
+        # placeholder its vertex replaces
+        m = (gather(stack, self.picks, cols) if stack.size
+             else np.empty((model.size, len(states))))
+        m[model.interval_rows] = self.interval_vertices[:, cols]
         for x, sol in self.solutions.items():
-            m[x] = sol.vertex
-        return m
+            m[x] = sol.vertex[cols]
+        return m[cols] if isinstance(cols, slice) else m[states]
+
+
+def columns(states: np.ndarray) -> slice | np.ndarray:
+    """``states``, a strictly increasing index array, as a slice when it is
+    one run of indices, as a singleton target at either end leaves the
+    non-target states, and as itself otherwise."""
+    first, k = int(states[0]), len(states)
+    return slice(first, first + k) if states[-1] - first == k - 1 else states
+
+
+def gather(stack: np.ndarray, picks: np.ndarray, cols: slice | np.ndarray
+           ) -> np.ndarray:
+    """``stack[picks][..., cols]``, for ``cols`` from ``columns``, as one
+    fresh array and in one indexing step."""
+    if isinstance(cols, slice):
+        return stack[picks, cols]
+    return stack[picks[..., None], cols]
 
 
 def _interval_vertices(lo: np.ndarray, hi: np.ndarray, objective: np.ndarray
@@ -135,16 +169,17 @@ def _interval_choice(model: Model, objective: np.ndarray,
     return vertices, selectors
 
 
-def _scores(stack: np.ndarray, objective: np.ndarray) -> np.ndarray:
-    """``stack @ objective``, read from the objective's nonzero columns
-    when they are fewer than an eighth of the states.  A column gather
+def _scores(stack: np.ndarray, objective: np.ndarray, out: np.ndarray) -> None:
+    """``stack @ objective`` into ``out``, read from the objective's nonzero
+    columns when they are fewer than an eighth of the states.  A column gather
     reads one 64-byte cache line (eight floats) per vertex and column,
     the full product n / 8 lines per vertex, so the gather reads less
     below that share."""
     support = np.flatnonzero(objective)
     if 8 * len(support) < len(objective):
-        return stack[:, support] @ objective[support]
-    return stack @ objective
+        np.matmul(stack[:, support], objective[support], out=out)
+    else:
+        np.matmul(stack, objective, out=out)
 
 
 def apply(model: Model, f: np.ndarray, bound: str,
@@ -164,13 +199,12 @@ def apply(model: Model, f: np.ndarray, bound: str,
     vertex = np.zeros(model.size, dtype=np.intp)
     value = np.empty(model.size)
     if len(stack):
-        rows = np.flatnonzero(counts)
-        # padding points at the +inf appended to dots
-        width = np.arange(counts.max())
-        grid = np.where(width < counts[rows, None],
-                        offsets[rows, None] + width, stack.shape[0])
-        dots = np.append(_scores(stack, objective), np.inf)
-        vertex[rows] = dots[grid].argmin(axis=1)
+        rows = model.vertex_rows
+        # the grid's padding points at the +inf in dots' last slot
+        dots = np.empty(len(stack) + 1)
+        dots[-1] = np.inf
+        _scores(stack, objective, dots[:-1])
+        vertex[rows] = dots[model.vertex_grid].argmin(axis=1)
         value[rows] = sign * dots[offsets[rows] + vertex[rows]]
     selectors = vertex.tolist()
     intervals, chosen = _interval_choice(model, objective, start)

@@ -11,6 +11,7 @@ import pytest
 
 from imchit import (Constraint, Model, RowPolytopeH, RowPolytopeV,
                     StateSpace, TargetSet, solvers)
+from imchit.linsolve import solve_precise
 
 
 def point_mass(n: int, i: int) -> np.ndarray:
@@ -276,6 +277,21 @@ def policy_matrix(model: Model, selectors: tuple) -> np.ndarray:
                      for x, (row, sel) in enumerate(zip(model.rows, selectors))])
 
 
+def nontarget_block(entries: np.ndarray, nontarget: np.ndarray) -> np.ndarray:
+    """A fresh copy of the block on the rows and columns ``nontarget`` of the
+    matrix ``entries``, or of each matrix of a stack: ``solve_precise``'s
+    input, which it overwrites."""
+    entries = np.asarray(entries, dtype=float)
+    return np.ascontiguousarray(entries[..., nontarget[:, None], nontarget])
+
+
+def hitting_times(entries: np.ndarray, nontarget: np.ndarray) -> np.ndarray:
+    """``solve_precise`` on the non-target block of the matrix ``entries``,
+    or of each matrix of a stack, which stays as it is."""
+    return solve_precise(nontarget_block(entries, nontarget), nontarget,
+                         np.shape(entries)[-1])
+
+
 @contextmanager
 def solver_iterates(method: str) -> Iterator[list[np.ndarray]]:
     """The list of iterates that the ``"policy"`` or ``"value"`` solves run
@@ -290,8 +306,8 @@ def solver_iterates(method: str) -> Iterator[list[np.ndarray]]:
     if method == "policy":
         name, original = "solve_precise", solvers.solve_precise
 
-        def spy(*args, **kwargs):
-            seen.append(original(*args, **kwargs))
+        def spy(block, nontarget, size):
+            seen.append(original(block, nontarget, size))
             return seen[-1]
     else:
         name, original = "apply", solvers.apply

@@ -16,11 +16,10 @@ from imchit import (BenchConfig, apply, check_reachability, random_model,
                     run_experiment, save_model, solve_brute, solve_policy,
                     solve_value)
 from imchit import solvers
-from imchit.linsolve import solve_precise
 from imchit.cli import main as cli_main
-from modelzoo import (gambler_model, isolated_cycle_model, line_model,
-                      policy_matrix, random_mixed_model, random_vrep_model,
-                      solver_iterates)
+from modelzoo import (gambler_model, hitting_times, isolated_cycle_model,
+                      line_model, policy_matrix, random_mixed_model,
+                      random_vrep_model, solver_iterates)
 
 ORACLE_MODELS = 200
 PROPERTY_CASES = 1000
@@ -96,7 +95,7 @@ def test_criterion_3_gambler_ruin_closed_form():
     for n in (4, 10):
         model = gambler_model(n)
         # one vertex per row: the stack is the chain's transition matrix
-        h = solve_precise(model.vertex_stack, model.nontarget_indices)
+        h = hitting_times(model.vertex_stack, model.nontarget_indices)
         expected = np.array([x * (n - x) for x in range(n + 1)], dtype=float)
         worst = max(worst, float(np.max(np.abs(h - expected))))
     _criterion(3, worst <= 1e-10,

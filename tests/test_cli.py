@@ -9,7 +9,8 @@ import pytest
 
 from imchit import cli, model, save_model, solve_value, transition
 from imchit.cli import main
-from modelzoo import gambler_model, isolated_cycle_model, line_model, precise_model
+from modelzoo import (gambler_model, hitting_times, isolated_cycle_model,
+                      line_model, precise_model)
 
 
 @pytest.fixture
@@ -112,13 +113,11 @@ def test_solve_gambler_closed_form(gambler_path, capsys):
 
 
 def test_solve_precise_chain_matches_linear_solve(tmp_path, capsys, rng):
-    from imchit.linsolve import solve_precise
-
     matrix = rng.dirichlet(np.ones(3), size=3)
     m = precise_model(matrix, {2})
     path = tmp_path / "precise.json"
     save_model(m, path)
-    expected = solve_precise(matrix, m.nontarget_indices)
+    expected = hitting_times(matrix, m.nontarget_indices)
     for method in ("policy", "value", "brute"):
         assert main(["solve", "--model", str(path), "--method", method]) == 0
         doc = json.loads(capsys.readouterr().out)

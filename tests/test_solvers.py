@@ -11,24 +11,23 @@ import pytest
 from imchit import (MaxIterationsExceeded, Model, ReachabilityViolation,
                     RowPolytopeV, SingularSystem, SolveReport, StateSpace,
                     TargetSet, TooManyCombinations, apply,
-                    fixed_point_residual, solve_brute, solve_policy,
-                    solve_value, validate)
+                    fixed_point_residual, random_model, solve_brute,
+                    solve_policy, solve_value, validate)
 from imchit import lp, solvers, transition
-from imchit.linsolve import solve_precise
 from imchit.solvers import RESID_RTOL
 from modelzoo import (box_bounds, box_model, box_row, drift_chain_lower,
                       drift_chain_model, drift_chain_upper, gambler_model,
-                      interval_extreme, interval_vertex, isolated_cycle_model,
-                      line_model, precise_model, random_mixed_model,
-                      random_vrep_model, solver_iterates, standard_form,
-                      two_choice_model)
+                      hitting_times, interval_extreme, interval_vertex,
+                      isolated_cycle_model, line_model, precise_model,
+                      random_mixed_model, random_vrep_model, solver_iterates,
+                      standard_form, two_choice_model)
 
 
 def test_precise_chain_needs_one_linear_solve(rng):
     matrix = rng.dirichlet(np.ones(4), size=4)
     m = precise_model(matrix, {3})
     report = solve_policy(m)
-    exact = solve_precise(matrix, m.nontarget_indices)
+    exact = hitting_times(matrix, m.nontarget_indices)
     assert np.array_equal(report.solution.values, exact)
     # one linear solve, then the unchanged policy confirms convergence
     assert report.iterations == 2
@@ -367,12 +366,29 @@ def test_brute_chunks_fit_the_byte_budget(rng):
 
 
 def test_counted_brute_force_fits_the_byte_budget(rng, count_calls):
-    # count_calls keeps each chunk's stack as its shape, not the stack
+    # count_calls keeps each chunk's blocks as their shape, not the blocks
     m = budget_model(rng)
     solves = count_calls(solvers, "solve_precise")
     assert brute_peak(m) <= solvers._BRUTE_BYTES
     assert len(solves) > 1
-    assert all(args[0][1:] == (m.size, m.size) for args, _ in solves)
+    k = len(m.nontarget_indices)
+    assert all(args[0][1:] == (k, k) for args, _ in solves)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_policy_step_builds_no_full_temporaries(seed):
+    # the solve's largest array is the gathered non-target block, about
+    # n x n floats; one more n x n temporary beside it, a full policy
+    # matrix, an identity or I minus the block, breaks the bound
+    m = random_model(200, 50, seed)
+    solve_policy(m, "lower")  # warm
+    tracemalloc.start()
+    try:
+        solve_policy(m, "lower")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * 200 * 200 * 8
 
 
 def test_componentwise_extremum_is_attained_by_one_combination(rng):
@@ -391,7 +407,7 @@ def test_brute_force_solves_each_combination_as_solve_precise(rng):
         combinations = list(itertools.product(
             *(range(m.rows[x].num_vertices) for x in nontarget)))
         # target rows take their last vertex here, which the solve never reads
-        alone = [solve_precise(np.stack([row.vertices[choice.get(x, -1)]
+        alone = [hitting_times(np.stack([row.vertices[choice.get(x, -1)]
                                          for x, row in enumerate(m.rows)]),
                                m.nontarget_indices)
                  for choice in (dict(zip(nontarget, c)) for c in combinations)]

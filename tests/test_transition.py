@@ -378,3 +378,25 @@ def test_model_refuses_an_empty_interval_row(bounds):
         Model(StateSpace(("a", "b", "c")), TargetSet({2}),
               (row, RowPolytopeV(e[2:]), RowPolytopeV(e[2:])))
     assert [(i.code, i.state) for i in exc.value.report.issues] == [("InfeasibleRow", "a")]
+
+
+def test_matrix_of_some_states_is_that_block_of_the_matrix(rng):
+    models = [random_model(9, 3, 4), box_model(9, 1),
+              box_model(9, 2, coupled=range(0, 9, 2))]
+    models += [random_mixed_model(rng, size_choices=(6, 9), coupled=coupled)
+               for coupled in (False, True) for _ in range(3)]
+    for m in models:
+        n = m.size
+        f = rng.normal(size=n)
+        for bound in ("lower", "upper"):
+            res = apply(m, f, bound)
+            full = res.matrix()
+            for states in (m.nontarget_indices, np.arange(n), np.arange(1, n),
+                           np.arange(2, n - 1), np.array([0, 2, 3, n - 1]),
+                           np.array([n // 2])):
+                block = res.matrix(states)
+                assert block.flags.c_contiguous and block.flags.writeable
+                assert block.tobytes() == full[np.ix_(states, states)].tobytes()
+                # fresh: writing to it changes no model or result array
+                block[...] = -1.0
+                assert res.matrix().tobytes() == full.tobytes()
