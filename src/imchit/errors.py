@@ -47,7 +47,7 @@ class MaxIterationsExceeded(ImcError):
 
 
 class TooManyCombinations(ImcError):
-    """Brute-force enumeration would exceed the configured cap."""
+    """Brute-force enumeration would exceed its cap."""
 
     def __init__(self, count: int, cap: int):
         self.count = count

@@ -28,9 +28,10 @@ iteration and brute force vouch once for the answer they return
 
 Iteration counting follows the convention that a run converged after
 ``n > 1`` iterations when the ``n``-th iterate first repeats the previous
-one.  Policy iteration detects the repeat by policy equality on the
-non-target rows, the only ones the linear system reads, which makes the
-confirming iteration free: identical systems give identical solutions.
+one.  Policy iteration detects the repeat when an improvement keeps the
+extreme point of every non-target row (``OperatorResult.changed``), the
+rows the linear system reads, which makes the confirming iteration free:
+identical systems give identical solutions.
 """
 
 from __future__ import annotations
@@ -53,6 +54,9 @@ from .transition import OperatorResult, apply, check_bound, columns, gather
 # non-target states: its gathered non-target block, which solve_precise
 # turns into I minus it, and LAPACK's copy of that.
 _BRUTE_BYTES = 32 * 2 ** 20
+
+# Combinations above which brute force refuses to enumerate.
+_MAX_COMBINATIONS = 10 ** 6
 
 # Accepted fixed-point residual of a returned answer; as every compatible
 # matrix reaches the target, it bounds each entry's relative error.
@@ -85,7 +89,7 @@ class SolveReport:
         return self.method == "value"
 
 
-def fixed_point_residual(model: Model, h: np.ndarray, bound: str = "lower") -> float:
+def fixed_point_residual(model: Model, h: np.ndarray, bound: str) -> float:
     """Sup-norm defect of ``h`` in the non-linear hitting-time system."""
     return _defect(model, h, apply(model, h, bound).value)
 
@@ -115,14 +119,15 @@ def _require_cap(max_iter: int) -> None:
 def _improve(model: Model, h: np.ndarray, bound: str,
              previous: OperatorResult | None) -> tuple[OperatorResult, int]:
     """The operator at ``h``, each row started from its choice in ``previous``,
-    and the number of non-target rows whose selector changed (0 without one).
+    and the number of non-target rows whose extreme point changed (0
+    without one).
 
     Both iterative methods improve by this one step."""
     result = apply(model, h, bound, start=previous)
     if previous is None:
         return result, 0
-    new, old = result.selectors, previous.selectors
-    return result, sum(new[x] != old[x] for x in model.nontarget_indices.tolist())
+    changed = result.changed(previous)[model.nontarget_indices]
+    return result, int(np.count_nonzero(changed))
 
 
 def _require_reachable(model: Model) -> None:
@@ -143,8 +148,8 @@ def solve_policy(model: Model, bound: str = "lower",
     """Policy iteration; finitely convergent and independent of the
     magnitude of the solution.
 
-    Terminates when an improvement leaves every non-target row's selector
-    unchanged.  The safety cap (default ``10 * |X|``, at least 1) only
+    Terminates when an improvement keeps every non-target row's extreme
+    point.  The safety cap (default ``10 * |X|``, at least 1) only
     trips on numerical cycling.
     """
     start = time.perf_counter()
@@ -236,28 +241,28 @@ def _iter_chunks(model: Model) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     cols = columns(nontarget)
     for lo in range(0, total, chunk):
         hi = min(lo + chunk, total)
-        selectors = np.stack(
+        choices = np.stack(
             np.unravel_index(np.arange(lo, hi), counts), axis=1)
         # no name holds the block, so it is freed before the next gather
-        yield selectors, solve_precise(
-            gather(model.vertex_stack, offsets + selectors, cols),
+        yield choices, solve_precise(
+            gather(model.vertex_stack, offsets + choices, cols),
             nontarget, model.size)
 
 
-def solve_brute(model: Model, bound: str = "lower",
-                max_combinations: int = 10 ** 6) -> SolveReport:
+def solve_brute(model: Model, bound: str = "lower") -> SolveReport:
     """Componentwise extremum over every combination of the non-target
     rows' vertices; target rows may be constraint-specified.
 
     Ground truth at test scale; the extremum is attained by a single
     combination, so it solves the non-linear system exactly.  The report's
-    ``iterations`` is the number of combinations.
+    ``iterations`` is the number of combinations; more than
+    ``_MAX_COMBINATIONS`` raise ``TooManyCombinations``.
     """
     start = time.perf_counter()
     check_bound(bound)
     total = math.prod(_vertex_counts(model))
-    if total > max_combinations:
-        raise TooManyCombinations(total, max_combinations)
+    if total > _MAX_COMBINATIONS:
+        raise TooManyCombinations(total, _MAX_COMBINATIONS)
     _require_reachable(model)
     reduce = np.minimum if bound == "lower" else np.maximum
     best = reduce.reduce([reduce.reduce(h, axis=0) for _, h in _iter_chunks(model)])

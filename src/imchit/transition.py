@@ -3,9 +3,9 @@
 Both bounds run one operator, ``apply(model, f, bound)``: the lower bound
 minimizes ``p . f`` over each state's row polytope independently, and the
 upper bound is its conjugate, the same minimization of ``p . (-f)``.
-Besides the value vector, each application returns the selectors of the
-extreme points attaining it row by row, one per state: the policy that
-the policy-iteration solver consumes.  One product with the model's
+Besides the value vector, each application records the extreme point
+attaining it in each row, once: the policy that the policy-iteration
+solver consumes.  One product with the model's
 vertex stack scores every vertex, into an array whose last slot holds
 +inf, and one ``argmin`` over the padded grid the model packed when it
 was built (``Model.vertex_grid``, whose padding points at that slot)
@@ -31,7 +31,6 @@ its vertex there while that vertex is still optimal within
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Union
 
 import numpy as np
 
@@ -39,11 +38,6 @@ from . import lp
 from .model import Model
 
 BOUNDS = ("lower", "upper")
-
-# A selector is a vertex index for V-rep rows and a tuple for H-rep rows:
-# an interval row's vertex (see OperatorResult), or the sorted basic
-# column indices of another row's standard-form LP.
-Selector = Union[int, tuple[int, ...]]
 
 
 def check_bound(bound: str) -> None:
@@ -55,29 +49,37 @@ def check_bound(bound: str) -> None:
 class OperatorResult:
     """Operator value plus one attaining extreme point per row.
 
-    ``selectors`` names each row's extreme point, so two results choose
-    the same points iff their selectors are equal; the results themselves
-    compare by identity.  The points are recorded without copying a
-    vertex: ``picks`` holds an index into the model's vertex stack (-1 on
-    H-rep rows), ``interval_vertices`` the vertex of each of the model's
-    ``interval_rows``, and ``solutions`` the ``LpSolution`` of each other
-    H-rep row.  ``matrix`` assembles the policy matrix, or its block on
-    some states, from them on request.
-
-    An interval row's selector names its vertex: the sorted coordinates
-    of positive width at their upper bound, then the one coordinate
-    strictly between its bounds, or -1 when there is none.
+    Each row's point is recorded once, without copying a vertex:
+    ``picks`` holds an index into the model's vertex stack (-1 on H-rep
+    rows), ``interval_vertices`` the vertex of each of the model's
+    ``interval_rows``, and ``solutions`` the ``LpSolution`` of each of its
+    ``simplex_rows``.  ``changed`` tells which rows chose another point
+    than an earlier result; the results themselves compare by identity.
+    ``matrix`` assembles the policy matrix, or its block on some states,
+    from them on request.
     """
 
     value: np.ndarray
-    selectors: tuple[Selector, ...]
-    model: Model | None = field(default=None, repr=False)
-    picks: np.ndarray | None = field(default=None, repr=False)
-    solutions: dict[int, lp.LpSolution] = field(default_factory=dict, repr=False)
-    interval_vertices: np.ndarray | None = field(default=None, repr=False)
+    model: Model = field(repr=False)
+    picks: np.ndarray = field(repr=False)
+    interval_vertices: np.ndarray = field(repr=False)
+    solutions: tuple[lp.LpSolution, ...] = field(repr=False)
+
+    def changed(self, previous: OperatorResult) -> np.ndarray:
+        """Boolean mask of the rows whose extreme point differs from the one
+        ``previous``, a result of the same model, chose: another vertex
+        index, an interval vertex that differs in any coordinate, or another
+        simplex basis."""
+        mask = self.picks != previous.picks
+        mask[self.model.interval_rows] = (
+            self.interval_vertices != previous.interval_vertices).any(axis=1)
+        mask[self.model.simplex_rows] = [
+            new.basis != old.basis
+            for new, old in zip(self.solutions, previous.solutions)]
+        return mask
 
     def matrix(self, states: np.ndarray | None = None) -> np.ndarray:
-        """The transition matrix ``selectors`` selects, as a plain array; with
+        """The transition matrix of the recorded points, as a plain array; with
         ``states``, a strictly increasing index array, only its rows and
         columns ``states``, ``matrix()[np.ix_(states, states)]``.
 
@@ -98,7 +100,7 @@ class OperatorResult:
         m = (gather(stack, self.picks, cols) if stack.size
              else np.empty((model.size, len(states))))
         m[model.interval_rows] = self.interval_vertices[:, cols]
-        for x, sol in self.solutions.items():
+        for x, sol in zip(model.simplex_rows.tolist(), self.solutions):
             m[x] = sol.vertex[cols]
         return m[cols] if isinstance(cols, slice) else m[states]
 
@@ -121,9 +123,9 @@ def gather(stack: np.ndarray, picks: np.ndarray, cols: slice | np.ndarray
 
 
 def _interval_vertices(lo: np.ndarray, hi: np.ndarray, objective: np.ndarray
-                       ) -> tuple[np.ndarray, list]:
-    """Minimizing vertex and selector of the interval rows ``lo <= p <= hi``:
-    every row starts at ``lo`` and fills the cheapest coordinates first."""
+                       ) -> np.ndarray:
+    """Minimizing vertex of the interval rows ``lo <= p <= hi``: every row
+    starts at ``lo`` and fills the cheapest coordinates first."""
     order = np.argsort(objective, kind="stable")
     lo_sorted, hi_sorted = lo[:, order], hi[:, order]
     caps = hi_sorted - lo_sorted
@@ -136,20 +138,15 @@ def _interval_vertices(lo: np.ndarray, hi: np.ndarray, objective: np.ndarray
     vertices = np.empty_like(lo)
     vertices[:, order] = np.where(fill == caps, hi_sorted, lo_sorted + fill)
     vertices.flags.writeable = False
-    rows, cols = np.nonzero((vertices == hi) & (lo < hi))
-    ends = np.searchsorted(rows, np.arange(len(lo) + 1)).tolist()
-    cols = cols.tolist()
-    partial = (lo < vertices) & (vertices < hi)
-    last = np.where(partial.any(axis=1), partial.argmax(axis=1), -1).tolist()
-    return vertices, [tuple(cols[a:b]) + (j,) for a, b, j in zip(ends, ends[1:], last)]
+    return vertices
 
 
 def _interval_choice(model: Model, objective: np.ndarray,
-                     start: OperatorResult | None) -> tuple[np.ndarray, list]:
-    """Minimizing vertex and selector of each of the model's interval rows."""
+                     start: OperatorResult | None) -> np.ndarray:
+    """Minimizing vertex of each of the model's interval rows."""
     lo, hi = model.interval_lo, model.interval_hi
     if not len(lo):
-        return lo, []
+        return lo
     if start is None:
         return _interval_vertices(lo, hi, objective)
     # the start's vertex stays while no coordinate that can give mass costs
@@ -158,15 +155,11 @@ def _interval_choice(model: Model, objective: np.ndarray,
     gives = np.where(vertices > lo, objective, -np.inf).max(axis=1)
     takes = np.where(vertices < hi, objective, np.inf).min(axis=1)
     stale = np.flatnonzero(gives > takes + lp.PIVOT_TOL)
-    selectors = [start.selectors[x] for x in model.interval_rows.tolist()]
     if stale.size:
-        fresh, chosen = _interval_vertices(lo[stale], hi[stale], objective)
         vertices = vertices.copy()
-        vertices[stale] = fresh
+        vertices[stale] = _interval_vertices(lo[stale], hi[stale], objective)
         vertices.flags.writeable = False
-        for i, selector in zip(stale.tolist(), chosen):
-            selectors[i] = selector
-    return vertices, selectors
+    return vertices
 
 
 def _scores(stack: np.ndarray, objective: np.ndarray, out: np.ndarray) -> None:
@@ -206,18 +199,13 @@ def apply(model: Model, f: np.ndarray, bound: str,
         _scores(stack, objective, dots[:-1])
         vertex[rows] = dots[model.vertex_grid].argmin(axis=1)
         value[rows] = sign * dots[offsets[rows] + vertex[rows]]
-    selectors = vertex.tolist()
-    intervals, chosen = _interval_choice(model, objective, start)
+    intervals = _interval_choice(model, objective, start)
     value[model.interval_rows] = intervals @ f
-    for x, selector in zip(model.interval_rows.tolist(), chosen):
-        selectors[x] = selector
-    solutions = {}
-    for x, cold in zip(model.simplex_rows.tolist(), model.simplex_starts):
-        sol = lp.minimize_row(model.rows[x], objective,
-                              cold if start is None else start.solutions[x])
+    solutions = []
+    for x, row_start in zip(model.simplex_rows.tolist(),
+                            model.simplex_starts if start is None else start.solutions):
+        sol = lp.minimize_row(model.rows[x], objective, row_start)
         value[x] = float(f @ sol.vertex)
-        selectors[x] = sol.basis
-        solutions[x] = sol
+        solutions.append(sol)
     picks = np.where(counts > 0, offsets + vertex, -1)
-    return OperatorResult(value, tuple(selectors), model, picks,
-                          solutions, intervals)
+    return OperatorResult(value, model, picks, intervals, tuple(solutions))

@@ -215,14 +215,9 @@ def interval_extreme(lower: np.ndarray, upper: np.ndarray, h: np.ndarray,
                      for x in range(h.size)])
 
 
-def interval_vertex(row: RowPolytopeH, selector: tuple[int, ...]) -> list[Fraction]:
-    """The vertex an interval row's selector names, in exact rationals.
-
-    The bounds are read off the row's constraints, one coordinate each.
-    The selector's leading coordinates sit at their upper bound; its last
-    entry, unless -1, takes the mass left over; every other coordinate
-    sits at its lower bound.
-    """
+def exact_bounds(row: RowPolytopeH) -> tuple[list[Fraction], list[Fraction]]:
+    """An interval row's bounds ``(lower, upper)`` in exact rationals, read
+    off its constraints, one coordinate each."""
     n = row.num_states
     lower, upper = [Fraction(0)] * n, [Fraction(1)] * n
     for c in row.constraints:
@@ -233,8 +228,33 @@ def interval_vertex(row: RowPolytopeH, selector: tuple[int, ...]) -> list[Fracti
             lower[y] = max(lower[y], bound)
         if rel != ">=":
             upper[y] = min(upper[y], bound)
-    *full, partial = selector
-    p = [upper[y] if y in full else lower[y] for y in range(n)]
+    return lower, upper
+
+
+def interval_pattern(row: RowPolytopeH, vertex: np.ndarray) -> tuple[int, ...]:
+    """The pattern that names an interval row's float ``vertex``: the
+    coordinates of positive width at their upper bound, in order, then the
+    one coordinate strictly between its bounds, or -1 when there is none.
+    The bounds are the row's ``exact_bounds``, rounded once."""
+    lower, upper = ([float(v) for v in bounds] for bounds in exact_bounds(row))
+    v = vertex.tolist()
+    full = [y for y in range(len(v)) if lower[y] < upper[y] and v[y] == upper[y]]
+    partial = [y for y in range(len(v)) if lower[y] < v[y] < upper[y]]
+    assert len(partial) <= 1, "a vertex has at most one partial coordinate"
+    return tuple(full) + (partial[0] if partial else -1,)
+
+
+def interval_vertex(row: RowPolytopeH, pattern: tuple[int, ...]) -> list[Fraction]:
+    """The vertex an interval row's ``interval_pattern`` names, in exact
+    rationals.
+
+    The pattern's leading coordinates sit at their upper bound; its last
+    entry, unless -1, takes the mass left over; every other coordinate
+    sits at its lower bound.
+    """
+    lower, upper = exact_bounds(row)
+    *full, partial = pattern
+    p = [upper[y] if y in full else lower[y] for y in range(row.num_states)]
     if partial >= 0:
         p[partial] += 1 - sum(p)
     return p
@@ -267,14 +287,30 @@ def vertex_from_basis(row: RowPolytopeH, basis: tuple[int, ...]) -> np.ndarray:
     return x[:row.num_states]
 
 
-def policy_matrix(model: Model, selectors: tuple) -> np.ndarray:
-    """The transition matrix ``selectors`` select, rebuilt from them alone:
-    a vertex row's stored vertex, an interval row's ``interval_vertex``,
-    another constraint row's basis vertex."""
-    return np.stack([row.vertices[sel] if isinstance(row, RowPolytopeV)
-                     else np.array(interval_vertex(row, sel), dtype=float)
-                     if x in model.interval_rows else vertex_from_basis(row, sel)
-                     for x, (row, sel) in enumerate(zip(model.rows, selectors))])
+def choices(model: Model, result) -> tuple:
+    """The extreme point an ``OperatorResult`` records in each row, named
+    apart from how it records it: a vertex row's index among its own
+    vertices, an interval row's ``interval_pattern``, another constraint
+    row's basis."""
+    intervals = dict(zip(model.interval_rows.tolist(), result.interval_vertices))
+    bases = dict(zip(model.simplex_rows.tolist(), result.solutions))
+    return tuple(int(result.picks[x] - model.vertex_offsets[x])
+                 if isinstance(row, RowPolytopeV)
+                 else interval_pattern(row, intervals[x]) if x in intervals
+                 else bases[x].basis
+                 for x, row in enumerate(model.rows))
+
+
+def policy_matrix(model: Model, result) -> np.ndarray:
+    """The transition matrix of the extreme points ``result`` records,
+    rebuilt from its ``choices`` alone: a vertex row's stored vertex, an
+    interval row's ``interval_vertex``, another constraint row's basis
+    vertex."""
+    return np.stack([row.vertices[c] if isinstance(row, RowPolytopeV)
+                     else np.array(interval_vertex(row, c), dtype=float)
+                     if x in model.interval_rows else vertex_from_basis(row, c)
+                     for x, (row, c) in enumerate(zip(model.rows,
+                                                      choices(model, result)))])
 
 
 def nontarget_block(entries: np.ndarray, nontarget: np.ndarray) -> np.ndarray:

@@ -176,7 +176,7 @@ def operator_property_failures(coupled: bool) -> dict[str, int]:
         check("conjugacy", np.max(np.abs(apply(m, f, "upper").value
                                          + apply(m, -f, "lower").value)) <= tol)
         check("attainment", all(
-            np.max(np.abs(policy_matrix(m, res.selectors) @ f - res.value)) <= tol
+            np.max(np.abs(policy_matrix(m, res) @ f - res.value)) <= tol
             for res in (apply(m, f, bound) for bound in ("lower", "upper"))))
     return failures
 
@@ -190,7 +190,7 @@ def test_criterion_5_operator_property_suite():
 
 def test_criterion_5_on_interval_rows():
     # the attainment check rebuilds each interval row's vertex from its
-    # selector with modelzoo's exact interval_vertex
+    # pattern with modelzoo's exact interval_vertex
     failures = operator_property_failures(coupled=False)
     total = sum(failures.values())
     _criterion(5, total == 0, f"{PROPERTY_CASES} cases per property on "

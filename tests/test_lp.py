@@ -10,8 +10,8 @@ from imchit import (Constraint, Infeasible, Model, RowPolytopeH, RowPolytopeV,
 from imchit import lp
 from imchit.lp import FEAS_TOL
 from modelzoo import box_row as interval_row
-from modelzoo import (coupled_row, edge_rows, interval_minimum, standard_form,
-                      vertex_from_basis)
+from modelzoo import (choices, coupled_row, edge_rows, interval_minimum,
+                      standard_form, vertex_from_basis)
 
 # hand-enumerated vertices of {p in simplex(3) : p0 <= 0.5, p1 <= 0.3}
 BOX_VERTICES = np.array([
@@ -64,11 +64,11 @@ def vertex_model(*vertex_sets) -> Model:
 def test_vrep_single_vertex_and_tie_break():
     m = vertex_model([[0.2, 0.8]], [[0.0, 1.0]])
     res = apply(m, np.array([1.0, 2.0]), "lower")
-    assert res.value[0] == pytest.approx(1.8) and res.selectors[0] == 0
+    assert res.value[0] == pytest.approx(1.8) and choices(m, res)[0] == 0
 
     ties = vertex_model([[0.5, 0.5], [0.5, 0.5]], [[0.0, 1.0]])
     for bound in ("lower", "upper"):
-        assert apply(ties, np.array([1.0, 3.0]), bound).selectors[0] == 0
+        assert choices(ties, apply(ties, np.array([1.0, 3.0]), bound))[0] == 0
 
 
 def test_vrep_matches_exhaustive_scan(rng):
@@ -76,12 +76,14 @@ def test_vrep_matches_exhaustive_scan(rng):
         vertex_sets = [rng.dirichlet(np.ones(4), size=int(rng.integers(1, 5)))
                        for _ in range(4)]
         f = rng.normal(size=4)
-        res = apply(vertex_model(*vertex_sets), f, "lower")
+        m = vertex_model(*vertex_sets)
+        res = apply(m, f, "lower")
+        named = choices(m, res)
         for x, vertices in enumerate(vertex_sets):
             # a plain scan, keeping the first minimizer
             dots = [float(v @ f) for v in vertices]
             assert res.value[x] == pytest.approx(min(dots), abs=1e-12)
-            assert res.selectors[x] == dots.index(min(dots))
+            assert named[x] == dots.index(min(dots))
 
 
 def test_hrep_agrees_with_vertex_scan_on_box(rng):

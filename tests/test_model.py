@@ -12,9 +12,10 @@ from imchit import (Constraint, ImcError, Infeasible, InvalidModel, Model,
                     validate)
 from imchit import lp
 from imchit.model import _SUM_BLOCK, _interval_bounds
-from modelzoo import (box_model, box_row, coupled_row, edge_rows, gambler_model,
-                      interval_vertex, isolated_cycle_model, line_model,
-                      precise_model, two_choice_model, vertex_from_basis)
+from modelzoo import (box_model, box_row, choices, coupled_row, edge_rows,
+                      gambler_model, interval_vertex, isolated_cycle_model,
+                      line_model, precise_model, two_choice_model,
+                      vertex_from_basis)
 
 
 def test_statespace_rejects_duplicates_and_singletons():
@@ -177,11 +178,11 @@ def test_policy_to_matrix_on_vertex_rows():
                RowPolytopeV(np.eye(3)[2:]),
                RowPolytopeV(np.eye(3)[2:])))
     # single-vertex rows leave no choice; the two-vertex row follows the
-    # selector: u . f = 0.7, v . f = 0.2
+    # pick: u . f = 0.7, v . f = 0.2
     f = np.array([0.0, 1.0, 0.0])
     for bound, selected in (("lower", (1, 0, 0)), ("upper", (0, 0, 0))):
         res = apply(m, f, bound)
-        assert res.selectors == selected
+        assert choices(m, res) == selected
         assert np.array_equal(res.matrix(), np.stack(
             [(u, v)[selected[0]], np.eye(3)[2], np.eye(3)[2]]))
 
@@ -212,7 +213,7 @@ def test_policy_to_matrix_reconstructs_hrep_vertices(rng):
         res = apply(m, f, "lower")
         p = res.matrix()[0]
         # the basis names the vertex the simplex returned
-        assert np.allclose(vertex_from_basis(row, res.selectors[0]), p,
+        assert np.allclose(vertex_from_basis(row, res.solutions[0].basis), p,
                            atol=1e-9)
         # check the vertex against the constraint list
         check_row_vertex(row, p, f, res.value[0])
@@ -228,8 +229,9 @@ def test_policy_to_matrix_reconstructs_interval_vertices(rng):
         for bound in ("lower", "upper"):
             res = apply(m, f, bound)
             p = res.matrix()[0]
-            # the selector names the vertex the closed form returned
-            exact = np.array(interval_vertex(row, res.selectors[0]), dtype=float)
+            # the pattern of the float vertex names the exact vertex the
+            # closed form returned
+            exact = np.array(interval_vertex(row, choices(m, res)[0]), dtype=float)
             assert np.max(np.abs(exact - p)) <= 1e-15
             check_row_vertex(row, p, f, res.value[0])
 

@@ -15,7 +15,7 @@ from imchit import (MaxIterationsExceeded, Model, ReachabilityViolation,
                     solve_policy, solve_value, validate)
 from imchit import lp, solvers, transition
 from imchit.solvers import RESID_RTOL
-from modelzoo import (box_bounds, box_model, box_row, drift_chain_lower,
+from modelzoo import (box_bounds, box_model, box_row, choices, drift_chain_lower,
                       drift_chain_model, drift_chain_upper, gambler_model,
                       hitting_times, interval_extreme, interval_vertex,
                       isolated_cycle_model, line_model, precise_model,
@@ -102,7 +102,7 @@ def target_pick_model() -> Model:
 def test_target_row_changes_end_the_solve(bound, count_calls):
     m = target_pick_model()
     target = m.size - 1
-    start = solvers._initial(m, bound).selectors
+    start = solvers._initial(m, bound)
     residual_sweeps = count_calls(solvers, "fixed_point_residual")
     report = solve_policy(m, bound)
     assert report.solution.values.tolist() == [1.0, 2.0, 0.0]
@@ -110,8 +110,7 @@ def test_target_row_changes_end_the_solve(bound, count_calls):
     assert [t.policy_changes for t in report.trace] == [0, 0]
     assert residual_sweeps == []
     # the operator did move the target row, which nothing counts
-    assert apply(m, report.solution.values, bound).selectors[target] \
-        != start[target]
+    assert apply(m, report.solution.values, bound).changed(start)[target]
 
 
 def test_policy_iteration_has_no_tolerance(rng):
@@ -193,8 +192,8 @@ def test_greedy_init_prefers_mass_on_target():
             RowPolytopeV(np.array([[0.0, 0.5, 0.5]])),
             RowPolytopeV(np.array([[0.0, 0.0, 1.0]])))
     m = Model(StateSpace(("a", "b", "c")), TargetSet({0}), rows)
-    selectors = solvers._initial(m, "lower").selectors
-    assert selectors[0] == 0  # the vertex putting 0.9 on the target
+    named = choices(m, solvers._initial(m, "lower"))
+    assert named[0] == 0  # the vertex putting 0.9 on the target
 
 
 def test_greedy_upper_init_prefers_least_mass_on_target():
@@ -204,8 +203,8 @@ def test_greedy_upper_init_prefers_least_mass_on_target():
                                    [0.3, 0.0, 0.7]])),
             RowPolytopeV(np.array([[1.0, 0.0, 0.0]])))
     m = Model(StateSpace(("a", "b", "c")), TargetSet({0}), rows)
-    selectors = solvers._initial(m, "upper").selectors
-    assert selectors[1] == 1  # the vertex putting 0.1 on the target
+    named = choices(m, solvers._initial(m, "upper"))
+    assert named[1] == 1  # the vertex putting 0.1 on the target
 
 
 def test_reachability_violation_is_raised():
@@ -304,11 +303,20 @@ def test_solvers_reject_a_cap_below_one(solve, max_iter):
         solve(gambler_model(4), max_iter=max_iter)
 
 
-def test_brute_combination_cap():
-    m = two_choice_model()
-    with pytest.raises(TooManyCombinations):
-        solve_brute(m, max_combinations=1)
-    assert solve_brute(m).iterations == 2  # two extreme matrices enumerated
+def test_brute_combination_cap(count_calls):
+    # 20 non-target rows of two vertices each: 2 ** 20 combinations
+    n = 21
+    two = np.stack([np.eye(n)[n - 1], np.full(n, 1.0 / n)])
+    m = Model(StateSpace(tuple(f"s{i}" for i in range(n))), TargetSet({n - 1}),
+              tuple(RowPolytopeV(two) for _ in range(n - 1))
+              + (RowPolytopeV(np.eye(n)[n - 1:]),))
+    solves = count_calls(solvers, "solve_precise")
+    with pytest.raises(TooManyCombinations) as refused:
+        solve_brute(m)
+    assert (refused.value.count, refused.value.cap) == (2 ** 20, 10 ** 6)
+    assert solves == []  # refused before any solve
+    # two extreme matrices enumerated
+    assert solve_brute(two_choice_model()).iterations == 2
 
 
 def test_brute_requires_vertex_rows():
@@ -361,7 +369,7 @@ def brute_peak(m: Model) -> int:
 def test_brute_chunks_fit_the_byte_budget(rng):
     m = budget_model(rng)
     assert brute_peak(m) <= solvers._BRUTE_BYTES
-    chunks = [len(selectors) for selectors, _ in solvers._iter_chunks(m)]
+    chunks = [len(picked) for picked, _ in solvers._iter_chunks(m)]
     assert len(chunks) > 1 and sum(chunks) == 4096
 
 
@@ -412,8 +420,8 @@ def test_brute_force_solves_each_combination_as_solve_precise(rng):
                                m.nontarget_indices)
                  for choice in (dict(zip(nontarget, c)) for c in combinations)]
         chunks = list(solvers._iter_chunks(m))
-        selectors = np.concatenate([s for s, _ in chunks])
-        assert list(map(tuple, selectors.tolist())) == combinations
+        picked = np.concatenate([s for s, _ in chunks])
+        assert list(map(tuple, picked.tolist())) == combinations
         for h, expected in zip(np.concatenate([h for _, h in chunks]), alone):
             assert h.tobytes() == expected.tobytes()
         for bound, extremum in (("lower", np.min), ("upper", np.max)):
@@ -552,15 +560,15 @@ def test_interval_improvements_keep_the_incumbent():
         start = apply(m, tilted, bound)
         cold = apply(m, f, bound)
         warm = apply(m, f, bound, start=start)
-        assert warm.selectors == start.selectors != cold.selectors
+        assert not warm.changed(start).any() and start.changed(cold).any()
         assert np.array_equal(warm.interval_vertices, start.interval_vertices)
         assert np.max(np.abs(warm.value - cold.value)) <= 1e-12
-        for row, sel, p in zip(m.rows, warm.selectors, warm.matrix()):
+        for row, sel, p in zip(m.rows, choices(m, warm), warm.matrix()):
             exact = np.array(interval_vertex(row, sel), dtype=float)
             assert np.max(np.abs(exact - p)) <= 1e-15
         # a start that is no longer optimal gives way to the closed form
         g = f[::-1].copy()
-        assert apply(m, g, bound, start=start).selectors == apply(m, g, bound).selectors
+        assert not apply(m, g, bound, start=start).changed(apply(m, g, bound)).any()
 
 
 def test_symmetric_interval_rows_end_below_the_cap():
@@ -617,12 +625,12 @@ def exact_vertex(row, basis: tuple[int, ...]) -> list[Fraction]:
 def exact_policy_times(m: Model, h: np.ndarray, bound: str) -> np.ndarray:
     """The hitting times of the policy the operator selects at ``h``, solved
     in rationals from the row data and rounded once."""
-    selectors = apply(m, h, bound).selectors
+    named = choices(m, apply(m, h, bound))
     rows = [[Fraction(float(v)) for v in row.vertices[sel]]
             if isinstance(row, RowPolytopeV)
             else interval_vertex(row, sel) if x in m.interval_rows
             else exact_vertex(row, sel)
-            for x, (row, sel) in enumerate(zip(m.rows, selectors))]
+            for x, (row, sel) in enumerate(zip(m.rows, named))]
     free = m.nontarget_indices.tolist()
     u = solve_fractions([[int(x == y) - rows[x][y] for y in free] for x in free],
                         [Fraction(1)] * len(free))

@@ -7,9 +7,9 @@ import pytest
 
 from imchit import (Constraint, InvalidModel, Model, RowPolytopeH,
                     RowPolytopeV, StateSpace, TargetSet, apply, random_model)
-from imchit import lp
+from imchit import lp, solvers
 from imchit.model import _interval_bounds
-from modelzoo import (box_model, box_row, coupled_row, edge_rows,
+from modelzoo import (box_model, box_row, choices, coupled_row, edge_rows,
                       interval_minimum, interval_vertex, policy_matrix,
                       precise_model, random_mixed_model)
 
@@ -45,8 +45,8 @@ def test_two_state_scan(two_state):
     f = np.array([2.0, 5.0])
     low = apply(two_state, f, "lower")
     up = apply(two_state, f, "upper")
-    assert low.value[0] == pytest.approx(2.0) and low.selectors[0] == 0
-    assert up.value[0] == pytest.approx(5.0) and up.selectors[0] == 1
+    assert low.value[0] == pytest.approx(2.0) and choices(two_state, low)[0] == 0
+    assert up.value[0] == pytest.approx(5.0) and choices(two_state, up)[0] == 1
 
 
 def test_policy_attains_the_value(rng):
@@ -55,7 +55,7 @@ def test_policy_attains_the_value(rng):
         f = rng.uniform(-8.0, 8.0, size=m.size)
         for bound in ("lower", "upper"):
             res = apply(m, f, bound)
-            matrix = policy_matrix(m, res.selectors)
+            matrix = policy_matrix(m, res)
             assert np.allclose(matrix @ f, res.value, atol=1e-9)
 
 
@@ -65,7 +65,7 @@ def test_interval_policy_attains_the_value(rng):
         f = rng.uniform(-8.0, 8.0, size=m.size)
         for bound in ("lower", "upper"):
             res = apply(m, f, bound)
-            matrix = policy_matrix(m, res.selectors)
+            matrix = policy_matrix(m, res)
             assert np.max(np.abs(matrix @ f - res.value)) <= 1e-12
 
 
@@ -82,7 +82,7 @@ def test_repeated_application_is_deterministic(rng):
     f = rng.normal(size=m.size)
     first = apply(m, f, "lower")
     again = apply(m, f, "lower")
-    assert first.selectors == again.selectors
+    assert not first.changed(again).any()
     assert np.array_equal(first.value, again.value)
 
 
@@ -100,7 +100,7 @@ def test_result_matrix_is_the_policy_matrix(rng):
         f = rng.uniform(-8.0, 8.0, size=m.size)
         for bound in ("lower", "upper"):
             res = apply(m, f, bound)
-            rebuilt = policy_matrix(m, res.selectors)
+            rebuilt = policy_matrix(m, res)
             assert np.max(np.abs(res.matrix() - rebuilt)) <= 1e-9
             # V-rep rows are the stored vertices themselves
             for x, row in enumerate(m.rows):
@@ -116,11 +116,13 @@ def test_interval_result_matrix_is_the_policy_matrix(rng):
             res = apply(m, f, bound)
             matrix = res.matrix()
             assert np.array_equal(matrix[m.interval_rows], res.interval_vertices)
+            named = choices(m, res)
             for x, row in enumerate(m.rows):
                 if isinstance(row, RowPolytopeV):
-                    assert np.array_equal(matrix[x], row.vertices[res.selectors[x]])
+                    k = res.picks[x] - m.vertex_offsets[x]
+                    assert np.array_equal(matrix[x], row.vertices[k])
                 else:
-                    exact = np.array(interval_vertex(row, res.selectors[x]))
+                    exact = np.array(interval_vertex(row, named[x]))
                     assert np.max(np.abs(matrix[x] - exact.astype(float))) <= 1e-15
 
 
@@ -133,6 +135,92 @@ def test_warm_operator_matches_the_cold_one(rng):
             warm = apply(m, f, bound, start=previous)
             assert np.max(np.abs(warm.value - apply(m, f, bound).value)) <= 1e-12
             previous = warm
+
+
+def changed_oracle(m: Model, new, old) -> list[bool]:
+    """Per row, whether ``new`` records another extreme point than ``old``,
+    read off each result's ``choices``: a vertex row's pick, an interval
+    row's ``interval_pattern``, another constraint row's basis."""
+    return [a != b for a, b in zip(choices(m, new), choices(m, old))]
+
+
+def oracle_models(rng):
+    """Small models of every row kind: vertex rows mixed with interval rows
+    or with general constraint rows, and rows of intervals, some coupled."""
+    for _ in range(12):
+        n = int(rng.integers(3, 9))
+        yield random_mixed_model(rng)
+        yield random_mixed_model(rng, coupled=True)
+        yield box_model(n, int(rng.integers(1000)))
+        yield box_model(n, int(rng.integers(1000)), coupled=range(0, n, 3))
+
+
+def test_changed_marks_the_rows_whose_choice_differs(rng):
+    # each warm step starts from the one before; integer objectives tie
+    # rows, and 1e-11 perturbations sit below lp.PIVOT_TOL
+    seen = {kind: [0, 0] for kind in ("vertex", "interval", "simplex")}
+    for m in oracle_models(rng):
+        kinds = ["vertex"] * m.size
+        for x in m.interval_rows.tolist():
+            kinds[x] = "interval"
+        for x in m.simplex_rows.tolist():
+            kinds[x] = "simplex"
+        for bound in ("lower", "upper"):
+            tied = rng.integers(0, 3, size=m.size).astype(float)
+            normal = rng.uniform(-8.0, 8.0, size=m.size)
+            nudge = 1e-11 * rng.normal(size=m.size)
+            previous = apply(m, rng.uniform(-8.0, 8.0, size=m.size), bound)
+            for f in (normal, normal + nudge, tied, tied - nudge, normal, tied):
+                warm = apply(m, f, bound, start=previous)
+                mask = warm.changed(previous)
+                assert mask.dtype == bool and mask.shape == (m.size,)
+                expected = changed_oracle(m, warm, previous)
+                assert mask.tolist() == expected
+                for kind, differs in zip(kinds, expected):
+                    seen[kind][differs] += 1
+                previous = warm
+    # every row kind both kept and changed its point somewhere
+    assert all(kept and changed for kept, changed in seen.values()), seen
+
+
+@pytest.mark.parametrize("method", ["policy", "value"])
+def test_policy_changes_count_the_rows_whose_choice_differs(rng, monkeypatch,
+                                                             method):
+    # the solver's own operator results, in order: its start, then each
+    # improvement started from the one before
+    results = []
+
+    def recorded(*args, **kwargs):
+        results.append(apply(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(solvers, "apply", recorded)
+    # value iteration runs hundreds of sweeps, so it sweeps four box models
+    # to a loose tolerance, which does not change what a sweep counts
+    solve = {"policy": solvers.solve_policy,
+             "value": lambda m, bound: solvers.solve_value(m, bound, tol=1e-4)}[method]
+    models = [m for m in oracle_models(rng) if m.reachability.holds]
+    if method == "value":
+        models = [m for m in models if not m.vertex_counts.any()][:4]
+    total = 0
+    for m in models:
+        nontarget = m.nontarget_indices.tolist()
+        for bound in ("lower", "upper"):
+            results.clear()
+            report = solve(m, bound)
+            changes = [t.policy_changes for t in report.trace]
+            # one result per trace entry; value iteration applies the
+            # operator once more, for its residual
+            assert len(results) == len(changes) + (method == "value")
+            named = [choices(m, result) for result in results[:len(changes)]]
+            # changed_oracle's comparison, summed over the non-target rows
+            counts = [sum(new[x] != old[x] for x in nontarget)
+                      for old, new in zip(named, named[1:])]
+            # the first entry follows no improvement; so the sums agree too
+            assert changes[1:] == counts
+            assert sum(changes) == sum(counts)
+            total += sum(changes)
+    assert total > 0
 
 
 def test_start_from_another_model_is_refused(rng):
@@ -164,23 +252,23 @@ def reference_apply(m: Model, f: np.ndarray, sign: float):
     """Row by row: an argmin over each vertex row's own scores, the
     simplex on each constraint row.  The scores come from one product
     with the whole stack, as in the operator: BLAS may round a product
-    with one row's block differently in the last bit."""
+    with one row's block differently in the last bit.  Returns the values,
+    the picks into the stack and the constraint rows' bases, in row order."""
     scores = m.vertex_stack @ (sign * f)
-    value, selectors, picks = [], [], []
+    value, picks, bases = [], [], []
     for x, row in enumerate(m.rows):
         if isinstance(row, RowPolytopeV):
             lo = m.vertex_offsets[x]
             dots = scores[lo:lo + row.num_vertices]
             k = int(np.argmin(dots))
             value.append(sign * dots[k])
-            selectors.append(k)
             picks.append(m.vertex_offsets[x] + k)
         else:
             sol = lp.minimize_row(row, sign * f)
             value.append(float(f @ sol.vertex))
-            selectors.append(sol.basis)
+            bases.append(sol.basis)
             picks.append(-1)
-    return np.array(value), tuple(selectors), np.array(picks)
+    return np.array(value), np.array(picks), tuple(bases)
 
 
 def test_selection_matches_the_per_row_scan(rng):
@@ -190,10 +278,10 @@ def test_selection_matches_the_per_row_scan(rng):
                   rng.integers(0, 3, size=m.size).astype(float)):
             for bound, sign in (("lower", 1.0), ("upper", -1.0)):
                 res = apply(m, f, bound)
-                value, selectors, picks = reference_apply(m, f, sign)
+                value, picks, bases = reference_apply(m, f, sign)
                 assert res.value.tobytes() == value.tobytes()
-                assert res.selectors == selectors
                 assert np.array_equal(res.picks, picks)
+                assert tuple(sol.basis for sol in res.solutions) == bases
 
 
 def test_sparse_objectives_match_the_full_product(rng):
@@ -232,18 +320,19 @@ def test_interval_selection_matches_the_closed_form(rng):
             for bound, sign in (("lower", 1.0), ("upper", -1.0)):
                 res = apply(m, f, bound)
                 # the reference runs the simplex on the interval rows
-                value, selectors, picks = reference_apply(m, f, sign)
+                value, picks, _ = reference_apply(m, f, sign)
                 rows = m.interval_rows
                 vertex = np.flatnonzero(m.vertex_counts)
+                named = choices(m, res)
                 assert res.value[vertex].tobytes() == value[vertex].tobytes()
-                assert [res.selectors[x] for x in vertex] \
-                    == [selectors[x] for x in vertex]
+                assert [named[x] for x in vertex] \
+                    == (picks[vertex] - m.vertex_offsets[vertex]).tolist()
                 assert np.array_equal(res.picks, picks)
                 assert np.max(np.abs(res.value[rows] - value[rows])) <= 1e-12
                 best = float(interval_minimum(lower, upper, sign * f) @ f)
                 assert np.max(np.abs(res.value[rows] - best)) <= 1e-12
                 for x in rows.tolist():
-                    exact = np.array(interval_vertex(m.rows[x], res.selectors[x]),
+                    exact = np.array(interval_vertex(m.rows[x], named[x]),
                                      dtype=float)
                     assert np.max(np.abs(res.matrix()[x] - exact)) <= 1e-15
 
@@ -278,18 +367,19 @@ def test_matrix_of_a_model_without_vertex_rows():
     m = box_model(6, 2, coupled=range(6))
     assert m.vertex_stack.shape == (0, 6)
     res = apply(m, np.arange(6.0), "lower")
-    assert np.array_equal(res.matrix(), np.stack([res.solutions[x].vertex
-                                                  for x in range(6)]))
+    assert m.simplex_rows.tolist() == list(range(6))
+    assert np.array_equal(res.matrix(), np.stack([sol.vertex
+                                                  for sol in res.solutions]))
 
 
 def test_matrix_of_a_model_of_interval_rows():
     m = box_model(6, 2)
     assert m.vertex_stack.shape == (0, 6)
     res = apply(m, np.arange(6.0), "lower")
-    assert res.solutions == {}
+    assert res.solutions == ()
     assert np.array_equal(res.matrix(), res.interval_vertices)
     exact = np.array([interval_vertex(row, sel) for row, sel
-                      in zip(m.rows, res.selectors)], dtype=float)
+                      in zip(m.rows, choices(m, res))], dtype=float)
     assert np.max(np.abs(res.matrix() - exact)) <= 1e-15
 
 
