@@ -19,10 +19,11 @@ packs the padded index grid of the vertex rows that the operators'
 rows are plain input data, and the build decides each one's kind once.
 A row whose finite constraints each bound one coordinate, and whose
 bounds admit a pmf exactly, is an interval row ``lo <= p <= hi``: the
-model stacks its bounds next to the vertices, in closed form and without
-the simplex.  The other constraint rows need the simplex; the model lists
-them in ``Model.simplex_rows`` and keeps the phase-one start of each in
-``Model.simplex_starts``.
+model stacks its bounds next to the vertices, with each row's caps
+``hi - lo`` and free mass ``1 - sum(lo)``, which the operators' closed
+form reads instead of the simplex.  The other constraint rows need the
+simplex; the model lists them in ``Model.simplex_rows`` and keeps the
+phase-one start of each in ``Model.simplex_starts``.
 
 A model is checked once, when it is built: ``validate`` scans the vertex
 stack block by block and then looks only at the vertex rows with a bad
@@ -202,10 +203,13 @@ class Model:
     ``vertex_grid[i]`` holds the stack indices of row ``vertex_rows[i]``'s
     vertices, padded to the longest row with ``len(vertex_stack)``.
     Row ``interval_rows[i]`` is the interval row ``interval_lo[i] <= p <=
-    interval_hi[i]``.  The other H-rep rows, which need the simplex, are
-    ``simplex_rows``, and ``simplex_starts[i]`` is row ``simplex_rows[i]``'s
-    phase-one start (``lp.row_start``), or None where phase one rejected
-    the row, which makes the model invalid.
+    interval_hi[i]``; the closed form reads its caps ``interval_caps[i] =
+    interval_hi[i] - interval_lo[i]`` and its free mass ``interval_left[i]
+    = 1 - sum(interval_lo[i])``, packed with the bounds.  The other H-rep
+    rows, which need the simplex, are ``simplex_rows``, and
+    ``simplex_starts[i]`` is row ``simplex_rows[i]``'s phase-one start
+    (``lp.row_start``), or None where phase one rejected the row, which
+    makes the model invalid.
     """
 
     states: StateSpace
@@ -219,6 +223,8 @@ class Model:
     interval_rows: np.ndarray = field(init=False, repr=False)
     interval_lo: np.ndarray = field(init=False, repr=False)
     interval_hi: np.ndarray = field(init=False, repr=False)
+    interval_caps: np.ndarray = field(init=False, repr=False)
+    interval_left: np.ndarray = field(init=False, repr=False)
     simplex_rows: np.ndarray = field(init=False, repr=False)
     simplex_starts: tuple["lp.LpSolution | None", ...] = field(init=False, repr=False)
     target_mask: np.ndarray = field(init=False, repr=False)
@@ -315,6 +321,8 @@ class Model:
         self.interval_rows = _readonly(intervals, np.intp)
         self.interval_lo = _readonly(np.reshape([lo for lo, _ in bounds], (-1, n)))
         self.interval_hi = _readonly(np.reshape([hi for _, hi in bounds], (-1, n)))
+        self.interval_caps = _readonly(self.interval_hi - self.interval_lo)
+        self.interval_left = _readonly(1.0 - self.interval_lo.sum(axis=1))
         self.simplex_rows = _readonly(simplex, np.intp)
         self.simplex_starts = tuple(starts)
         self.target_mask = _readonly(np.isin(range(n), list(self.target.members)), bool)

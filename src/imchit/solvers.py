@@ -160,20 +160,20 @@ def solve_policy(model: Model, bound: str = "lower",
     nontarget = model.nontarget_indices
     selected = _initial(model, bound)
     h = solve_precise(selected.matrix(nontarget), nontarget, model.size)
-    trace = [IterationStat(float(np.max(h)), 0)]
+    trace = [IterationStat(float(h.max()), 0)]
     iterations = 1
     while iterations < cap:
         selected, changes = _improve(model, h, bound, selected)
         iterations += 1
         if changes == 0:
             # h repeats; the operator was just applied at it: a free residual
-            trace.append(IterationStat(float(np.max(h)), 0))
+            trace.append(IterationStat(float(h.max()), 0))
             return _vouched(SolveReport(
                 bound=bound, method="policy", solution=HittingTimeVector(h),
                 iterations=iterations, residual=_defect(model, h, selected.value),
                 trace=tuple(trace), wall_time=time.perf_counter() - start))
         h = solve_precise(selected.matrix(nontarget), nontarget, model.size)
-        trace.append(IterationStat(float(np.max(h)), changes))
+        trace.append(IterationStat(float(h.max()), changes))
     raise MaxIterationsExceeded(
         f"policy iteration exceeded {cap} iterations", tuple(trace))
 

@@ -15,17 +15,22 @@ target indicator of the policy-iteration start and of the early
 reachability rounds, the product reads only those columns of the stack.
 A model without vertex rows skips this kernel.
 Interval rows ``lo <= p <= hi`` are solved together in closed form: one
-sort of the objective, then every row starts at ``lo`` and hands its
-remaining mass to the cheapest coordinates first (de Campos, Huete &
-Moral 1994).  Only general constraint rows run the simplex, each from
-the phase-one start the model keeps for it (``Model.simplex_starts``).
+sort of the objective, shared by every row solved, then every row starts
+at ``lo`` and hands its free mass ``1 - sum(lo)`` to the cheapest
+coordinates first, each up to its cap ``hi - lo`` (de Campos, Huete &
+Moral 1994).  The model packs both when it is built
+(``Model.interval_left``, ``Model.interval_caps``), so a call only
+gathers them in sorted order.  Only general constraint rows run the
+simplex, each from the phase-one start the model keeps for it
+(``Model.simplex_starts``).
 
 An application may start from an earlier result (``start=``); both
 iterative solvers pass their previous improvement step.  Each
 constraint row's simplex then starts from that row's basis, which is
 usually optimal again or a few pivots away, and each interval row keeps
 its vertex there while that vertex is still optimal within
-``lp.PIVOT_TOL``, so that ties in ``f`` do not flip the choice.
+``lp.PIVOT_TOL``, so that ties in ``f`` do not flip the choice; the
+objective is sorted only when some interval row must be solved again.
 """
 
 from __future__ import annotations
@@ -73,9 +78,10 @@ class OperatorResult:
         mask = self.picks != previous.picks
         mask[self.model.interval_rows] = (
             self.interval_vertices != previous.interval_vertices).any(axis=1)
-        mask[self.model.simplex_rows] = [
-            new.basis != old.basis
-            for new, old in zip(self.solutions, previous.solutions)]
+        if self.solutions:
+            mask[self.model.simplex_rows] = [
+                new.basis != old.basis
+                for new, old in zip(self.solutions, previous.solutions)]
         return mask
 
     def matrix(self, states: np.ndarray | None = None) -> np.ndarray:
@@ -122,44 +128,59 @@ def gather(stack: np.ndarray, picks: np.ndarray, cols: slice | np.ndarray
     return stack[picks[..., None], cols]
 
 
-def _interval_vertices(lo: np.ndarray, hi: np.ndarray, objective: np.ndarray
-                       ) -> np.ndarray:
-    """Minimizing vertex of the interval rows ``lo <= p <= hi``: every row
-    starts at ``lo`` and fills the cheapest coordinates first."""
-    order = np.argsort(objective, kind="stable")
-    lo_sorted, hi_sorted = lo[:, order], hi[:, order]
-    caps = hi_sorted - lo_sorted
-    left = 1.0 - lo.sum(axis=1)
-    fill = np.minimum(np.maximum(
-        left[:, None] - (np.cumsum(caps, axis=1) - caps), 0.0), caps)
+def _interval_vertices(model: Model, order: np.ndarray,
+                       rows: np.ndarray | None = None) -> np.ndarray:
+    """Minimizing vertex of the model's interval rows ``rows``, or of all of
+    them, at the objective that ``order`` sorts: every row starts at ``lo``
+    and fills the cheapest coordinates first.  A fresh C-contiguous array."""
+    lo, hi, caps = model.interval_lo, model.interval_hi, model.interval_caps
+    left = model.interval_left
+    if rows is not None:
+        lo, hi, caps = lo.take(rows, 0), hi.take(rows, 0), caps.take(rows, 0)
+        left = left.take(rows)
+    lo, hi, caps = lo.take(order, 1), hi.take(order, 1), caps.take(order, 1)
+    # the mass each coordinate takes: what its cheaper ones leave, up to its cap
+    fill = np.add.accumulate(caps, axis=1)
+    fill -= caps
+    np.subtract(left[:, None], fill, out=fill)
+    np.maximum(fill, 0.0, out=fill)
+    np.minimum(fill, caps, out=fill)
     # rounding can leave a sliver past the partial coordinate; a vertex has
     # at most one coordinate strictly between its bounds
-    fill[np.cumsum(fill < caps, axis=1) > 1] = 0.0
-    vertices = np.empty_like(lo)
-    vertices[:, order] = np.where(fill == caps, hi_sorted, lo_sorted + fill)
-    vertices.flags.writeable = False
+    fill[np.add.accumulate(fill < caps, axis=1, dtype=np.intp) > 1] = 0.0
+    full = fill == caps
+    np.add(lo, fill, out=lo)
+    np.copyto(lo, hi, where=full)
+    vertices = np.empty(lo.shape)
+    vertices[:, order] = lo
     return vertices
 
 
 def _interval_choice(model: Model, objective: np.ndarray,
                      start: OperatorResult | None) -> np.ndarray:
-    """Minimizing vertex of each of the model's interval rows."""
+    """Minimizing vertex of each of the model's interval rows, after at most
+    one sort of the objective."""
     lo, hi = model.interval_lo, model.interval_hi
     if not len(lo):
         return lo
-    if start is None:
-        return _interval_vertices(lo, hi, objective)
-    # the start's vertex stays while no coordinate that can give mass costs
-    # more than one that can take it
-    vertices = start.interval_vertices
-    gives = np.where(vertices > lo, objective, -np.inf).max(axis=1)
-    takes = np.where(vertices < hi, objective, np.inf).min(axis=1)
-    stale = np.flatnonzero(gives > takes + lp.PIVOT_TOL)
-    if stale.size:
-        vertices = vertices.copy()
-        vertices[stale] = _interval_vertices(lo[stale], hi[stale], objective)
-        vertices.flags.writeable = False
-    return vertices
+    stale = None
+    if start is not None:
+        # the start's vertex stays while no coordinate that can give mass
+        # costs more than one that can take it
+        vertices = start.interval_vertices
+        gives = np.maximum.reduce(np.where(vertices > lo, objective, -np.inf), axis=1)
+        takes = np.minimum.reduce(np.where(vertices < hi, objective, np.inf), axis=1)
+        stale = (gives > takes + lp.PIVOT_TOL).nonzero()[0]
+        if not stale.size:
+            return vertices
+    order = objective.argsort(kind="stable")
+    if stale is None or stale.size == len(lo):
+        fresh = _interval_vertices(model, order)
+    else:
+        fresh = vertices.copy()
+        fresh[stale] = _interval_vertices(model, order, stale)
+    fresh.flags.writeable = False
+    return fresh
 
 
 def _scores(stack: np.ndarray, objective: np.ndarray, out: np.ndarray) -> None:
@@ -185,20 +206,21 @@ def apply(model: Model, f: np.ndarray, bound: str,
         raise ValueError(f"function must be finite with shape ({model.size},)")
     if start is not None and start.model is not model:
         raise ValueError("start is not a result of this model")
-    sign = 1.0 if bound == "lower" else -1.0
-    objective = sign * f
-    stack, offsets = model.vertex_stack, model.vertex_offsets
-    counts = model.vertex_counts
-    vertex = np.zeros(model.size, dtype=np.intp)
+    lower = bound == "lower"
+    objective = f if lower else -f
+    stack = model.vertex_stack
+    picks = np.full(model.size, -1, dtype=np.intp)
     value = np.empty(model.size)
     if len(stack):
-        rows = model.vertex_rows
+        rows, grid = model.vertex_rows, model.vertex_grid
         # the grid's padding points at the +inf in dots' last slot
         dots = np.empty(len(stack) + 1)
         dots[-1] = np.inf
         _scores(stack, objective, dots[:-1])
-        vertex[rows] = dots[model.vertex_grid].argmin(axis=1)
-        value[rows] = sign * dots[offsets[rows] + vertex[rows]]
+        # each row's stack index, read off its grid row at the first minimizer
+        chosen = grid[np.arange(len(rows)), dots[grid].argmin(axis=1)]
+        picks[rows] = chosen
+        value[rows] = dots[chosen] if lower else -dots[chosen]
     intervals = _interval_choice(model, objective, start)
     value[model.interval_rows] = intervals @ f
     solutions = []
@@ -207,5 +229,4 @@ def apply(model: Model, f: np.ndarray, bound: str,
         sol = lp.minimize_row(model.rows[x], objective, row_start)
         value[x] = float(f @ sol.vertex)
         solutions.append(sol)
-    picks = np.where(counts > 0, offsets + vertex, -1)
     return OperatorResult(value, model, picks, intervals, tuple(solutions))

@@ -103,6 +103,24 @@ def test_interval_bounds_are_read_off_the_constraints():
     assert len(m.simplex_starts) == 1 and m.simplex_starts[0].row is m.rows[5]
 
 
+def test_interval_rows_pack_their_caps_and_free_mass():
+    models = [box_model(8, 1), box_model(8, 1, coupled=(5, 2)),
+              Model(StateSpace(tuple("abcdef")), TargetSet({5}), tuple(edge_rows()))]
+    for m in models:
+        lo, hi = m.interval_lo, m.interval_hi
+        # bit for bit what the closed form computed from the bounds per call
+        assert m.interval_caps.tobytes() == (hi - lo).tobytes()
+        assert m.interval_left.tobytes() == (1.0 - lo.sum(axis=1)).tobytes()
+        assert m.interval_caps.shape == lo.shape
+        assert m.interval_left.shape == (len(m.interval_rows),)
+        for packed in (m.interval_caps, m.interval_left):
+            assert not packed.flags.writeable and packed.flags.c_contiguous
+        with pytest.raises(ValueError):
+            m.interval_left[0] = 0.5
+    m = random_model(5, 3, 1)
+    assert m.interval_caps.shape == (0, 5) and m.interval_left.shape == (0,)
+
+
 def test_simplex_rows_are_the_general_constraint_rows():
     assert box_model(8, 1).simplex_rows.tolist() == []
     assert box_model(8, 1).simplex_starts == ()

@@ -137,6 +137,46 @@ def test_warm_operator_matches_the_cold_one(rng):
             previous = warm
 
 
+def kept_interval_rows(m: Model, start, objective: np.ndarray) -> np.ndarray:
+    """Per interval row, whether the start's vertex is still optimal within
+    ``lp.PIVOT_TOL``: no coordinate that can give mass costs more than one
+    that can take it."""
+    kept = []
+    for p, lo, hi in zip(start.interval_vertices, m.interval_lo, m.interval_hi):
+        gives = objective[p > lo].max(initial=-np.inf)
+        takes = objective[p < hi].min(initial=np.inf)
+        kept.append(not gives > takes + lp.PIVOT_TOL)
+    return np.array(kept, dtype=bool)
+
+
+def test_interval_vertices_are_c_contiguous_and_kept_or_resolved_exactly(rng):
+    # a C-contiguous result keeps ``intervals @ f`` on one BLAS path, whose
+    # rounding the reports show; an F-ordered one changes residual bits
+    models = [box_model(int(rng.integers(3, 12)), int(rng.integers(1000)))
+              for _ in range(10)]
+    models += [m for m in (random_mixed_model(rng) for _ in range(30))
+               if len(m.interval_rows)]
+    cases = set()
+    for m in models:
+        f = rng.normal(size=m.size)
+        start = apply(m, f, "lower")
+        assert start.interval_vertices.flags.c_contiguous
+        nudged = f.copy()
+        nudged[rng.permutation(m.size)[:2]] += rng.normal(size=2)
+        for g, bound in ((f, "lower"), (f, "upper"), (nudged, "lower")):
+            objective = g if bound == "lower" else -g
+            warm = apply(m, g, bound, start=start).interval_vertices
+            cold = apply(m, g, bound).interval_vertices
+            assert warm.flags.c_contiguous and cold.flags.c_contiguous
+            kept = kept_interval_rows(m, start, objective)
+            for i, keep in enumerate(kept.tolist()):
+                # bit for bit: the start's vertex or the fresh closed form
+                expected = start.interval_vertices[i] if keep else cold[i]
+                assert warm[i].tobytes() == expected.tobytes()
+            cases.add("all" if not kept.any() else "none" if kept.all() else "some")
+    assert cases == {"all", "some", "none"}
+
+
 def changed_oracle(m: Model, new, old) -> list[bool]:
     """Per row, whether ``new`` records another extreme point than ``old``,
     read off each result's ``choices``: a vertex row's pick, an interval
