@@ -122,7 +122,9 @@ def _improve(model: Model, h: np.ndarray, bound: str,
     and the number of non-target rows whose extreme point changed (0
     without one).
 
-    Both iterative methods improve by this one step."""
+    Both iterative methods improve by this one step; started from
+    ``previous``, the operator re-scores only the vertices that can still
+    win against its last full scan."""
     result = apply(model, h, bound, start=previous)
     if previous is None:
         return result, 0
@@ -185,7 +187,10 @@ def solve_value(model: Model, bound: str = "lower", tol: float = 1e-9,
     The iterates increase monotonically towards the solution; the run is
     flagged tolerance-limited because stopping at ``tol`` leaves a
     truncation error that never fully vanishes.  ``tol`` must be finite
-    and positive, and ``max_iter`` at least 1.
+    and positive, and ``max_iter`` at least 1.  Each sweep starts from the
+    one before, so on a large vertex stack it re-scores only the vertices
+    that can still win against the last full scan (``transition.apply``),
+    with the values and choices of a sweep that scores every vertex.
     """
     start = time.perf_counter()
     check_bound(bound)

@@ -5,15 +5,15 @@ minimizes ``p . f`` over each state's row polytope independently, and the
 upper bound is its conjugate, the same minimization of ``p . (-f)``.
 Besides the value vector, each application records the extreme point
 attaining it in each row, once: the policy that the policy-iteration
-solver consumes.  One product with the model's
-vertex stack scores every vertex, into an array whose last slot holds
-+inf, and one ``argmin`` over the padded grid the model packed when it
-was built (``Model.vertex_grid``, whose padding points at that slot)
-picks each vertex row's first minimizer.  When
-fewer than an eighth of the objective's entries are nonzero, as for the
-target indicator of the policy-iteration start and of the early
-reachability rounds, the product reads only those columns of the stack.
-A model without vertex rows skips this kernel.
+solver consumes.  A full scan scores every vertex with one product with
+the model's vertex stack, into an array whose last slot holds +inf, and
+one ``argmin`` over the padded grid the model packed when it was built
+(``Model.vertex_grid``, whose padding points at that slot) picks each
+vertex row's first minimizer.  When fewer than an eighth of the
+objective's entries are nonzero, as for the target indicator of the
+policy-iteration start and of the early reachability rounds, the product
+reads only those columns of the stack.  A model without vertex rows skips
+this kernel.
 Interval rows ``lo <= p <= hi`` are solved together in closed form: one
 sort of the objective, shared by every row solved, then every row starts
 at ``lo`` and hands its free mass ``1 - sum(lo)`` to the cheapest
@@ -31,16 +31,23 @@ usually optimal again or a few pivots away, and each interval row keeps
 its vertex there while that vertex is still optimal within
 ``lp.PIVOT_TOL``, so that ties in ``f`` do not flip the choice; the
 objective is sorted only when some interval row must be solved again.
+A dense full scan leaves a ``Reference`` in its result, and a call
+started from that result scores only the vertices that can still be
+their row's first minimizer (``_kept``), bit for bit as the full product
+would (``_rescore``), when they are at most a quarter of the stack; the
+reference then passes on to the new result.  Otherwise the call scans in
+full, and its scan is the next reference.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from . import lp
-from .model import Model
+from .model import PMF_TOL, Model
 
 BOUNDS = ("lower", "upper")
 
@@ -61,7 +68,10 @@ class OperatorResult:
     ``simplex_rows``.  ``changed`` tells which rows chose another point
     than an earlier result; the results themselves compare by identity.
     ``matrix`` assembles the policy matrix, or its block on some states,
-    from them on request.
+    from them on request.  ``reference`` is the last full scan of the
+    vertex stack, this call's or the one its start passed on, which a call
+    started from this result re-scores against; None when the model has
+    no vertex rows or the scan read some columns only.
     """
 
     value: np.ndarray
@@ -69,6 +79,7 @@ class OperatorResult:
     picks: np.ndarray = field(repr=False)
     interval_vertices: np.ndarray = field(repr=False)
     solutions: tuple[lp.LpSolution, ...] = field(repr=False)
+    reference: Reference | None = field(repr=False)
 
     def changed(self, previous: OperatorResult) -> np.ndarray:
         """Boolean mask of the rows whose extreme point differs from the one
@@ -183,17 +194,152 @@ def _interval_choice(model: Model, objective: np.ndarray,
     return fresh
 
 
-def _scores(stack: np.ndarray, objective: np.ndarray, out: np.ndarray) -> None:
-    """``stack @ objective`` into ``out``, read from the objective's nonzero
-    columns when they are fewer than an eighth of the states.  A column gather
-    reads one 64-byte cache line (eight floats) per vertex and column,
-    the full product n / 8 lines per vertex, so the gather reads less
-    below that share."""
+def _support(objective: np.ndarray) -> np.ndarray | None:
+    """The objective's nonzero columns when they are fewer than an eighth of
+    the states, else None.  A column gather reads one 64-byte cache line
+    (eight floats) per vertex and column, the full product n / 8 lines per
+    vertex, so below that share a score reads only those columns."""
     support = np.flatnonzero(objective)
-    if 8 * len(support) < len(objective):
-        np.matmul(stack[:, support], objective[support], out=out)
+    return support if 8 * len(support) < len(objective) else None
+
+
+_EPS = np.finfo(float).eps
+
+# Vertex stacks of fewer floats are always scanned in full: below about this
+# size, testing and gathering the vertices costs more than the scan saves.
+_TESTED_FLOATS = 2 ** 17
+
+# Rows of the stack that one re-scoring product gathers: a multiple of four,
+# and few enough that OpenBLAS scores each product on one thread (it splits
+# none of fewer than about 460,000 entries).
+_CHUNK = 64
+
+
+def _rescore(stack: np.ndarray, rows: np.ndarray, objective: np.ndarray
+             ) -> np.ndarray:
+    """``(stack @ objective)[rows]`` for increasing stack indices ``rows``,
+    bit for bit, but read from those rows only, ``_CHUNK`` gathered rows at
+    a time.
+
+    The BLAS matrix-vector kernel scores the rows of a product in groups of
+    four, and the last ``len % 4`` rows, which fill no group, by another
+    summation.  So the rows below the stack's last ``len(stack) % 4`` are
+    gathered in groups of four, the last group padded with its last row,
+    and any row among those last ones is scored with all of them, at the end
+    of the gather, as the full product scores them.  This holds where BLAS
+    scores the full product on one thread, or splits it between threads at
+    multiples of four rows."""
+    body = len(stack) - len(stack) % 4
+    split = int(np.searchsorted(rows, body))
+    groups = rows[:split]
+    if not split and split < len(rows) and body:
+        # a product of the tail rows alone may take another path than the
+        # full product's tail: put one group before them
+        groups = np.array([body - 1])
+    gathered = np.concatenate([groups, np.repeat(groups[-1:], -len(groups) % 4)])
+    tail = len(gathered)
+    if split < len(rows):
+        gathered = np.concatenate([gathered, np.arange(body, len(stack))])
+    out = np.empty(len(gathered))
+    # the last product also takes the tail rows
+    cuts = list(range(0, tail, _CHUNK)) or [0]
+    for lo, hi in zip(cuts, cuts[1:] + [len(gathered)]):
+        np.matmul(stack[gathered[lo:hi]], objective, out=out[lo:hi])
+    return np.concatenate([out[:split], out[tail + rows[split:] - body]])
+
+
+class Reference(NamedTuple):
+    """What a full scan of the vertex stack leaves for later calls: the
+    objective it scored, each vertex row's first minimizer (its column in
+    ``Model.vertex_grid``), and, shaped like the grid, each vertex's score
+    minus its row's best score, +inf on the grid's padding."""
+
+    objective: np.ndarray
+    first: np.ndarray
+    gaps: np.ndarray
+
+
+def _kept(model: Model, reference: Reference, objective: np.ndarray
+          ) -> np.ndarray | None:
+    """The positions in the flattened ``Model.vertex_grid``, increasing, of
+    the vertices that can be their row's first minimizer at ``objective``,
+    given a full scan at another objective; None when the change is too
+    large to bound in floating point.
+
+    Let d = objective - reference.objective, c1 and c2 the midpoints of
+    its entries off and on the target, w the larger of their spans, and
+    v_T a vertex's mass on the target.  For a pmf v, v . d lies within w / 2
+    of c1 + (c2 - c1) v_T.  So a vertex v whose row's reference best is b
+    scores at least ``gap_v - (c1 - c2)(v_T - b_T) - w`` more than b, and it
+    is dropped where that exceeds a rounding margin.  The margin covers
+    each score's rounding, n eps of the objective's size, and a vertex
+    whose entries are off a pmf's within ``PMF_TOL``.  The target term is
+    what keeps vertices out on the upper bound: h is 0 on the target,
+    and a policy step shifts it by about the same amount on every other
+    state, so d spans that whole shift while c1 - c2 carries it
+    (MacQueen's test for suboptimal actions, Management Sci. 13 (1967),
+    with spans taken per part of the state space)."""
+    delta = objective - reference.objective
+    target = model.target_mask
+    off, on = delta[~target], delta[target]
+    low, high, low_t, high_t = off.min(), off.max(), on.min(), on.max()
+    shift = (high + low) / 2 - (high_t + low_t) / 2
+    # at least the largest |objective| plus the largest |reference objective|
+    scale = 2 * np.abs(objective).max() + max(high, high_t, -low, -low_t)
+    margin = (max(high - low, high_t - low_t)
+              + 4 * (model.size + 8) * (_EPS + PMF_TOL) * scale)
+    if not (np.isfinite(margin) and np.isfinite(shift)):
+        return None
+    mass = model.target_mass
+    # gap_v - shift * v_T against its row's margin - shift * b_T; the
+    # padding's infinite gap keeps it out
+    limit = margin + -shift * mass[np.arange(len(mass)), reference.first]
+    test = mass * -shift
+    test += reference.gaps
+    return np.flatnonzero(test <= limit[:, None])
+
+
+def _vertex_choice(model: Model, objective: np.ndarray,
+                   reference: Reference | None
+                   ) -> tuple[np.ndarray, np.ndarray, Reference | None]:
+    """Each vertex row's first minimizer (a stack index) and its score, and
+    the full scan that later calls may start from.
+
+    With a ``reference``, only the vertices ``_kept`` keeps are scored,
+    when they are at most a quarter of the stack; the reference then stays.
+    Otherwise every vertex is scored, and the scan is the new reference,
+    unless it read some columns only or a row's best score is not finite."""
+    stack, grid = model.vertex_stack, model.vertex_grid
+    every = np.arange(len(grid))
+    support = _support(objective)
+    # a sparse objective is cheap to scan in full, and re-scoring could not
+    # repeat the bits of a product over some columns
+    if reference is not None and support is None and stack.size >= _TESTED_FLOATS:
+        kept = _kept(model, reference, objective)
+        if kept is not None and 4 * len(kept) <= len(stack):
+            scores = np.full(grid.shape, np.inf)
+            scores.reshape(-1)[kept] = _rescore(
+                stack, grid.reshape(-1)[kept], objective)
+            first = scores.argmin(axis=1)
+            return grid[every, first], scores[every, first], reference
+    # the grid's padding points at the +inf in dots' last slot
+    dots = np.empty(len(stack) + 1)
+    dots[-1] = np.inf
+    if support is None:
+        np.matmul(stack, objective, out=dots[:-1])
     else:
-        np.matmul(stack, objective, out=out)
+        np.matmul(stack[:, support], objective[support], out=dots[:-1])
+    gaps = dots[grid]
+    first = gaps.argmin(axis=1)
+    chosen, best = grid[every, first], gaps[every, first]
+    if support is not None or not np.isfinite(best).all():
+        return chosen, best, None
+    gaps -= best[:, None]
+    # later calls read the reference, so it holds a copy of the caller's f
+    reference = Reference(objective.copy(), first, gaps)
+    for array in reference:
+        array.flags.writeable = False
+    return chosen, best, reference
 
 
 def apply(model: Model, f: np.ndarray, bound: str,
@@ -208,19 +354,14 @@ def apply(model: Model, f: np.ndarray, bound: str,
         raise ValueError("start is not a result of this model")
     lower = bound == "lower"
     objective = f if lower else -f
-    stack = model.vertex_stack
     picks = np.full(model.size, -1, dtype=np.intp)
     value = np.empty(model.size)
-    if len(stack):
-        rows, grid = model.vertex_rows, model.vertex_grid
-        # the grid's padding points at the +inf in dots' last slot
-        dots = np.empty(len(stack) + 1)
-        dots[-1] = np.inf
-        _scores(stack, objective, dots[:-1])
-        # each row's stack index, read off its grid row at the first minimizer
-        chosen = grid[np.arange(len(rows)), dots[grid].argmin(axis=1)]
-        picks[rows] = chosen
-        value[rows] = dots[chosen] if lower else -dots[chosen]
+    reference = None
+    if len(model.vertex_stack):
+        rows = model.vertex_rows
+        picks[rows], best, reference = _vertex_choice(
+            model, objective, None if start is None else start.reference)
+        value[rows] = best if lower else -best
     intervals = _interval_choice(model, objective, start)
     value[model.interval_rows] = intervals @ f
     solutions = []
@@ -229,4 +370,5 @@ def apply(model: Model, f: np.ndarray, bound: str,
         sol = lp.minimize_row(model.rows[x], objective, row_start)
         value[x] = float(f @ sol.vertex)
         solutions.append(sol)
-    return OperatorResult(value, model, picks, intervals, tuple(solutions))
+    return OperatorResult(value, model, picks, intervals, tuple(solutions),
+                          reference)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import math
 import tracemalloc
 from fractions import Fraction
 
@@ -486,18 +487,23 @@ def test_policy_iteration_operator_calls(count_calls):
         assert all(args[2] == bound for args, _ in calls[before:])
 
 
-def test_reported_residual_is_the_fixed_point_residual(rng):
+def test_reported_residual_is_the_fixed_point_residual(rng, count_calls):
     models = [gambler_model(4), gambler_model(9), line_model(), two_choice_model()]
     models += [random_vrep_model(rng) for _ in range(10)]
     while len(models) < 24:
         m = random_mixed_model(rng)
         if m.reachability.holds:
             models.append(m)
+    # the study's size, where the last improvement re-scores only the
+    # vertices that can still win, and the residual's cold call all
+    models += [random_model(200, 50, seed) for seed in range(3)]
+    rescored = count_calls(transition, "_rescore")
     for m in models:
         for bound in ("lower", "upper"):
             report = solve_policy(m, bound)
             assert report.residual == fixed_point_residual(
                 m, report.solution.values, bound)
+    assert len(rescored) >= 6
 
 
 def check_box_solves(n: int, seed: int) -> None:
@@ -662,6 +668,86 @@ def test_mixed_solutions_match_exact_rationals():
 
 def test_interval_solutions_match_exact_rationals():
     check_exact_rationals(coupled=False)
+
+
+def scaled_integers(a: np.ndarray) -> tuple[list[list[int]], int]:
+    """``a`` times ``2 ** k`` as exact integers, for the least such ``k``:
+    every double is an integer times a power of two."""
+    ratios = [[x.as_integer_ratio() for x in row] for row in a.tolist()]
+    k = max(den.bit_length() - 1 for row in ratios for _, den in row)
+    return [[num << (k - den.bit_length() + 1) for num, den in row]
+            for row in ratios], k
+
+
+def solve_integers(a: list[list[int]], b: list[int]) -> list[Fraction]:
+    """The exact solution of a non-singular integer system: fraction-free
+    elimination (Bareiss), whose divisions are exact, then back
+    substitution in rationals."""
+    n = len(b)
+    rows = [list(row) + [v] for row, v in zip(a, b)]
+    previous = 1
+    for c in range(n - 1):
+        p = next(r for r in range(c, n) if rows[r][c] != 0)
+        rows[c], rows[p] = rows[p], rows[c]
+        pivot = rows[c]
+        for r in range(c + 1, n):
+            row = rows[r]
+            lead = row[c]
+            rows[r] = [0] * (c + 1) + [
+                (x * pivot[c] - lead * y) // previous
+                for x, y in zip(row[c + 1:], pivot[c + 1:])]
+        previous = pivot[c]
+    x = [Fraction(0)] * n
+    for i in reversed(range(n)):
+        x[i] = (rows[i][n] - sum((rows[i][j] * x[j] for j in range(i + 1, n)),
+                                 Fraction(0))) / rows[i][i]
+    return x
+
+
+def certify_optimal(m: Model, bound: str) -> None:
+    """Policy iteration's answer is the tight bound, proved in exact
+    arithmetic from the row data: the final policy's hitting times u,
+    solved exactly, satisfy u = 1 + P u with P's rows extreme for ``bound``
+    among every vertex of each non-target row, which makes u the unique
+    solution of the non-linear system.  The float answer is within
+    1e-13 of u relative to its largest entry."""
+    h = solve_policy(m, bound).solution.values
+    picks = apply(m, h, bound).picks
+    free = m.nontarget_indices
+    vertices, k = scaled_integers(m.vertex_stack[:, free])
+    one = 1 << k
+    system = [[one * (x == y) - v for y, v in enumerate(vertices[picks[x]])]
+              for x in free.tolist()]
+    u = solve_integers(system, [one] * len(free))
+    exact = np.zeros(m.size)
+    exact[free] = [float(v) for v in u]
+    assert np.max(np.abs(h - exact)) <= 1e-13 * np.max(exact)
+    # scores on a common denominator: integer dot products
+    scale = math.lcm(*(v.denominator for v in u))
+    numerators = [v.numerator * (scale // v.denominator) for v in u]
+    sign = 1 if bound == "lower" else -1
+    for x in free.tolist():
+        lo = int(m.vertex_offsets[x])
+        scores = [sign * sum(a * b for a, b in zip(vertices[i], numerators))
+                  for i in range(lo, lo + int(m.vertex_counts[x]))]
+        # no vertex strictly better than the chosen one
+        assert min(scores) == scores[picks[x] - lo]
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_policy_iteration_is_optimal_in_exact_arithmetic(seed):
+    # an oracle beyond brute force's reach, independent of which vertices
+    # the operator re-scores: 50 ** 19 combinations per bound
+    m = random_model(20, 50, seed)
+    for bound in ("lower", "upper"):
+        certify_optimal(m, bound)
+
+
+@pytest.mark.slow
+def test_policy_iteration_is_optimal_in_exact_arithmetic_at_forty_states():
+    m = random_model(40, 50, 1)
+    for bound in ("lower", "upper"):
+        certify_optimal(m, bound)
 
 
 def proved_error(h: np.ndarray, delta: float, scale: np.ndarray) -> np.ndarray:

@@ -7,11 +7,13 @@ import pytest
 
 from imchit import (Constraint, InvalidModel, Model, RowPolytopeH,
                     RowPolytopeV, StateSpace, TargetSet, apply, random_model)
-from imchit import lp, solvers
-from imchit.model import _interval_bounds
-from modelzoo import (box_model, box_row, choices, coupled_row, edge_rows,
+from imchit import lp, solvers, transition
+from imchit.model import PMF_TOL, _interval_bounds
+from modelzoo import (box_model, box_row, choices, coupled_row,
+                      drift_chain_model, edge_rows, gambler_model,
                       interval_minimum, interval_vertex, policy_matrix,
-                      precise_model, random_mixed_model)
+                      precise_model, random_mixed_model, random_vrep_model,
+                      solver_iterates)
 
 
 @pytest.fixture
@@ -530,3 +532,220 @@ def test_matrix_of_some_states_is_that_block_of_the_matrix(rng):
                 # fresh: writing to it changes no model or result array
                 block[...] = -1.0
                 assert res.matrix().tobytes() == full.tobytes()
+
+
+# Re-scoring the vertices that can still win (transition._kept, _rescore).
+
+def test_rescoring_matches_the_full_product_bit_for_bit(rng):
+    # the kernel scores whole groups of four rows and the stack's last
+    # len % 4 rows apart; a raw subset product differs in those rows
+    n = 37
+    whole = rng.standard_exponential(size=(1003, n))
+    whole /= whole.sum(axis=1, keepdims=True)
+    for m in (1, 2, 3, 4, 5, 6, 7, 64, 65, 67, 131, 256, 257, 998, 999, 1000, 1003):
+        stack = whole[:m]
+        f = rng.normal(size=n) * 10.0 ** rng.uniform(-3, 5)
+        full = stack @ f
+        body = m - m % 4
+        subsets = [np.arange(m), np.arange(body), np.arange(body, m),
+                   np.arange(m - 1, m), np.arange(0, m, 3), np.arange(1, m, 2),
+                   np.arange(min(m, 64)), np.arange(min(m, 65))]
+        subsets += [np.sort(rng.choice(m, size=int(rng.integers(1, m + 1)),
+                                       replace=False)) for _ in range(6)]
+        for rows in subsets:
+            if len(rows):
+                got = transition._rescore(stack, rows, f)
+                assert got.tobytes() == full[rows].tobytes()
+
+
+def check_kept(m: Model, reference, objectives) -> list[int]:
+    """Every row's first minimizer, as a cold full scan picks it, is among
+    the vertices ``_kept`` keeps at each objective; how many it keeps at
+    each."""
+    counts = []
+    for objective in objectives:
+        kept = m.vertex_grid.reshape(-1)[transition._kept(m, reference, objective)]
+        first = apply(m, objective, "lower").picks[m.vertex_rows]
+        assert np.isin(first, kept).all()
+        counts.append(len(kept))
+    return counts
+
+
+def near_objectives(rng, m: Model, f: np.ndarray) -> list[np.ndarray]:
+    """Objectives near ``f``: perturbed at several scales, shifted off the
+    target as a policy step shifts h, and negated, as the other bound scores."""
+    off = (~m.target_mask).astype(float)
+    objectives = [f + rng.normal(size=m.size) * scale
+                  for scale in (1e-12, 1e-6, 1e-2, 1.0, 10.0)]
+    objectives += [f + shift * off + rng.normal(size=m.size) * 1e-3
+                   for shift in (-13.6, -0.04, 0.5, 40.0)]
+    objectives += [-f, -f + 2.0 * off]
+    return objectives
+
+
+def test_kept_vertices_include_every_first_minimizer_on_modelzoo_models(rng):
+    models = [gambler_model(9), drift_chain_model(12), drift_chain_model(30, 0.9)]
+    models += [random_vrep_model(rng, size_choices=(3, 5, 8), max_vertices=6)
+               for _ in range(25)]
+    models += [m for m in (random_mixed_model(rng, size_choices=(4, 6, 9))
+                           for _ in range(25)) if len(m.vertex_rows)]
+    assert any(m.target_mask.sum() > 1 for m in models)
+    for m in models:
+        for _ in range(3):
+            # nonzero on the target too, and dense, so the scan is a reference
+            f = rng.normal(size=m.size) * 10.0 ** rng.uniform(-1, 3)
+            for bound, objective in (("lower", f), ("upper", -f)):
+                reference = apply(m, f, bound).reference
+                assert reference is not None
+                check_kept(m, reference, near_objectives(rng, m, objective))
+
+
+def policy_objectives(m: Model) -> list[np.ndarray]:
+    """Every iterate of policy iteration, on both bounds, as each bound
+    scores it."""
+    objectives = []
+    for bound, sign in (("lower", 1.0), ("upper", -1.0)):
+        with solver_iterates("policy") as seen:
+            solvers.solve_policy(m, bound)
+        objectives += [sign * h for h in seen]
+    return objectives
+
+
+def multi_target(m: Model, target: set[int]) -> Model:
+    """``m``'s vertex rows with another target."""
+    return Model.from_vertex_stack(m.states, TargetSet(target),
+                                   m.vertex_stack.copy(), m.vertex_counts)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_kept_vertices_include_every_first_minimizer_at_the_study_size(seed):
+    # the study's models, with their singleton target and with five target
+    # states, at policy iteration's own iterates, both bounds mixed
+    study = random_model(200, 50, seed)
+    for m in (study, multi_target(study, {0, 50, 51, 120, 199})):
+        objectives = policy_objectives(m)
+        kept = []
+        for reference_objective in objectives:
+            reference = apply(m, reference_objective, "lower").reference
+            kept += check_kept(m, reference, objectives)
+        # a test that drops no vertex would pass vacuously
+        assert min(kept) < len(m.vertex_stack) / 20
+
+
+def tie_model(rng, n: int, blocks: int, copies: int) -> tuple[Model, np.ndarray]:
+    """Rows of a pmf and ``copies`` permutations of it within ``blocks``
+    blocks of states, the last state the target: at an objective constant
+    on each block a row's vertices tie exactly, and only their rounding
+    tells them apart.  The model and each non-target state's block."""
+    block = np.arange(n - 1) % blocks
+    members = [np.flatnonzero(block == b) for b in range(blocks)]
+    rows = []
+    for _ in range(n):
+        p = rng.dirichlet(np.ones(n))
+        vertices = [p]
+        for _ in range(copies):
+            q = p.copy()
+            for idx in members:
+                q[idx] = q[rng.permutation(idx)]
+            vertices.append(q)
+        rows.append(RowPolytopeV(np.array(vertices)))
+    states = StateSpace(tuple(f"s{i}" for i in range(n)))
+    return Model(states, TargetSet({n - 1}), tuple(rows)), block
+
+
+def test_kept_vertices_include_first_minimizers_within_ulps_of_a_tie(rng):
+    # a tie broken by rounding, then moved by one ulp in a third of the
+    # states: a vertex whose rounded gap exceeds the objective's span can
+    # still win, so the rounding margin must keep it
+    broken = 0
+    for _ in range(8):
+        m, block = tie_model(rng, n=120, blocks=4, copies=8)
+        for _ in range(4):
+            f = np.append(rng.uniform(64.0, 128.0, size=4)[block], 0.0)
+            for bound, sign in (("lower", 1.0), ("upper", -1.0)):
+                reference = apply(m, sign * f, bound).reference
+                # ties that rounding broke, by an ulp or a few
+                gaps = reference.gaps
+                broken += np.count_nonzero((gaps > 0) & (gaps < 1e-11))
+                objectives = []
+                for _ in range(10):
+                    g = f.copy()
+                    moved = np.flatnonzero(rng.random(m.size - 1) < 0.3)
+                    g[moved] = np.nextafter(g[moved], np.where(
+                        rng.random(len(moved)) < 0.5, np.inf, -np.inf))
+                    objectives.append(sign * g)
+                check_kept(m, reference, objectives)
+    assert broken
+
+
+def test_kept_vertices_allow_for_rows_off_a_pmf_within_its_tolerance():
+    # b sums to 1 + a and v to 1 - a, a within PMF_TOL: shifting the whole
+    # objective by c moves v's score against b's by -2 a c, which the
+    # spans, both 0, do not see
+    a, lead = 0.9 * PMF_TOL, 1e-10
+    b = np.array([0.5 + a, 0.5, 0.0])
+    v = np.array([0.5 + 2 * a + 2 * lead - a, 0.5 - 2 * a - 2 * lead, 0.0])
+    rows = (RowPolytopeV(np.stack([b, v])), RowPolytopeV(np.eye(3)[2:]),
+            RowPolytopeV(np.eye(3)[2:]))
+    m = Model(StateSpace(("a", "b", "c")), TargetSet({2}), rows)
+    f = np.array([1.0, 0.5, 1.0])
+    reference = apply(m, f, "lower").reference
+    assert reference.first[0] == 0 and 0 < reference.gaps[0, 1] < 2 * lead
+    g = f + 1e3
+    assert apply(m, g, "lower").picks[0] == m.vertex_offsets[0] + 1
+    check_kept(m, reference, [g])
+
+
+def warm_and_cold(m: Model, objectives, bound: str) -> None:
+    """Each call started from the one before picks and values what a cold
+    call does, bit for bit."""
+    previous = None
+    for f in objectives:
+        warm = apply(m, f, bound, start=previous)
+        cold = apply(m, f, bound)
+        assert np.array_equal(warm.picks, cold.picks)
+        assert warm.value.tobytes() == cold.value.tobytes()
+        previous = warm
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_warm_picks_are_the_cold_picks_at_the_study_size(seed, count_calls):
+    m = random_model(200, 50, seed)
+    rescored = count_calls(transition, "_rescore")
+    for bound, sign in (("lower", 1.0), ("upper", -1.0)):
+        with solver_iterates("policy") as seen:
+            solvers.solve_policy(m, bound)
+        warm_and_cold(m, [sign * h for h in seen] + [sign * seen[-1]], bound)
+        # mixed: an improvement of one bound started from the other's
+        warm_and_cold(m, [-sign * seen[-1], sign * seen[-1]], bound)
+    assert rescored
+
+
+def test_warm_picks_are_the_cold_picks_on_small_models(rng, monkeypatch,
+                                                       count_calls):
+    # small stacks are scanned in full; re-score them too
+    monkeypatch.setattr(transition, "_TESTED_FLOATS", 0)
+    rescored = count_calls(transition, "_rescore")
+    for _ in range(30):
+        m = random_vrep_model(rng, size_choices=(3, 5, 8), max_vertices=6)
+        f = rng.normal(size=m.size) * 50.0
+        off = (~m.target_mask).astype(float)
+        for bound in ("lower", "upper"):
+            warm_and_cold(m, [f, f + 1e-9 * off, f - 0.3 * off + 1e-3, f], bound)
+    assert rescored
+
+
+def test_a_reference_keeps_its_own_copy_of_the_objective(rng, monkeypatch):
+    # a caller may overwrite its f after the call; the next call started
+    # from the result must still measure the change against the f scored
+    monkeypatch.setattr(transition, "_TESTED_FLOATS", 0)
+    m = random_model(8, 6, 3)
+    for _ in range(20):
+        f = rng.normal(size=m.size)
+        previous = apply(m, f, "lower")
+        g = f + rng.normal(size=m.size)
+        f[:] = g
+        warm = apply(m, g, "lower", start=previous)
+        assert np.array_equal(warm.picks, apply(m, g, "lower").picks)
+        with pytest.raises(ValueError):
+            previous.reference.gaps[0, 0] = 0.0
