@@ -15,8 +15,7 @@ the rows it is given into a new array (those rows keep their arrays);
 ``Model.from_vertex_stack`` adopts an array the caller has already
 stacked, without a copy, and both then run the same build, which also
 packs the padded index grid of the vertex rows that the operators'
-``argmin`` reads, and each vertex's mass on the target, which their test
-for vertices that can still win reads.  Constraint
+``argmin`` reads.  Constraint
 rows are plain input data, and the build decides each one's kind once.
 A row whose finite constraints each bound one coordinate, and whose
 bounds admit a pmf exactly, is an interval row ``lo <= p <= hi``: the
@@ -202,9 +201,7 @@ class Model:
     Row ``x``'s vertices are ``vertex_stack[o:o + k]`` with ``o =
     vertex_offsets[x]`` and ``k = vertex_counts[x]`` (0 on H-rep rows).
     ``vertex_grid[i]`` holds the stack indices of row ``vertex_rows[i]``'s
-    vertices, padded to the longest row with ``len(vertex_stack)``, and
-    ``target_mass[i]`` the mass each of them puts on the target, 0 on the
-    padding.
+    vertices, padded to the longest row with ``len(vertex_stack)``.
     Row ``interval_rows[i]`` is the interval row ``interval_lo[i] <= p <=
     interval_hi[i]``; the closed form reads its caps ``interval_caps[i] =
     interval_hi[i] - interval_lo[i]`` and its free mass ``interval_left[i]
@@ -232,7 +229,6 @@ class Model:
     simplex_starts: tuple["lp.LpSolution | None", ...] = field(init=False, repr=False)
     target_mask: np.ndarray = field(init=False, repr=False)
     nontarget_indices: np.ndarray = field(init=False, repr=False)
-    target_mass: np.ndarray = field(init=False, repr=False)
     reachability: "reachability.ReachabilityReport" = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -331,8 +327,6 @@ class Model:
         self.simplex_starts = tuple(starts)
         self.target_mask = _readonly(np.isin(range(n), list(self.target.members)), bool)
         self.nontarget_indices = _readonly(np.flatnonzero(~self.target_mask), np.intp)
-        self.target_mass = _readonly(np.append(
-            stack[:, self.target_mask].sum(axis=1), 0.0)[self.vertex_grid])
         report = validate(self)
         if not report.ok:
             raise InvalidModel(report)

@@ -5,15 +5,16 @@ minimizes ``p . f`` over each state's row polytope independently, and the
 upper bound is its conjugate, the same minimization of ``p . (-f)``.
 Besides the value vector, each application records the extreme point
 attaining it in each row, once: the policy that the policy-iteration
-solver consumes.  A full scan scores every vertex with one product with
-the model's vertex stack, into an array whose last slot holds +inf, and
-one ``argmin`` over the padded grid the model packed when it was built
-(``Model.vertex_grid``, whose padding points at that slot) picks each
-vertex row's first minimizer.  When fewer than an eighth of the
-objective's entries are nonzero, as for the target indicator of the
-policy-iteration start and of the early reachability rounds, the product
-reads only those columns of the stack.  A model without vertex rows skips
-this kernel.
+solver consumes.  A full scan scores every vertex with products of the
+model's vertex stack, each of whole groups of four rows and few enough
+rows for BLAS to run it on one thread (``_scan``), into an array whose
+last slot holds +inf, and one ``argmin`` over the padded grid the model
+packed when it was built (``Model.vertex_grid``, whose padding points at
+that slot) picks each vertex row's first minimizer.  When fewer than an
+eighth of the objective's entries are nonzero, as for the target
+indicator of the policy-iteration start and of the early reachability
+rounds, the products read only those columns of the stack.  A model
+without vertex rows skips this kernel.
 Interval rows ``lo <= p <= hi`` are solved together in closed form: one
 sort of the objective, shared by every row solved, then every row starts
 at ``lo`` and hands its free mass ``1 - sum(lo)`` to the cheapest
@@ -31,7 +32,8 @@ usually optimal again or a few pivots away, and each interval row keeps
 its vertex there while that vertex is still optimal within
 ``lp.PIVOT_TOL``, so that ties in ``f`` do not flip the choice; the
 objective is sorted only when some interval row must be solved again.
-A dense full scan leaves a ``Reference`` in its result, and a call
+A dense full scan of a stack of at least ``_TESTED_FLOATS`` floats
+leaves a ``Reference`` in its result, and a call
 started from that result scores only the vertices that can still be
 their row's first minimizer (``_kept``), bit for bit as the full product
 would (``_rescore``), when they are at most a quarter of the stack; the
@@ -71,7 +73,8 @@ class OperatorResult:
     from them on request.  ``reference`` is the last full scan of the
     vertex stack, this call's or the one its start passed on, which a call
     started from this result re-scores against; None when the model has
-    no vertex rows or the scan read some columns only.
+    no vertex rows, a stack of fewer than ``_TESTED_FLOATS`` floats, or the
+    scan read some columns only.
     """
 
     value: np.ndarray
@@ -205,30 +208,56 @@ def _support(objective: np.ndarray) -> np.ndarray | None:
 
 _EPS = np.finfo(float).eps
 
-# Vertex stacks of fewer floats are always scanned in full: below about this
-# size, testing and gathering the vertices costs more than the scan saves.
-_TESTED_FLOATS = 2 ** 17
+# Vertex stacks of fewer floats are always scanned in full and leave no
+# reference: below about this size, the test and the gathers cost more than
+# the scans they save.  Policy iteration on random_model(n, k, s), one BLAS
+# thread, against full scans only: 1.04 of the time at 245,000 floats
+# (k = 50) and at 250,000 (k = 100), 0.98 at 320,000, 0.94 at 360,000;
+# value iteration's first 1500 sweeps: 1.24 at 125,000, 0.87 at 320,000.
+_TESTED_FLOATS = 300_000
 
-# Rows of the stack that one re-scoring product gathers: a multiple of four,
-# and few enough that OpenBLAS scores each product on one thread (it splits
-# none of fewer than about 460,000 entries).
+# OpenBLAS scores a matrix-vector product of fewer entries than this on one
+# thread (115200 times its GEMM_MULTITHREAD_THRESHOLD, 4 by default), and a
+# larger one on every thread, split at ceil(rows / threads) rows.
+_SERIAL_ENTRIES = 460_800
+
+# Rows of the stack that one re-scoring product gathers, at most: a
+# multiple of four, and a small temporary.
 _CHUNK = 64
+
+
+def _serial_rows(width: int) -> int:
+    """Rows of ``width`` columns that one product takes, a multiple of four:
+    with up to three more rows, BLAS still scores it on one thread."""
+    return max(4, ((_SERIAL_ENTRIES - 1) // max(width, 1) - 3) // 4 * 4)
+
+
+def _scan(stack: np.ndarray, objective: np.ndarray, out: np.ndarray) -> None:
+    """``stack @ objective`` into ``out``, with the bits of one product on
+    one thread whatever the number of BLAS threads.
+
+    The BLAS matrix-vector kernel scores the rows of a product in groups of
+    four, and the last ``len % 4`` rows, which fill no group, by another
+    summation; a product split between threads sums each thread's share so.
+    So the stack is scored in products of ``_serial_rows`` rows, each on one
+    thread, and the last one also takes the stack's last ``len % 4`` rows."""
+    body = len(stack) - len(stack) % 4
+    cuts = list(range(0, body, _serial_rows(stack.shape[1]))) or [0]
+    for lo, hi in zip(cuts, cuts[1:] + [len(stack)]):
+        np.matmul(stack[lo:hi], objective, out=out[lo:hi])
 
 
 def _rescore(stack: np.ndarray, rows: np.ndarray, objective: np.ndarray
              ) -> np.ndarray:
     """``(stack @ objective)[rows]`` for increasing stack indices ``rows``,
-    bit for bit, but read from those rows only, ``_CHUNK`` gathered rows at
-    a time.
+    bit for bit as ``_scan`` scores them, but read from those rows only, a
+    few gathered rows at a time.
 
-    The BLAS matrix-vector kernel scores the rows of a product in groups of
-    four, and the last ``len % 4`` rows, which fill no group, by another
-    summation.  So the rows below the stack's last ``len(stack) % 4`` are
-    gathered in groups of four, the last group padded with its last row,
-    and any row among those last ones is scored with all of them, at the end
-    of the gather, as the full product scores them.  This holds where BLAS
-    scores the full product on one thread, or splits it between threads at
-    multiples of four rows."""
+    The rows below the stack's last ``len(stack) % 4`` are gathered in
+    groups of four, the last group padded with its last row, and any row
+    among those last ones is scored with all of them, at the end of the
+    gather, as the scan scores them.  Each product takes at most
+    ``_CHUNK`` gathered rows, and no more than ``_scan`` takes."""
     body = len(stack) - len(stack) % 4
     split = int(np.searchsorted(rows, body))
     groups = rows[:split]
@@ -242,7 +271,8 @@ def _rescore(stack: np.ndarray, rows: np.ndarray, objective: np.ndarray
         gathered = np.concatenate([gathered, np.arange(body, len(stack))])
     out = np.empty(len(gathered))
     # the last product also takes the tail rows
-    cuts = list(range(0, tail, _CHUNK)) or [0]
+    step = min(_CHUNK, _serial_rows(stack.shape[1]))
+    cuts = list(range(0, tail, step)) or [0]
     for lo, hi in zip(cuts, cuts[1:] + [len(gathered)]):
         np.matmul(stack[gathered[lo:hi]], objective, out=out[lo:hi])
     return np.concatenate([out[:split], out[tail + rows[split:] - body]])
@@ -290,13 +320,18 @@ def _kept(model: Model, reference: Reference, objective: np.ndarray
               + 4 * (model.size + 8) * (_EPS + PMF_TOL) * scale)
     if not (np.isfinite(margin) and np.isfinite(shift)):
         return None
-    mass = model.target_mass
-    # gap_v - shift * v_T against its row's margin - shift * b_T; the
-    # padding's infinite gap keeps it out
-    limit = margin + -shift * mass[np.arange(len(mass)), reference.first]
-    test = mass * -shift
+    # each vertex's mass on the target, from column views: a gather of the
+    # columns would copy them
+    stack, grid = model.vertex_stack, model.vertex_grid
+    mass = np.zeros(len(stack) + 1)
+    for t in np.flatnonzero(target).tolist():
+        mass[:-1] += stack[:, t]
+    # gap_v - shift (v_T - b_T); the padding's infinite gap keeps it out
+    test = mass[grid]
+    test -= test[np.arange(len(grid)), reference.first][:, None]
+    test *= -shift
     test += reference.gaps
-    return np.flatnonzero(test <= limit[:, None])
+    return np.flatnonzero(test <= margin)
 
 
 def _vertex_choice(model: Model, objective: np.ndarray,
@@ -308,13 +343,14 @@ def _vertex_choice(model: Model, objective: np.ndarray,
     With a ``reference``, only the vertices ``_kept`` keeps are scored,
     when they are at most a quarter of the stack; the reference then stays.
     Otherwise every vertex is scored, and the scan is the new reference,
-    unless it read some columns only or a row's best score is not finite."""
+    unless the stack has fewer than ``_TESTED_FLOATS`` floats, the scan
+    read some columns only, or a row's best score is not finite."""
     stack, grid = model.vertex_stack, model.vertex_grid
     every = np.arange(len(grid))
     support = _support(objective)
     # a sparse objective is cheap to scan in full, and re-scoring could not
     # repeat the bits of a product over some columns
-    if reference is not None and support is None and stack.size >= _TESTED_FLOATS:
+    if reference is not None and support is None:
         kept = _kept(model, reference, objective)
         if kept is not None and 4 * len(kept) <= len(stack):
             scores = np.full(grid.shape, np.inf)
@@ -326,13 +362,14 @@ def _vertex_choice(model: Model, objective: np.ndarray,
     dots = np.empty(len(stack) + 1)
     dots[-1] = np.inf
     if support is None:
-        np.matmul(stack, objective, out=dots[:-1])
+        _scan(stack, objective, dots[:-1])
     else:
-        np.matmul(stack[:, support], objective[support], out=dots[:-1])
+        _scan(stack[:, support], objective[support], dots[:-1])
     gaps = dots[grid]
     first = gaps.argmin(axis=1)
     chosen, best = grid[every, first], gaps[every, first]
-    if support is not None or not np.isfinite(best).all():
+    if (support is not None or stack.size < _TESTED_FLOATS
+            or not np.isfinite(best).all()):
         return chosen, best, None
     gaps -= best[:, None]
     # later calls read the reference, so it holds a copy of the caller's f

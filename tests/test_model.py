@@ -121,24 +121,6 @@ def test_interval_rows_pack_their_caps_and_free_mass():
     assert m.interval_caps.shape == (0, 5) and m.interval_left.shape == (0,)
 
 
-def test_vertex_rows_pack_their_mass_on_the_target(rng):
-    ragged = Model(StateSpace(tuple("abcde")), TargetSet({1, 3}), (
-        RowPolytopeV(rng.dirichlet(np.ones(5), size=3)),
-        box_row(5, np.zeros(5), np.ones(5)),
-        RowPolytopeV(rng.dirichlet(np.ones(5), size=1)),
-        RowPolytopeV(rng.dirichlet(np.ones(5), size=4)),
-        RowPolytopeV(np.eye(5)[1:2])))
-    for m in (random_model(6, 3, 1), ragged, box_model(6, 1)):
-        grid = m.vertex_grid
-        mass = m.target_mass
-        assert mass.shape == grid.shape
-        assert not mass.flags.writeable and mass.flags.c_contiguous
-        real = grid < len(m.vertex_stack)
-        assert (mass[~real] == 0.0).all()
-        expected = m.vertex_stack[:, m.target_mask].sum(axis=1)
-        assert mass[real].tobytes() == expected[grid[real]].tobytes()
-
-
 def test_simplex_rows_are_the_general_constraint_rows():
     assert box_model(8, 1).simplex_rows.tolist() == []
     assert box_model(8, 1).simplex_starts == ()

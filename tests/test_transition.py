@@ -536,6 +536,38 @@ def test_matrix_of_some_states_is_that_block_of_the_matrix(rng):
 
 # Re-scoring the vertices that can still win (transition._kept, _rescore).
 
+@pytest.fixture
+def every_stack_tested(monkeypatch):
+    """Stacks of any size leave a reference and re-score against it."""
+    monkeypatch.setattr(transition, "_TESTED_FLOATS", 0)
+
+
+def grouped_product(stack: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """``stack @ f`` as one product on one thread scores it, whatever the
+    number of BLAS threads: each group of four rows in a product of its
+    own, the last group with the stack's last ``len % 4`` rows."""
+    body = len(stack) - len(stack) % 4
+    cuts = list(range(0, body, 4)) or [0]
+    return np.concatenate([stack[lo:hi] @ f for lo, hi in
+                           zip(cuts, cuts[1:] + [len(stack)])])
+
+
+def test_scan_has_the_bits_of_one_product_on_one_thread(rng):
+    # products past OpenBLAS's threading threshold, which a thread split
+    # off a multiple of four rows would sum differently: 7500 rows split
+    # at 3750 on two threads, 30 rows at 15, 10 at 4 on three threads
+    stacks = [random_model(150, 50, 0).vertex_stack,
+              random_model(200, 50, 0).vertex_stack]
+    wide = rng.standard_exponential(size=(30, 40_000))
+    stacks += [wide / wide.sum(axis=1, keepdims=True)]
+    stacks += [stacks[-1][:m] for m in (1, 3, 4, 10, 13, 29)]
+    for stack in stacks:
+        f = rng.normal(size=stack.shape[1]) * 100.0
+        out = np.empty(len(stack))
+        transition._scan(stack, f, out)
+        assert out.tobytes() == grouped_product(stack, f).tobytes()
+
+
 def test_rescoring_matches_the_full_product_bit_for_bit(rng):
     # the kernel scores whole groups of four rows and the stack's last
     # len % 4 rows apart; a raw subset product differs in those rows
@@ -556,6 +588,15 @@ def test_rescoring_matches_the_full_product_bit_for_bit(rng):
             if len(rows):
                 got = transition._rescore(stack, rows, f)
                 assert got.tobytes() == full[rows].tobytes()
+    # rows too wide for 64 of them in a product on one thread
+    wide = rng.standard_exponential(size=(30, 40_000))
+    wide /= wide.sum(axis=1, keepdims=True)
+    f = rng.normal(size=wide.shape[1])
+    full = grouped_product(wide, f)
+    for rows in (np.arange(30), np.arange(28, 30), np.arange(0, 30, 3),
+                 np.array([5, 17, 21, 22, 23, 24, 25, 26, 27, 29])):
+        got = transition._rescore(wide, rows, f)
+        assert got.tobytes() == full[rows].tobytes()
 
 
 def check_kept(m: Model, reference, objectives) -> list[int]:
@@ -583,7 +624,8 @@ def near_objectives(rng, m: Model, f: np.ndarray) -> list[np.ndarray]:
     return objectives
 
 
-def test_kept_vertices_include_every_first_minimizer_on_modelzoo_models(rng):
+def test_kept_vertices_include_every_first_minimizer_on_modelzoo_models(
+        rng, every_stack_tested):
     models = [gambler_model(9), drift_chain_model(12), drift_chain_model(30, 0.9)]
     models += [random_vrep_model(rng, size_choices=(3, 5, 8), max_vertices=6)
                for _ in range(25)]
@@ -653,7 +695,8 @@ def tie_model(rng, n: int, blocks: int, copies: int) -> tuple[Model, np.ndarray]
     return Model(states, TargetSet({n - 1}), tuple(rows)), block
 
 
-def test_kept_vertices_include_first_minimizers_within_ulps_of_a_tie(rng):
+def test_kept_vertices_include_first_minimizers_within_ulps_of_a_tie(
+        rng, every_stack_tested):
     # a tie broken by rounding, then moved by one ulp in a third of the
     # states: a vertex whose rounded gap exceeds the objective's span can
     # still win, so the rounding margin must keep it
@@ -678,7 +721,8 @@ def test_kept_vertices_include_first_minimizers_within_ulps_of_a_tie(rng):
     assert broken
 
 
-def test_kept_vertices_allow_for_rows_off_a_pmf_within_its_tolerance():
+def test_kept_vertices_allow_for_rows_off_a_pmf_within_its_tolerance(
+        every_stack_tested):
     # b sums to 1 + a and v to 1 - a, a within PMF_TOL: shifting the whole
     # objective by c moves v's score against b's by -2 a c, which the
     # spans, both 0, do not see
@@ -696,6 +740,17 @@ def test_kept_vertices_allow_for_rows_off_a_pmf_within_its_tolerance():
     check_kept(m, reference, [g])
 
 
+def test_only_stacks_past_the_threshold_leave_a_reference(rng):
+    sizes = []
+    for m in (random_model(20, 50, 0), random_model(100, 50, 0)):
+        large = m.vertex_stack.size >= transition._TESTED_FLOATS
+        f = rng.normal(size=m.size)
+        for bound in ("lower", "upper"):
+            assert (apply(m, f, bound).reference is not None) == large
+        sizes.append(large)
+    assert sizes == [False, True]
+
+
 def warm_and_cold(m: Model, objectives, bound: str) -> None:
     """Each call started from the one before picks and values what a cold
     call does, bit for bit."""
@@ -708,9 +763,10 @@ def warm_and_cold(m: Model, objectives, bound: str) -> None:
         previous = warm
 
 
-@pytest.mark.parametrize("seed", [0, 3])
-def test_warm_picks_are_the_cold_picks_at_the_study_size(seed, count_calls):
-    m = random_model(200, 50, seed)
+@pytest.mark.parametrize("n, seed", [(200, 0), (200, 3), (150, 1)])
+def test_warm_picks_are_the_cold_picks_at_the_study_size(n, seed, count_calls):
+    # 150 states: 7500 rows, which two BLAS threads would split at 3750
+    m = random_model(n, 50, seed)
     rescored = count_calls(transition, "_rescore")
     for bound, sign in (("lower", 1.0), ("upper", -1.0)):
         with solver_iterates("policy") as seen:
@@ -721,10 +777,9 @@ def test_warm_picks_are_the_cold_picks_at_the_study_size(seed, count_calls):
     assert rescored
 
 
-def test_warm_picks_are_the_cold_picks_on_small_models(rng, monkeypatch,
+def test_warm_picks_are_the_cold_picks_on_small_models(rng, every_stack_tested,
                                                        count_calls):
     # small stacks are scanned in full; re-score them too
-    monkeypatch.setattr(transition, "_TESTED_FLOATS", 0)
     rescored = count_calls(transition, "_rescore")
     for _ in range(30):
         m = random_vrep_model(rng, size_choices=(3, 5, 8), max_vertices=6)
@@ -735,10 +790,9 @@ def test_warm_picks_are_the_cold_picks_on_small_models(rng, monkeypatch,
     assert rescored
 
 
-def test_a_reference_keeps_its_own_copy_of_the_objective(rng, monkeypatch):
+def test_a_reference_keeps_its_own_copy_of_the_objective(rng, every_stack_tested):
     # a caller may overwrite its f after the call; the next call started
     # from the result must still measure the change against the f scored
-    monkeypatch.setattr(transition, "_TESTED_FLOATS", 0)
     m = random_model(8, 6, 3)
     for _ in range(20):
         f = rng.normal(size=m.size)
