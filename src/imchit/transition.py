@@ -211,8 +211,8 @@ _EPS = np.finfo(float).eps
 # Vertex stacks of fewer floats are always scanned in full and leave no
 # reference: below about this size, the test and the gathers cost more than
 # the scans they save.  Policy iteration on random_model(n, k, s), one BLAS
-# thread, against full scans only: 1.04 of the time at 245,000 floats
-# (k = 50) and at 250,000 (k = 100), 0.98 at 320,000, 0.94 at 360,000;
+# thread, against full scans only: 1.04 of the time at 245,000 floats and
+# 0.98 at 320,000 (k = 50), 1.03 at 250,000 and 0.94 at 360,000 (k = 100);
 # value iteration's first 1500 sweeps: 1.24 at 125,000, 0.87 at 320,000.
 _TESTED_FLOATS = 300_000
 
