@@ -53,8 +53,7 @@ def _cmd_solve(args) -> int:
     if args.method == "policy":
         report = solve_policy(model, args.bound, max_iter=args.max_iter)
     elif args.method == "value":
-        cap = 10 ** 6 if args.max_iter is None else args.max_iter
-        report = solve_value(model, args.bound, tol=args.tol, max_iter=cap)
+        report = solve_value(model, args.bound, tol=args.tol, max_iter=args.max_iter)
     else:
         report = solve_brute(model, args.bound)
     doc = {

@@ -337,10 +337,6 @@ class Model:
     def size(self) -> int:
         return self.states.size
 
-    @property
-    def target_indices(self) -> np.ndarray:
-        return np.flatnonzero(self.target_mask)
-
 
 @dataclass(frozen=True)
 class ValidationIssue:
@@ -462,7 +458,7 @@ def model_to_dict(model: Model) -> dict:
             rows[labels[x]] = {"constraints": cons}
     return {
         "states": list(labels),
-        "target": [labels[i] for i in model.target_indices],
+        "target": [labels[i] for i in np.flatnonzero(model.target_mask)],
         "rows": rows,
     }
 

@@ -111,9 +111,10 @@ def _vouched(report: SolveReport) -> SolveReport:
     return report
 
 
-def _require_cap(max_iter: int) -> None:
-    if max_iter < 1:
+def _cap(max_iter: int | None, default: int) -> int:
+    if max_iter is not None and max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
+    return max_iter or default
 
 
 def _improve(model: Model, h: np.ndarray, bound: str,
@@ -156,8 +157,7 @@ def solve_policy(model: Model, bound: str = "lower",
     """
     start = time.perf_counter()
     check_bound(bound)
-    cap = max_iter if max_iter is not None else 10 * model.size
-    _require_cap(cap)
+    cap = _cap(max_iter, 10 * model.size)
     _require_reachable(model)
     nontarget = model.nontarget_indices
     selected = _initial(model, bound)
@@ -181,29 +181,29 @@ def solve_policy(model: Model, bound: str = "lower",
 
 
 def solve_value(model: Model, bound: str = "lower", tol: float = 1e-9,
-                max_iter: int = 10 ** 6) -> SolveReport:
+                max_iter: int | None = None) -> SolveReport:
     """Fixed-point sweeps from the non-target indicator.
 
     The iterates increase monotonically towards the solution; the run is
     flagged tolerance-limited because stopping at ``tol`` leaves a
     truncation error that never fully vanishes.  ``tol`` must be finite
-    and positive, and ``max_iter`` at least 1.  Each sweep starts from the
-    one before, so on a large vertex stack it re-scores only the vertices
-    that can still win against the last full scan (``transition.apply``),
-    with the values and choices of a sweep that scores every vertex.
+    and positive, and ``max_iter`` (default ``10 ** 6``) at least 1.
+    Each sweep starts from the one before, so on a large vertex stack it
+    re-scores only the vertices that can still win against the last full
+    scan (``transition.apply``), with a full sweep's values and choices.
     """
     start = time.perf_counter()
     check_bound(bound)
     if not 0.0 < tol < math.inf:  # also false for nan
         raise ValueError(f"tol must be finite and positive, got {tol}")
-    _require_cap(max_iter)
+    cap = _cap(max_iter, 10 ** 6)
     _require_reachable(model)
     off_target = (~model.target_mask).astype(float)
     h = off_target.copy()
     result: OperatorResult | None = None
     trace: list[IterationStat] = []
     iterations = 0
-    while iterations < max_iter:
+    while iterations < cap:
         result, changes = _improve(model, h, bound, result)
         h_next = off_target * (1.0 + result.value)
         iterations += 1
@@ -214,7 +214,7 @@ def solve_value(model: Model, bound: str = "lower", tol: float = 1e-9,
             break
     else:
         raise MaxIterationsExceeded(
-            f"value iteration exceeded {max_iter} sweeps", tuple(trace))
+            f"value iteration exceeded {cap} sweeps", tuple(trace))
     h.flags.writeable = False
     return SolveReport(
         bound=bound, method="value", solution=HittingTimeVector(h),
@@ -234,11 +234,11 @@ def _vertex_counts(model: Model) -> list[int]:
     return model.vertex_counts[nontarget].tolist()
 
 
-def _iter_chunks(model: Model) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+def _iter_chunks(model: Model,
+                 counts: list[int]) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Each chunk's vertex choices, one column per non-target row, and the
-    hitting times of the matrices they select."""
+    hitting times of the matrices they select; ``counts`` is ``_vertex_counts``."""
     nontarget = model.nontarget_indices
-    counts = _vertex_counts(model)
     total = math.prod(counts)
     k = len(nontarget)
     chunk = max(1, _BRUTE_BYTES // (2 * k * k * 8))
@@ -265,12 +265,14 @@ def solve_brute(model: Model, bound: str = "lower") -> SolveReport:
     """
     start = time.perf_counter()
     check_bound(bound)
-    total = math.prod(_vertex_counts(model))
+    counts = _vertex_counts(model)
+    total = math.prod(counts)
     if total > _MAX_COMBINATIONS:
         raise TooManyCombinations(total, _MAX_COMBINATIONS)
     _require_reachable(model)
     reduce = np.minimum if bound == "lower" else np.maximum
-    best = reduce.reduce([reduce.reduce(h, axis=0) for _, h in _iter_chunks(model)])
+    best = reduce.reduce([reduce.reduce(h, axis=0)
+                          for _, h in _iter_chunks(model, counts)])
     best.flags.writeable = False
     return _vouched(SolveReport(
         bound=bound, method="brute", solution=HittingTimeVector(best),

@@ -73,7 +73,7 @@ def test_draw_sequence_is_pinned(n, k, seed):
 def test_sampled_vertices_live_on_the_simplex():
     m = random_model(40, 10, 7)
     assert validate(m).ok
-    assert m.target_indices.tolist() == [39]
+    assert np.flatnonzero(m.target_mask).tolist() == [39]
     for row in m.rows:
         assert row.vertices.min() >= 0.0
         assert np.max(np.abs(row.vertices.sum(axis=1) - 1.0)) <= 1e-12

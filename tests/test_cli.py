@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from imchit import cli, model, save_model, solve_value, transition
+from imchit import cli, model, save_model, solve_value, solvers, transition
 from imchit.cli import main
 from modelzoo import (gambler_model, hitting_times, isolated_cycle_model,
                       line_model, precise_model)
@@ -215,17 +215,25 @@ def test_tol_is_value_iterations_stopping_gap(gambler_path, capsys):
 
 
 def test_value_iteration_cap_defaults_only_when_absent(gambler_path, monkeypatch):
-    caps = []
+    # the CLI passes --max-iter through, and the solver resolves its default
+    caps, resolved = [], []
+    original = solvers._cap
 
     def capture(*args, max_iter, **kwargs):
         caps.append(max_iter)
         return solve_value(*args, max_iter=max_iter, **kwargs)
 
+    def resolve(max_iter, default):
+        resolved.append(original(max_iter, default))
+        return resolved[-1]
+
     monkeypatch.setattr(cli, "solve_value", capture)
+    monkeypatch.setattr(solvers, "_cap", resolve)
     assert main(["solve", "--model", gambler_path, "--method", "value"]) == 0
     assert main(["solve", "--model", gambler_path, "--method", "value",
                  "--max-iter", "500"]) == 0
-    assert caps == [10 ** 6, 500]
+    assert caps == [None, 500]
+    assert resolved == [10 ** 6, 500]
 
 
 def test_missing_file_is_domain_error(tmp_path, capsys):

@@ -322,7 +322,7 @@ def test_index_order_follows_file_order():
                     for lab in ("zeta", "alpha", "mid")}}
     m = model_from_dict(doc)
     assert m.states.labels == ("zeta", "alpha", "mid")
-    assert m.target_indices.tolist() == [1]
+    assert np.flatnonzero(m.target_mask).tolist() == [1]
 
 
 def reference_issues(labels: tuple[str, ...], rows) -> list[ValidationIssue]:

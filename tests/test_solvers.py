@@ -17,8 +17,8 @@ from imchit import (MaxIterationsExceeded, Model, ReachabilityViolation,
 from imchit import lp, solvers, transition
 from imchit.solvers import RESID_RTOL
 from modelzoo import (box_bounds, box_model, box_row, choices, drift_chain_lower,
-                      drift_chain_model, drift_chain_upper, gambler_model,
-                      hitting_times, interval_extreme, interval_vertex,
+                      drift_chain_model, drift_chain_upper, exact_bounds,
+                      gambler_model, hitting_times, interval_extreme, interval_vertex,
                       isolated_cycle_model, line_model, precise_model,
                       random_mixed_model, random_vrep_model, solver_iterates,
                       standard_form, two_choice_model)
@@ -320,6 +320,14 @@ def test_brute_combination_cap(count_calls):
     assert solve_brute(two_choice_model()).iterations == 2
 
 
+def test_brute_force_counts_the_vertices_once(rng, count_calls):
+    # one call both refuses constraint rows and counts the combinations
+    counted = count_calls(solvers, "_vertex_counts")
+    for bound in ("lower", "upper"):
+        solve_brute(random_vrep_model(rng), bound)
+    assert len(counted) == 2
+
+
 def test_brute_requires_vertex_rows():
     m = Model(StateSpace(("a", "b")), TargetSet({1}),
               (box_row(2, np.array([0.2, 0.0]), np.array([1.0, 1.0])),
@@ -370,7 +378,8 @@ def brute_peak(m: Model) -> int:
 def test_brute_chunks_fit_the_byte_budget(rng):
     m = budget_model(rng)
     assert brute_peak(m) <= solvers._BRUTE_BYTES
-    chunks = [len(picked) for picked, _ in solvers._iter_chunks(m)]
+    chunks = [len(picked) for picked, _ in
+              solvers._iter_chunks(m, solvers._vertex_counts(m))]
     assert len(chunks) > 1 and sum(chunks) == 4096
 
 
@@ -404,8 +413,9 @@ def test_componentwise_extremum_is_attained_by_one_combination(rng):
     for _ in range(5):
         m = random_vrep_model(rng)
         best = solve_brute(m, "lower").solution.values
+        chunks = solvers._iter_chunks(m, solvers._vertex_counts(m))
         deviations = [float(np.max(np.abs(h - best)))
-                      for _, chunk in solvers._iter_chunks(m) for h in chunk]
+                      for _, chunk in chunks for h in chunk]
         assert min(deviations) <= 1e-9 * (1.0 + np.max(best))
 
 
@@ -420,7 +430,7 @@ def test_brute_force_solves_each_combination_as_solve_precise(rng):
                                          for x, row in enumerate(m.rows)]),
                                m.nontarget_indices)
                  for choice in (dict(zip(nontarget, c)) for c in combinations)]
-        chunks = list(solvers._iter_chunks(m))
+        chunks = list(solvers._iter_chunks(m, solvers._vertex_counts(m)))
         picked = np.concatenate([s for s, _ in chunks])
         assert list(map(tuple, picked.tolist())) == combinations
         for h, expected in zip(np.concatenate([h for _, h in chunks]), alone):
@@ -628,27 +638,112 @@ def exact_vertex(row, basis: tuple[int, ...]) -> list[Fraction]:
     return p
 
 
-def exact_policy_times(m: Model, h: np.ndarray, bound: str) -> np.ndarray:
-    """The hitting times of the policy the operator selects at ``h``, solved
-    in rationals from the row data and rounded once."""
+def exact_interval_vertex(row, pattern: tuple[int, ...],
+                          objective: np.ndarray) -> list[Fraction]:
+    """The vertex an interval row's ``interval_pattern`` names, in exact
+    rationals.  A partial coordinate whose share or shortfall rounds to
+    nothing sits at a bound in the float vertex, so the pattern names none
+    and its point misses the simplex by that much.  The greedy fill at
+    ``objective`` then settles it: the cheapest coordinate below its upper
+    bound takes a share, the dearest above its lower bound gives one up."""
+    p = interval_vertex(row, pattern)
+    short = 1 - sum(p)
+    if short:
+        lower, upper = exact_bounds(row)
+        moves = [y for y in range(len(p))
+                 if (p[y] < upper[y] if short > 0 else p[y] > lower[y])]
+        y = (min if short > 0 else max)(moves, key=lambda y: (objective[y], y))
+        p[y] += short
+        assert lower[y] <= p[y] <= upper[y]
+    return p
+
+
+def exact_policy(m: Model, h: np.ndarray, bound: str
+                 ) -> tuple[tuple, list[list[Fraction]], list[Fraction]]:
+    """The extreme points the operator selects at ``h`` (``choices``), the
+    rows of the policy matrix they name and the policy's hitting times,
+    each solved in rationals from the row data."""
     named = choices(m, apply(m, h, bound))
+    objective = h if bound == "lower" else -h
     rows = [[Fraction(float(v)) for v in row.vertices[sel]]
             if isinstance(row, RowPolytopeV)
-            else interval_vertex(row, sel) if x in m.interval_rows
+            else exact_interval_vertex(row, sel, objective) if x in m.interval_rows
             else exact_vertex(row, sel)
             for x, (row, sel) in enumerate(zip(m.rows, named))]
     free = m.nontarget_indices.tolist()
-    u = solve_fractions([[int(x == y) - rows[x][y] for y in free] for x in free],
-                        [Fraction(1)] * len(free))
-    exact = np.zeros(m.size)
-    exact[free] = [float(v) for v in u]
-    return exact
+    system = [[int(x == y) - rows[x][y] for y in free] for x in free]
+    # each equation times its common denominator: an integer system
+    scales = [math.lcm(*(v.denominator for v in line)) for line in system]
+    times = dict(zip(free, solve_integers(
+        [[int(v * s) for v in line] for line, s in zip(system, scales)], scales)))
+    return named, rows, [times.get(x, Fraction(0)) for x in range(m.size)]
+
+
+def exact_policy_times(m: Model, h: np.ndarray, bound: str) -> np.ndarray:
+    """The hitting times of the policy the operator selects at ``h``, solved
+    in rationals from the row data and rounded once."""
+    return np.array([float(v) for v in exact_policy(m, h, bound)[2]])
+
+
+def interval_least(row, cost: list[Fraction]) -> Fraction:
+    """The exact minimum of ``p . cost`` over an interval row: every
+    coordinate at its lower bound in ``exact_bounds``, then the mass left
+    over to the cheapest coordinates first."""
+    lower, upper = exact_bounds(row)
+    left = 1 - sum(lower)
+    least = sum(p * c for p, c in zip(lower, cost))
+    for y in sorted(range(len(cost)), key=cost.__getitem__):
+        step = min(upper[y] - lower[y], left)
+        least += step * cost[y]
+        left -= step
+    return least
+
+
+def reduced_costs(row, basis: tuple[int, ...],
+                  cost: list[Fraction]) -> list[Fraction]:
+    """The exact reduced costs of minimizing ``p . cost`` over a constraint
+    row's ``standard_form`` at a full ``basis``: ``c_j - y . a_j`` with
+    ``y`` solving ``B^T y = c_B``; slack columns cost nothing."""
+    a, _ = standard_form(row)
+    a = [[Fraction(float(v)) for v in line] for line in a]
+    c = list(cost) + [Fraction(0)] * (len(a[0]) - len(cost))
+    y = solve_fractions([[line[j] for line in a] for j in basis],
+                        [c[j] for j in basis])
+    return [c[j] - sum(yi * line[j] for yi, line in zip(y, a))
+            for j in range(len(c))]
+
+
+def certify_rows(m: Model, bound: str) -> None:
+    """Policy iteration's answer is the tight bound, proved in exact
+    arithmetic from the row data for every kind of row: the final
+    policy's hitting times u, solved exactly, satisfy u = 1 + P u with
+    each non-target row of P extreme for ``bound`` at u.  A vertex row's
+    vertex scores no worse than any other vertex of the row, an interval
+    row's vertex scores the greedy fill's exact extremum, and a simplex
+    row's basis has no negative exact reduced cost.  The rows here are
+    inequalities only, so every basis is full, as ``exact_vertex``
+    asserts.  The float answer is within 1e-13 of u relative to its
+    largest entry, since the policy matrix holds the vertices the
+    operator scored."""
+    h = solve_policy(m, bound).solution.values
+    named, rows, u = exact_policy(m, h, bound)
+    exact = np.array([float(v) for v in u])
+    assert np.max(np.abs(h - exact)) <= 1e-13 * np.max(exact)
+    sign = 1 if bound == "lower" else -1
+    cost = [sign * v for v in u]
+    for x in m.nontarget_indices.tolist():
+        row = m.rows[x]
+        score = sum(p * c for p, c in zip(rows[x], cost))
+        if isinstance(row, RowPolytopeV):
+            assert score == min(sum(Fraction(float(p)) * c for p, c in zip(v, cost))
+                                for v in row.vertices)
+        elif x in m.interval_rows:
+            assert score == interval_least(row, cost)
+        else:
+            assert min(reduced_costs(row, named[x], cost)) >= 0
 
 
 def check_exact_rationals(coupled: bool) -> None:
-    # the policy matrix holds the vertices the operator scored, so h is the
-    # exact hitting time of the final policy up to the linear solve: about
-    # 1e-15 here, where rebuilding the vertices by least squares left 6e-13
     rng = np.random.default_rng(7)
     checked = 0
     while checked < 40:
@@ -657,17 +752,35 @@ def check_exact_rationals(coupled: bool) -> None:
             continue
         checked += 1
         for bound in ("lower", "upper"):
-            h = solve_policy(m, bound).solution.values
-            exact = exact_policy_times(m, h, bound)
-            assert np.max(np.abs(h - exact)) <= 1e-13 * (1.0 + np.max(exact))
+            certify_rows(m, bound)
 
 
 def test_mixed_solutions_match_exact_rationals():
     check_exact_rationals(coupled=True)
+    # general constraint rows in every state, and in every other state
+    for m in (box_model(8, 5, coupled=range(8)),
+              box_model(12, 3, coupled=range(0, 12, 2))):
+        for bound in ("lower", "upper"):
+            certify_rows(m, bound)
 
 
 def test_interval_solutions_match_exact_rationals():
     check_exact_rationals(coupled=False)
+
+
+@pytest.mark.parametrize("n", [6, 12, 20])
+def test_interval_rows_are_optimal_in_exact_arithmetic(n):
+    for seed in (1, 2, 3):
+        m = box_model(n, seed)
+        for bound in ("lower", "upper"):
+            certify_rows(m, bound)
+
+
+@pytest.mark.slow
+def test_interval_rows_are_optimal_in_exact_arithmetic_at_forty_states():
+    m = box_model(40, 1)
+    for bound in ("lower", "upper"):
+        certify_rows(m, bound)
 
 
 def scaled_integers(a: np.ndarray) -> tuple[list[list[int]], int]:
