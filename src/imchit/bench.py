@@ -151,10 +151,8 @@ def write_csv(records: list[TrialRecord], path) -> None:
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)
         for r in records:
-            writer.writerow([r.size, r.trial_index, r.iterations,
-                             format(r.residual, ".17g"),
-                             format(r.wall_time, ".17g"),
-                             r.regenerations, r.seed_used])
+            writer.writerow([r.size, r.trial_index, r.iterations, r.residual,
+                             r.wall_time, r.regenerations, r.seed_used])
 
 
 def iteration_histogram(records: list[TrialRecord]) -> dict[int, dict[int, int]]:

@@ -1,9 +1,10 @@
 """Command-line front end: validate, reach, solve, bench.
 
-Reports go to stdout as JSON with full-precision numbers; the bench
-subcommand writes CSV (and optionally a histogram JSON) to files.  Exit
-codes: 0 success, 1 domain error (invalid model, unreachable target,
-solver failure, unreadable input), 2 usage error.
+Reports go to stdout as JSON, each float in Python's shortest repr that
+reads back to the same double; the bench subcommand writes CSV (and
+optionally a histogram JSON) to files.  Exit codes: 0 success, 1 domain
+error (invalid model, unreachable target, solver failure, unreadable
+input), 2 usage error.
 """
 
 from __future__ import annotations
@@ -13,12 +14,15 @@ import json
 import os
 import sys
 
-from . import jsonfmt
 from .bench import BenchConfig, iteration_histogram, run_experiment, write_csv
 from .errors import ImcError, InvalidModel
 from .model import ValidationReport, load_model
 from .solvers import solve_brute, solve_policy, solve_value
 from .transition import BOUNDS
+
+
+def _write_report(fh, doc) -> None:
+    fh.write(json.dumps(doc, indent=2, allow_nan=False) + "\n")
 
 
 def _cmd_validate(args) -> int:
@@ -31,7 +35,7 @@ def _cmd_validate(args) -> int:
     doc = {"ok": report.ok,
            "issues": [{"code": i.code, "state": i.state, "detail": i.detail}
                       for i in report.issues]}
-    sys.stdout.write(jsonfmt.dumps(doc))
+    _write_report(sys.stdout, doc)
     return 0 if report.ok else 1
 
 
@@ -44,7 +48,7 @@ def _cmd_reach(args) -> int:
         "reach_step": {labels[x]: report.reach_step[x] for x in range(model.size)},
         "violating": [labels[x] for x in sorted(report.violating)],
     }
-    sys.stdout.write(jsonfmt.dumps(doc))
+    _write_report(sys.stdout, doc)
     return 0 if report.holds else 1
 
 
@@ -69,7 +73,7 @@ def _cmd_solve(args) -> int:
     if args.trace and report.trace is not None:
         doc["trace"] = [{"sup_norm": t.sup_norm, "policy_changes": t.policy_changes}
                         for t in report.trace]
-    sys.stdout.write(jsonfmt.dumps(doc))
+    _write_report(sys.stdout, doc)
     return 0
 
 
@@ -86,7 +90,7 @@ def _cmd_bench(args) -> int:
         histogram = {str(size): {str(i): c for i, c in counts.items()}
                      for size, counts in iteration_histogram(records).items()}
         with open(args.hist, "w", encoding="utf-8") as fh:
-            fh.write(jsonfmt.dumps(histogram))
+            _write_report(fh, histogram)
     print(f"wrote {len(records)} records to {args.out}")
     return 0
 

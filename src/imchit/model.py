@@ -91,9 +91,6 @@ class TargetSet:
     def __init__(self, members: Iterable[int]):
         object.__setattr__(self, "members", frozenset(int(i) for i in members))
 
-    def __contains__(self, i: int) -> bool:
-        return i in self.members
-
 
 @dataclass(eq=False)
 class RowPolytopeV:

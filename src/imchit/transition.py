@@ -309,15 +309,17 @@ def _kept(model: Model, reference: Reference, objective: np.ndarray
     state, so d spans that whole shift while c1 - c2 carries it
     (MacQueen's test for suboptimal actions, Management Sci. 13 (1967),
     with spans taken per part of the state space)."""
-    delta = objective - reference.objective
     target = model.target_mask
-    off, on = delta[~target], delta[target]
-    low, high, low_t, high_t = off.min(), off.max(), on.min(), on.max()
-    shift = (high + low) / 2 - (high_t + low_t) / 2
-    # at least the largest |objective| plus the largest |reference objective|
-    scale = 2 * np.abs(objective).max() + max(high, high_t, -low, -low_t)
-    margin = (max(high - low, high_t - low_t)
-              + 4 * (model.size + 8) * (_EPS + PMF_TOL) * scale)
+    # an overflow here makes the bound non-finite, which the check below sees
+    with np.errstate(over="ignore", invalid="ignore"):
+        delta = objective - reference.objective
+        off, on = delta[~target], delta[target]
+        low, high, low_t, high_t = off.min(), off.max(), on.min(), on.max()
+        shift = (high + low) / 2 - (high_t + low_t) / 2
+        # at least the largest |objective| plus the largest |reference objective|
+        scale = 2 * np.abs(objective).max() + max(high, high_t, -low, -low_t)
+        margin = (max(high - low, high_t - low_t)
+                  + 4 * (model.size + 8) * (_EPS + PMF_TOL) * scale)
     if not (np.isfinite(margin) and np.isfinite(shift)):
         return None
     # each vertex's mass on the target, from column views: a gather of the

@@ -3,11 +3,17 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from imchit import cli, model, save_model, solve_value, solvers, transition
+from imchit import (BenchConfig, cli, load_model, model, random_model,
+                    run_experiment, save_model, solve_policy, solve_value,
+                    solvers, transition)
 from imchit.cli import main
 from modelzoo import (gambler_model, hitting_times, isolated_cycle_model,
                       line_model, precise_model)
@@ -17,6 +23,17 @@ from modelzoo import (gambler_model, hitting_times, isolated_cycle_model,
 def gambler_path(tmp_path):
     path = tmp_path / "gambler.json"
     save_model(gambler_model(4), path)
+    return str(path)
+
+
+@pytest.fixture
+def bad_path(tmp_path):
+    """A model file whose row a has a vertex summing to 1.1."""
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({
+        "states": ["a", "b"], "target": ["b"],
+        "rows": {"a": {"vertices": [[0.5, 0.6]]},
+                 "b": {"vertices": [[0.0, 1.0]]}}}))
     return str(path)
 
 
@@ -31,27 +48,17 @@ def test_validate_ok(gambler_path, capsys):
     assert doc == {"ok": True, "issues": []}
 
 
-def test_validate_reports_issues(tmp_path, capsys):
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps({
-        "states": ["a", "b"], "target": ["b"],
-        "rows": {"a": {"vertices": [[0.5, 0.6]]},
-                 "b": {"vertices": [[0.0, 1.0]]}}}))
-    assert main(["validate", "--model", str(path)]) == 1
+def test_validate_reports_issues(bad_path, capsys):
+    assert main(["validate", "--model", bad_path]) == 1
     doc = json.loads(capsys.readouterr().out)
     assert not doc["ok"]
     assert doc["issues"] == [{"code": "NonStochasticVertex", "state": "a",
                               "detail": "vertex 0 has min 0.5, sum 1.1"}]
 
 
-def test_validate_reports_the_builds_check(gambler_path, tmp_path, capsys,
+def test_validate_reports_the_builds_check(gambler_path, bad_path, capsys,
                                            count_calls):
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({
-        "states": ["a", "b"], "target": ["b"],
-        "rows": {"a": {"vertices": [[0.5, 0.6]]},
-                 "b": {"vertices": [[0.0, 1.0]]}}}))
-    for path, status in ((gambler_path, 0), (str(bad), 1)):
+    for path, status in ((gambler_path, 0), (bad_path, 1)):
         checks = count_calls(model, "validate")
         scans = count_calls(model, "_issues")
         assert main(["validate", "--model", path]) == status
@@ -131,6 +138,21 @@ def test_solve_trace_flag(gambler_path, capsys):
     assert {"sup_norm", "policy_changes"} == set(doc["trace"][0])
 
 
+def test_solve_report_carries_every_double_exactly(tmp_path, capsys):
+    path = tmp_path / "random.json"
+    save_model(random_model(7, 3, 2), path)
+    m = load_model(path)
+    for bound in ("lower", "upper"):
+        assert main(["solve", "--model", str(path), "--bound", bound,
+                     "--trace"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        report = solve_policy(m, bound)
+        assert doc["values"] == report.solution.values.tolist()
+        assert doc["residual"] == report.residual
+        assert [t["sup_norm"] for t in doc["trace"]] == \
+            [t.sup_norm for t in report.trace]
+
+
 def test_solve_output_is_deterministic(gambler_path, capsys):
     main(["solve", "--model", gambler_path, "--method", "policy", "--trace"])
     first = capsys.readouterr().out
@@ -154,13 +176,8 @@ def test_brute_reachability_failure_exits_one(tmp_path, capsys):
     assert "ReachabilityViolation" in err and "from: c, d" in err
 
 
-def test_solve_on_invalid_model_exits_one(tmp_path, capsys):
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps({
-        "states": ["a", "b"], "target": ["b"],
-        "rows": {"a": {"vertices": [[0.5, 0.6]]},
-                 "b": {"vertices": [[0.0, 1.0]]}}}))
-    assert main(["solve", "--model", str(path)]) == 1
+def test_solve_on_invalid_model_exits_one(bad_path, capsys):
+    assert main(["solve", "--model", bad_path]) == 1
     assert "NonStochasticVertex" in capsys.readouterr().err
 
 
@@ -345,6 +362,28 @@ def test_bench_writes_csv_and_histogram(tmp_path, capsys):
     doc = json.loads(hist.read_text())
     assert set(doc) == {"6", "8"}
     assert "wrote 4 records" in capsys.readouterr().out
+
+
+def test_bench_csv_carries_every_residual_exactly(tmp_path, capsys):
+    out = tmp_path / "bench.csv"
+    assert main(["bench", "--sizes", "6", "--vertices", "3", "--trials", "4",
+                 "--seed", "5", "--out", str(out)]) == 0
+    capsys.readouterr()
+    with open(out, newline="") as fh:
+        residuals = [float(row["residual"]) for row in csv.DictReader(fh)]
+    records = run_experiment(BenchConfig(sizes=(6,), vertices_per_row=3,
+                                         trials=4, seed=5))
+    assert residuals == [r.residual for r in records]
+
+
+def test_module_entry_point_exits_with_mains_status(gambler_path, bad_path):
+    env = {**os.environ,
+           "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    for args, status in ((["--model", gambler_path], 0),
+                         (["--model", bad_path], 1), ([], 2)):
+        run = subprocess.run([sys.executable, "-m", "imchit.cli", "validate", *args],
+                             env=env, capture_output=True, text=True)
+        assert run.returncode == status, run.stderr
 
 
 def test_bench_rejects_bad_sizes(tmp_path, capsys):

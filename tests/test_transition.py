@@ -763,6 +763,20 @@ def warm_and_cold(m: Model, objectives, bound: str) -> None:
         previous = warm
 
 
+def test_a_change_too_large_to_bound_falls_back_to_a_full_scan(count_calls):
+    # f to -f changes the objective by 2e308, which overflows: _kept then
+    # bounds nothing and the warm call scans the whole stack, warning-free
+    m = random_model(80, 50, 1)
+    assert m.vertex_stack.size >= transition._TESTED_FLOATS
+    f = np.full(m.size, 1e308)
+    f[-1] = 0.0
+    kept = count_calls(transition, "_kept")
+    rescored = count_calls(transition, "_rescore")
+    for bound in ("lower", "upper"):
+        warm_and_cold(m, [f, -f], bound)
+    assert len(kept) == 2 and not rescored
+
+
 @pytest.mark.parametrize("n, seed", [(200, 0), (200, 3), (150, 1)])
 def test_warm_picks_are_the_cold_picks_at_the_study_size(n, seed, count_calls):
     # 150 states: 7500 rows, which two BLAS threads would split at 3750
