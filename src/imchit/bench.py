@@ -55,7 +55,11 @@ class BenchConfig:
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "sizes", tuple(_integer("sizes", s) for s in self.sizes))
+        try:
+            sizes = tuple(self.sizes)
+        except TypeError:
+            raise ValueError(f"sizes: {self.sizes!r} is not a sequence") from None
+        object.__setattr__(self, "sizes", tuple(_integer("sizes", s) for s in sizes))
         for name in ("vertices_per_row", "trials", "seed"):
             object.__setattr__(self, name, _integer(name, getattr(self, name)))
         if not self.sizes or min(self.sizes) < 2:
@@ -125,7 +129,7 @@ def run_experiment(config: BenchConfig, jobs: int = 1) -> list[TrialRecord]:
 
     Records come back ordered by (size, trial), independent of ``jobs``.
     """
-    if jobs < 1:
+    if _integer("jobs", jobs) < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     tasks = [(size, trial)
              for size in config.sizes for trial in range(config.trials)]

@@ -491,10 +491,10 @@ def model_from_dict(doc: dict) -> Model:
 def _row_from_dict(spec: dict, states: StateSpace) -> Row:
     if not isinstance(spec, dict):
         raise TypeError("a row must be a JSON object")
+    if ("vertices" in spec) == ("constraints" in spec):
+        raise ValueError("needs exactly one of 'vertices' and 'constraints'")
     if "vertices" in spec:
         return RowPolytopeV(np.asarray(spec["vertices"], dtype=float))
-    if "constraints" not in spec:
-        raise ValueError("needs 'vertices' or 'constraints'")
     cons = []
     for c in spec["constraints"]:
         if not (isinstance(c, dict) and isinstance(c.get("a"), dict)):

@@ -193,13 +193,14 @@ def box_model(n: int, seed: int, coupled: Iterable[int] = ()) -> Model:
                  TargetSet({n - 1}), rows)
 
 
-def interval_minimum(lower: np.ndarray, upper: np.ndarray,
-                     f: np.ndarray) -> np.ndarray:
-    """Closed-form minimizer over an interval row: start at ``lower`` and
-    hand the remaining mass to the cheapest coordinates first."""
-    p = lower.copy()
-    left = 1.0 - lower.sum()
-    for y in np.argsort(f):
+def interval_minimum(lower, upper, f) -> list:
+    """Closed-form minimizer of ``p . f`` over an interval row ``lower <= p
+    <= upper``: start at ``lower`` and hand the remaining mass to the
+    cheapest coordinates first, ties to the lowest index.  It uses plain
+    Python arithmetic, so it serves floats and exact rationals alike."""
+    p = list(lower)
+    left = 1 - sum(p)
+    for y in sorted(range(len(p)), key=lambda y: f[y]):
         step = min(upper[y] - lower[y], left)
         p[y] += step
         left -= step
@@ -244,19 +245,33 @@ def interval_pattern(row: RowPolytopeH, vertex: np.ndarray) -> tuple[int, ...]:
     return tuple(full) + (partial[0] if partial else -1,)
 
 
-def interval_vertex(row: RowPolytopeH, pattern: tuple[int, ...]) -> list[Fraction]:
+def interval_vertex(row: RowPolytopeH, pattern: tuple[int, ...],
+                    objective: np.ndarray | None = None) -> list[Fraction]:
     """The vertex an interval row's ``interval_pattern`` names, in exact
     rationals.
 
     The pattern's leading coordinates sit at their upper bound; its last
     entry, unless -1, takes the mass left over; every other coordinate
-    sits at its lower bound.
+    sits at its lower bound.  A partial coordinate whose share or
+    shortfall rounds to nothing sits at a bound in the float vertex, so
+    the pattern names none and this point misses the simplex by that
+    much.  Given the ``objective`` the vertex minimizes, the greedy fill
+    settles it in ``interval_minimum``'s order: the first coordinate below
+    its upper bound takes the share, or the last above its lower bound
+    gives the shortfall up.
     """
     lower, upper = exact_bounds(row)
     *full, partial = pattern
     p = [upper[y] if y in full else lower[y] for y in range(row.num_states)]
+    short = 1 - sum(p)
     if partial >= 0:
-        p[partial] += 1 - sum(p)
+        p[partial] += short
+    elif short and objective is not None:
+        moves = [y for y in range(len(p))
+                 if (p[y] < upper[y] if short > 0 else p[y] > lower[y])]
+        y = (min if short > 0 else max)(moves, key=lambda y: (objective[y], y))
+        p[y] += short
+        assert lower[y] <= p[y] <= upper[y]
     return p
 
 

@@ -156,7 +156,8 @@ def test_config_validation():
         BenchConfig(sizes=(5,), tol=1e-9)
 
 
-@pytest.mark.parametrize("field, value", [("sizes", (10.7,)), ("seed", 1.5),
+@pytest.mark.parametrize("field, value", [("sizes", (10.7,)), ("sizes", 5),
+                                          ("seed", 1.5),
                                           ("vertices_per_row", 2.0),
                                           ("trials", 2.0)])
 def test_config_refuses_non_integers(field, value):
@@ -187,7 +188,8 @@ def test_numpy_integers_configure_the_same_study():
                                         numpy_ints.trials, numpy_ints.seed))
     key = lambda rs: [(r.size, r.trial_index, r.iterations, r.residual,
                        r.seed_used, r.regenerations) for r in rs]
-    assert key(run_experiment(numpy_ints)) == key(run_experiment(python))
+    assert key(run_experiment(numpy_ints, jobs=np.int64(2))) \
+        == key(run_experiment(python))
 
 
 def test_study_records_are_pinned():
@@ -205,7 +207,7 @@ def test_study_records_are_pinned():
     assert iteration_histogram(records) == {30: {3: 5, 4: 1}, 40: {3: 6}}
 
 
-@pytest.mark.parametrize("jobs", [0, -3])
+@pytest.mark.parametrize("jobs", [0, -3, 2.5])
 def test_experiment_needs_a_job(jobs):
     config = BenchConfig(sizes=(5,), vertices_per_row=2, trials=1)
     with pytest.raises(ValueError, match="jobs"):

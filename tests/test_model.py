@@ -310,7 +310,9 @@ def test_parse_errors():
                  {"constraints": [fine, {"rel": "<=", "b": 0.3}]},
                  {"constraints": [fine, {"a": {"b": 1.0}, "rel": "<="}]},
                  {"constraints": ["a"]}, {"constraints": 3},
-                 {"vertices": {"a": 1.0}}):
+                 {"vertices": {"a": 1.0}},
+                 # one kind or the other, not both
+                 {"vertices": [[0.5, 0.5]], "constraints": [fine]}):
         with pytest.raises(ValueError, match="state 'a'"):
             model_from_dict({"states": ["a", "b"], "target": ["b"],
                              "rows": {"a": spec, "b": rows["b"]}})
