@@ -3,9 +3,12 @@
 Each trial samples a model whose row polytopes are convex hulls of pmfs
 drawn uniformly from the probability simplex (normalized i.i.d. unit-rate
 exponentials), with the last state as the singleton target, and records
-how many iterations the lower-bound policy iteration needs.  Sub-seeds
-are derived from (master seed, size, trial, regeneration), so results are
-reproducible regardless of scheduling.
+how many iterations the lower-bound policy iteration needs.  Each trial
+draws one model, from a sub-seed derived from (master seed, size, trial),
+so results are reproducible regardless of scheduling.  A flat-Dirichlet
+vertex almost surely puts mass on the target, so the drawn models pass the
+reachability check; one that failed it would make the solve raise, and the
+trial would be logged and skipped like any other failed trial.
 
 ``random_model`` draws all of a model's vertices with one
 ``standard_exponential`` call, the same numbers as ``exponential(1.0)``,
@@ -19,32 +22,19 @@ from __future__ import annotations
 
 import csv
 import logging
-import operator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ImcError, ReachabilityViolation
-from .model import Model, StateSpace, TargetSet
+from .errors import ImcError
+from .model import Model, StateSpace, TargetSet, _integer
 from .solvers import solve_policy
 
 log = logging.getLogger(__name__)
 
-# flat-Dirichlet rows make unreachable targets a measure-zero event, so a
-# handful of regenerations is already absurdly unlikely
-_MAX_REGENERATIONS = 100
-
 CSV_COLUMNS = ("size", "trial", "iterations", "residual", "wall_time_s",
-               "regenerations", "seed_used")
-
-
-def _integer(name: str, value) -> int:
-    """``value`` as an int if it is an integer (a Python or numpy one)."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name}: {value!r} is not an integer") from None
+               "seed_used")
 
 
 @dataclass(frozen=True)
@@ -64,6 +54,8 @@ class BenchConfig:
             object.__setattr__(self, name, _integer(name, getattr(self, name)))
         if not self.sizes or min(self.sizes) < 2:
             raise ValueError("sizes must be integers >= 2")
+        if len(set(self.sizes)) < len(self.sizes):
+            raise ValueError(f"sizes: {self.sizes} repeats a size")
         if self.vertices_per_row < 1:
             raise ValueError("vertices_per_row must be positive")
         if self.trials < 1:
@@ -80,7 +72,6 @@ class TrialRecord:
     wall_time: float
     residual: float
     seed_used: int
-    regenerations: int
 
 
 def random_model(size: int, vertices_per_row: int, seed: int) -> Model:
@@ -97,31 +88,20 @@ def random_model(size: int, vertices_per_row: int, seed: int) -> Model:
                                    np.full(size, vertices_per_row))
 
 
-def _trial_seed(master: int, size: int, trial: int, regeneration: int) -> int:
-    sequence = np.random.SeedSequence([int(master), int(size), int(trial),
-                                       int(regeneration)])
+def _trial_seed(master: int, size: int, trial: int) -> int:
+    # the fourth word stays 0, so each trial draws the model it always drew
+    sequence = np.random.SeedSequence([int(master), int(size), int(trial), 0])
     return int(sequence.generate_state(1, np.uint64)[0])
 
 
 def _run_trial(config: BenchConfig, size: int, trial: int) -> TrialRecord:
-    regenerations = 0
-    while True:
-        seed_used = _trial_seed(config.seed, size, trial, regenerations)
-        model = random_model(size, config.vertices_per_row, seed_used)
-        try:
-            # the model decided reachability when it was built, and the
-            # solver refuses one that fails it; such a model is drawn again
-            report = solve_policy(model, "lower")
-            break
-        except ReachabilityViolation:
-            regenerations += 1
-            if regenerations > _MAX_REGENERATIONS:
-                raise ImcError(
-                    f"size {size}, trial {trial}: no reachable model found") from None
+    seed_used = _trial_seed(config.seed, size, trial)
+    report = solve_policy(random_model(size, config.vertices_per_row, seed_used),
+                          "lower")
     return TrialRecord(size=size, trial_index=trial,
                        iterations=report.iterations,
                        wall_time=report.wall_time, residual=report.residual,
-                       seed_used=seed_used, regenerations=regenerations)
+                       seed_used=seed_used)
 
 
 def run_experiment(config: BenchConfig, jobs: int = 1) -> list[TrialRecord]:
@@ -132,7 +112,7 @@ def run_experiment(config: BenchConfig, jobs: int = 1) -> list[TrialRecord]:
     if _integer("jobs", jobs) < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     tasks = [(size, trial)
-             for size in config.sizes for trial in range(config.trials)]
+             for size in sorted(config.sizes) for trial in range(config.trials)]
 
     def run(task):
         size, trial = task
@@ -142,12 +122,8 @@ def run_experiment(config: BenchConfig, jobs: int = 1) -> list[TrialRecord]:
             log.warning("size %d trial %d failed: %s", size, trial, exc)
             return None
 
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(run, tasks))
-    else:
-        outcomes = [run(task) for task in tasks]
-    return [record for record in outcomes if record is not None]
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        return [record for record in pool.map(run, tasks) if record is not None]
 
 
 def write_csv(records: list[TrialRecord], path) -> None:
@@ -156,7 +132,7 @@ def write_csv(records: list[TrialRecord], path) -> None:
         writer.writerow(CSV_COLUMNS)
         for r in records:
             writer.writerow([r.size, r.trial_index, r.iterations, r.residual,
-                             r.wall_time, r.regenerations, r.seed_used])
+                             r.wall_time, r.seed_used])
 
 
 def iteration_histogram(records: list[TrialRecord]) -> dict[int, dict[int, int]]:

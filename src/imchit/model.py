@@ -33,6 +33,7 @@ vertex and the simplex rows that phase one rejected.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Union
 
@@ -56,6 +57,21 @@ def _readonly(a: np.ndarray, dtype=float) -> np.ndarray:
         a = a.view()
         a.flags.writeable = False
     return a
+
+
+def _integer(name: str, value) -> int:
+    """``value`` as an int if it is an integer (a Python or numpy one)."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name}: {value!r} is not an integer") from None
+
+
+def _number(value) -> float:
+    """A JSON number as a float; ``float`` alone would take "0.5" and true."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{value!r} is not a number")
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -89,7 +105,8 @@ class TargetSet:
     members: frozenset[int]
 
     def __init__(self, members: Iterable[int]):
-        object.__setattr__(self, "members", frozenset(int(i) for i in members))
+        object.__setattr__(self, "members",
+                           frozenset(_integer("target", i) for i in members))
 
 
 @dataclass(eq=False)
@@ -494,7 +511,8 @@ def _row_from_dict(spec: dict, states: StateSpace) -> Row:
     if ("vertices" in spec) == ("constraints" in spec):
         raise ValueError("needs exactly one of 'vertices' and 'constraints'")
     if "vertices" in spec:
-        return RowPolytopeV(np.asarray(spec["vertices"], dtype=float))
+        return RowPolytopeV(np.array([[_number(p) for p in vertex]
+                                      for vertex in spec["vertices"]]))
     cons = []
     for c in spec["constraints"]:
         if not (isinstance(c, dict) and isinstance(c.get("a"), dict)):
@@ -502,8 +520,8 @@ def _row_from_dict(spec: dict, states: StateSpace) -> Row:
                             "maps state labels to coefficients")
         a = np.zeros(states.size)
         for lab, coef in c["a"].items():
-            a[states.index(str(lab))] = float(coef)
-        cons.append(Constraint(a, str(c["rel"]), float(c["b"])))
+            a[states.index(str(lab))] = _number(coef)
+        cons.append(Constraint(a, str(c["rel"]), _number(c["b"])))
     return RowPolytopeH(states.size, tuple(cons))
 
 

@@ -9,7 +9,7 @@ import pytest
 from imchit import (BenchConfig, Model, RowPolytopeV, iteration_histogram,
                     random_model, run_experiment, validate, write_csv)
 from imchit import bench, reachability
-from imchit.bench import _MAX_REGENERATIONS, CSV_COLUMNS, _trial_seed
+from imchit.bench import CSV_COLUMNS, _trial_seed
 
 
 def test_same_seed_gives_identical_models():
@@ -92,8 +92,8 @@ def test_uniform_simplex_moments():
 
 
 def test_trial_seeds_are_stable_and_distinct():
-    assert _trial_seed(1, 100, 0, 0) == _trial_seed(1, 100, 0, 0)
-    seeds = {_trial_seed(1, size, trial, 0)
+    assert _trial_seed(1, 100, 0) == _trial_seed(1, 100, 0)
+    seeds = {_trial_seed(1, size, trial)
              for size in (10, 20) for trial in range(25)}
     assert len(seeds) == 50
 
@@ -106,13 +106,13 @@ def test_single_trial_experiment():
     assert record.size == 8 and record.trial_index == 0
     assert record.iterations >= 1
     assert record.residual <= 1e-9 * 10
-    assert record.regenerations == 0
 
 
 def test_experiment_is_reproducible_across_job_counts():
-    config = BenchConfig(sizes=(10, 12), vertices_per_row=4, trials=6, seed=11)
+    # records follow (size, trial), not the order the sizes are given in
+    config = BenchConfig(sizes=(12, 10), vertices_per_row=4, trials=6, seed=11)
     key = lambda rs: [(r.size, r.trial_index, r.iterations, r.residual,
-                       r.seed_used, r.regenerations) for r in rs]
+                       r.seed_used) for r in rs]
     sequential = run_experiment(config, jobs=1)
     threaded = run_experiment(config, jobs=4)
     assert key(sequential) == key(threaded)
@@ -154,6 +154,8 @@ def test_config_validation():
         BenchConfig(sizes=(5,), init="greedy")
     with pytest.raises(TypeError):
         BenchConfig(sizes=(5,), tol=1e-9)
+    with pytest.raises(ValueError, match="sizes"):
+        BenchConfig(sizes=(6, 4, 6))
 
 
 @pytest.mark.parametrize("field, value", [("sizes", (10.7,)), ("sizes", 5),
@@ -187,7 +189,7 @@ def test_numpy_integers_configure_the_same_study():
     assert all(type(v) is int for v in (*numpy_ints.sizes, numpy_ints.vertices_per_row,
                                         numpy_ints.trials, numpy_ints.seed))
     key = lambda rs: [(r.size, r.trial_index, r.iterations, r.residual,
-                       r.seed_used, r.regenerations) for r in rs]
+                       r.seed_used) for r in rs]
     assert key(run_experiment(numpy_ints, jobs=np.int64(2))) \
         == key(run_experiment(python))
 
@@ -196,14 +198,14 @@ def test_study_records_are_pinned():
     # integers only: a residual's last bits depend on the BLAS build
     records = run_experiment(BenchConfig(sizes=(30, 40), vertices_per_row=10,
                                          trials=6, seed=7))
-    assert [(r.size, r.trial_index, r.iterations, r.regenerations, r.seed_used)
+    assert [(r.size, r.trial_index, r.iterations, r.seed_used)
             for r in records] == [
-        (30, 0, 4, 0, 5117919879038363292), (30, 1, 3, 0, 1718054975686877252),
-        (30, 2, 3, 0, 11272890038980256861), (30, 3, 3, 0, 2570793199775647008),
-        (30, 4, 3, 0, 14856441726460131839), (30, 5, 3, 0, 3624996384826167431),
-        (40, 0, 3, 0, 8260274986714777299), (40, 1, 3, 0, 449890649921364670),
-        (40, 2, 3, 0, 14847641653213717603), (40, 3, 3, 0, 9989192223006808828),
-        (40, 4, 3, 0, 10844430516755729679), (40, 5, 3, 0, 17929639119111741326)]
+        (30, 0, 4, 5117919879038363292), (30, 1, 3, 1718054975686877252),
+        (30, 2, 3, 11272890038980256861), (30, 3, 3, 2570793199775647008),
+        (30, 4, 3, 14856441726460131839), (30, 5, 3, 3624996384826167431),
+        (40, 0, 3, 8260274986714777299), (40, 1, 3, 449890649921364670),
+        (40, 2, 3, 14847641653213717603), (40, 3, 3, 9989192223006808828),
+        (40, 4, 3, 10844430516755729679), (40, 5, 3, 17929639119111741326)]
     assert iteration_histogram(records) == {30: {3: 5, 4: 1}, 40: {3: 6}}
 
 
@@ -235,35 +237,21 @@ def stuck_model(size: int) -> Model:
     return Model(model.states, model.target, rows)
 
 
-def test_unreachable_draw_is_regenerated(monkeypatch, count_calls):
+def test_a_stuck_trial_is_logged_and_skipped(monkeypatch, caplog):
+    seeds = [_trial_seed(4, 6, trial) for trial in range(3)]
     drawn = []
 
-    def first_draw_stuck(size, vertices_per_row, seed):
+    def trial_1_stuck(size, vertices_per_row, seed):
         drawn.append(seed)
-        if len(drawn) == 1:
+        if seed == seeds[1]:
             return stuck_model(size)
         return random_model(size, vertices_per_row, seed)
 
-    monkeypatch.setattr(bench, "random_model", first_draw_stuck)
-    calls = count_calls(reachability, "check_reachability")
-    [record] = run_experiment(BenchConfig(sizes=(6,), vertices_per_row=3,
-                                          trials=1, seed=4))
-    assert record.regenerations == 1
-    assert drawn == [_trial_seed(4, 6, 0, 0), _trial_seed(4, 6, 0, 1)]
-    assert record.seed_used == drawn[1]
-    # one check per model built: stuck_model builds two, the redraw one
-    assert len(calls) == 3
-
-
-def test_trial_fails_after_too_many_regenerations(monkeypatch, caplog):
-    drawn = []
-
-    def always_stuck(size, vertices_per_row, seed):
-        drawn.append(seed)
-        return stuck_model(size)
-
-    monkeypatch.setattr(bench, "random_model", always_stuck)
-    config = BenchConfig(sizes=(4,), vertices_per_row=2, trials=1, seed=1)
-    assert run_experiment(config) == []
-    assert len(drawn) == _MAX_REGENERATIONS + 1
-    assert "no reachable model found" in caplog.text
+    monkeypatch.setattr(bench, "random_model", trial_1_stuck)
+    records = run_experiment(BenchConfig(sizes=(6,), vertices_per_row=3,
+                                         trials=3, seed=4), jobs=2)
+    assert [(r.trial_index, r.seed_used) for r in records] == [(0, seeds[0]),
+                                                               (2, seeds[2])]
+    # each trial draws one model: the stuck one is not drawn again
+    assert sorted(drawn) == sorted(seeds)
+    assert "size 6 trial 1 failed: target not reachable" in caplog.text

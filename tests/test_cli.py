@@ -298,6 +298,7 @@ MALFORMED_ROWS = [
      "b": {"vertices": [[0.0, 1.0]]}},
     {"a": {"constraints": [{"a": [1.0, 0.0], "rel": "<=", "b": 0.3}]},
      "b": {"vertices": [[0.0, 1.0]]}},
+    {"a": {"vertices": [["1", "0"]]}, "b": {"vertices": [[0.0, 1.0]]}},
 ]
 
 
@@ -357,7 +358,7 @@ def test_bench_writes_csv_and_histogram(tmp_path, capsys):
     with open(out, newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["size", "trial", "iterations", "residual",
-                       "wall_time_s", "regenerations", "seed_used"]
+                       "wall_time_s", "seed_used"]
     assert len(rows) == 1 + 4
     doc = json.loads(hist.read_text())
     assert set(doc) == {"6", "8"}

@@ -311,11 +311,27 @@ def test_parse_errors():
                  {"constraints": [fine, {"a": {"b": 1.0}, "rel": "<="}]},
                  {"constraints": ["a"]}, {"constraints": 3},
                  {"vertices": {"a": 1.0}},
+                 # JSON strings, booleans and nulls are not numbers, even
+                 # where numpy or float() would convert them
+                 {"vertices": [["0.5", "0.5"]]}, {"vertices": [[False, True]]},
+                 {"vertices": [[1, True]]}, {"vertices": [[0.5, None]]},
+                 {"constraints": [{"a": {"a": "1"}, "rel": "<=", "b": 0.3}]},
+                 {"constraints": [{"a": {"a": 1}, "rel": "<=", "b": "0.3"}]},
+                 {"constraints": [{"a": {"a": True}, "rel": "<=", "b": 0.3}]},
+                 {"constraints": [{"a": {"a": 1}, "rel": "<=", "b": False}]},
                  # one kind or the other, not both
                  {"vertices": [[0.5, 0.5]], "constraints": [fine]}):
         with pytest.raises(ValueError, match="state 'a'"):
             model_from_dict({"states": ["a", "b"], "target": ["b"],
                              "rows": {"a": spec, "b": rows["b"]}})
+
+
+def test_target_members_must_be_integers():
+    assert TargetSet([np.int64(2), np.uint8(0), 1]).members == {0, 1, 2}
+    assert all(type(i) is int for i in TargetSet([np.int64(2)]).members)
+    for member in (1.7, 2.0, "1"):
+        with pytest.raises(ValueError, match=f"target: {member!r} is not"):
+            TargetSet({member})
 
 
 def test_index_order_follows_file_order():

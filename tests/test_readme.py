@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 
 import imchit as ic
+from imchit import bench
 from imchit.cli import main
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
@@ -33,6 +34,12 @@ def test_model_file_format_example_loads_and_solves():
     assert model.states.labels == ("a", "b", "c")
     assert lower[2] == upper[2] == 0.0
     assert np.all(1.0 <= lower[:2]) and np.all(lower <= upper)
+
+
+def test_bench_csv_header_is_the_documented_one():
+    documented = re.search(r"`imchit bench` writes a CSV with the header\n\n```\n(.*?)\n```",
+                           README).group(1)
+    assert documented == ",".join(bench.CSV_COLUMNS)
 
 
 def test_report_schema_example_is_the_file_format_examples_report(tmp_path, capsys):
